@@ -12,8 +12,7 @@ from .curves import (FermatHermitian, GarciaStichtenoth, GeneralizedGK,
                      NormTraceHermitian)
 from .proj3 import ProjLine, ProjPoint, incident, line_points, normalize, polar
 from .pgu3 import (Projectivity, SubgroupSpec, generate, in_psu, is_unitary,
-                   make_alpha, make_alpha_a, make_beta, make_three_cycle,
-                   order_of)
+                   make_alpha, make_alpha_a, make_beta, make_three_cycle)
 from .action import (fixed_points, is_semiregular, orbits, restrict_to_line,
                      sharply_2_transitive, stabilizer_census, sylow_census)
 from .ramification import (RamificationLedger, different_degree,
@@ -21,8 +20,8 @@ from .ramification import (RamificationLedger, different_degree,
 from .linpoly import (AssociatePoly, LinearizedPoly, compose, decompose,
                       from_kernel, inverse_associate, p_associate,
                       symbolic_divides)
-from .catalog import (dickson_orders, lemmino_scan, mh_orders, order_excluded,
-                      primovalore_scan, psu3_order, quattordici_scan)
+from .catalog import (lemmino_scan, mh_orders, order_excluded, primovalore_scan,
+                      psu3_order, quattordici_scan)
 from .checks import run_all, run_check
 
 __version__ = "0.1.0"

@@ -9,9 +9,9 @@ whose curve intersection is decided by the tangent/secant classification
 through the polarity (and by enumeration in oracle tests at small q).
 """
 
-from .gf import build_field, embed
+from .gf import build_field, embed, nullspace
 from .polyroots import divmod_poly, roots, roots_with_multiplicity
-from .proj3 import ProjLine, ProjPoint, line_points, pole
+from .proj3 import ProjLine, ProjPoint, line_points, normalize, pole
 from .pgu3 import Projectivity, SubgroupSpec, generate
 
 
@@ -61,33 +61,6 @@ class FixedPointSet:
         return pts
 
 
-def _nullspace3(F, m):
-    rows = [list(m[0:3]), list(m[3:6]), list(m[6:9])]
-    pivots = []
-    r = 0
-    for c in range(3):
-        pr = next((i for i in range(r, 3) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, v) for v in rows[r]]
-        for i in range(3):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [F.sub(rows[i][j], F.mul(f, rows[r][j])) for j in range(3)]
-        pivots.append(c)
-        r += 1
-    basis = []
-    for fc in (c for c in range(3) if c not in pivots):
-        v = [0, 0, 0]
-        v[fc] = 1
-        for pi, pc in enumerate(pivots):
-            v[pc] = F.neg(rows[pi][fc])
-        basis.append(tuple(v))
-    return basis
-
-
 def _cross(F, a, b):
     return (
         F.sub(F.mul(a[1], b[2]), F.mul(a[2], b[1])),
@@ -132,7 +105,7 @@ def fixed_points(sigma: Projectivity, model) -> FixedPointSet:
         shifted = list(m_e)
         for di in (0, 4, 8):
             shifted[di] = E.sub(shifted[di], lam)
-        basis = _nullspace3(E, shifted)
+        basis = nullspace(E, (shifted[0:3], shifted[3:6], shifted[6:9]))
         if len(basis) == 1:
             isolated.append(ProjPoint(E, basis[0]))
         elif len(basis) == 2:
@@ -289,13 +262,9 @@ class Mat2:
 
     def __init__(self, field, entries):
         m = tuple(entries)
-        for e in m:
-            if e:
-                inv = field.inv(e)
-                m = tuple(field.mul(inv, x) for x in m)
-                break
-        else:
+        if not any(m):
             raise ActionError("zero 2x2 matrix")
+        m = normalize(field, m)
         if field.sub(field.mul(m[0], m[3]), field.mul(m[1], m[2])) == 0:
             raise ActionError("singular 2x2 matrix")
         self.field = field

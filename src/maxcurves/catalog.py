@@ -1,5 +1,5 @@
-"""Order catalogs for the case analyses: maximal subgroups of PSU(3, q),
-subgroups of PGL(2, q), and the pure-integer divisibility scans.
+"""Order catalogs for the case analyses: maximal subgroups of PSU(3, q) and
+the pure-integer divisibility scans.
 
 Catalog entries are data, not derivations: each carries an order formula
 evaluated at the given q together with the applicability condition that
@@ -128,68 +128,6 @@ def order_excluded(m: int, q: int, multiplier: int = 1):
     if m < 1:
         raise CatalogError("m must be positive")
     return [e for e in mh_orders(q) if (e.order * multiplier) % m == 0]
-
-
-def dickson_orders(q: int):
-    """The subgroup classes of PGL(2, q), as order families.
-
-    Families with a free parameter carry the parameter ranges; the cyclic
-    family i) and the semidirect family vii) are the only classes that can
-    have odd order prime to p, which is what the odd-order queries use.
-    """
-    pk = is_prime_power(q)
-    if pk is None:
-        raise CatalogError(f"{q} is not a prime power")
-    p, k = pk
-    entries = [
-        CatalogEntry("i", None, "cyclic of order h, h | q-1 or h | q+1",
-                     "pgl2-subgroups",
-                     {"orders": sorted(set(divisors(q - 1) + divisors(q + 1)))}),
-        CatalogEntry("ii", None, "elementary abelian of order p^f, f <= k",
-                     "pgl2-subgroups", {"orders": [p**f for f in range(1, k + 1)]}),
-        CatalogEntry("iii", None, "dihedral of order 2h, h | q-1 or h | q+1",
-                     "pgl2-subgroups",
-                     {"orders": sorted({2 * h for h in
-                                        divisors(q - 1) + divisors(q + 1)})}),
-    ]
-    if p > 2 or k % 2 == 0:
-        entries.append(CatalogEntry("iv", 12, "alternating group A4",
-                                    "pgl2-subgroups"))
-    if (q * q - 1) % 16 == 0:
-        entries.append(CatalogEntry("v", 24, "symmetric group S4", "pgl2-subgroups"))
-    if p == 5 or (q * q - 1) % 5 == 0:
-        entries.append(CatalogEntry("vi", 60, "alternating group A5",
-                                    "pgl2-subgroups"))
-    entries.append(CatalogEntry(
-        "vii", None,
-        "semidirect product of an elementary abelian p-group of order p^f "
-        "by a cyclic group of order h, f <= k, h | q-1",
-        "pgl2-subgroups", {"f_max": k, "h_orders": divisors(q - 1)}))
-    for f in divisors(k):
-        entries.append(CatalogEntry(
-            "viii", p**f * (p ** (2 * f) - 1) // gcd(p**f - 1, 2),
-            f"PSL(2,p^{f})", "pgl2-subgroups", {"f": f}))
-        entries.append(CatalogEntry(
-            "ix", pgl2_order(p**f), f"PGL(2,p^{f})", "pgl2-subgroups", {"f": f}))
-    return entries
-
-
-def odd_order_subgroups_cyclic(q: int, coprime_to_char: bool = True) -> bool:
-    """Does the catalog force every odd-order subgroup of PGL(2, q)
-    (of order prime to p, when requested) to be cyclic?
-
-    Case filter: dihedral groups, A4, S4, A5, PSL and PGL are all of even
-    order; elementary abelian p-groups and the semidirect products of class
-    vii) are the only possible odd non-cyclic subgroups, and they have
-    order divisible by p.
-    """
-    pk = is_prime_power(q)
-    if pk is None:
-        raise CatalogError(f"{q} is not a prime power")
-    p, _ = pk
-    if p == 2:
-        return True  # any p-part would make the order even
-    return bool(coprime_to_char)
 
 
 # -- integer scans ----------------------------------------------------------

@@ -7,12 +7,11 @@ never an exception; exceptions are reserved for unusable parameters.
 
 Reports serialize deterministically: evidence keys are sorted and the
 elapsed-time field is zeroed unless timing is requested, so records are
-byte-identical across runs and across worker counts.
+byte-identical across runs.
 """
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .action import family_census, fixed_points, is_semiregular, orbits, \
     restrict_to_line, sylow_census, common_fixed_curve_points, sharply_2_transitive
@@ -135,45 +134,6 @@ def _check_gs_congruence(qs=(2, 3, 4)):
     return _verdict(ok), evidence
 
 
-def _hermitian_rational_points(model):
-    """All rational points of a Hermitian model over its own field."""
-    from .proj3 import ProjPoint
-    F = model.field
-    pts = []
-    if isinstance(model, FermatHermitian):
-        e = model.q + 1
-        minus_one = F.neg(1)
-        for x in F.elements():
-            c = F.sub(minus_one, F.pow(x, e))
-            for y in _power_solutions(F, e, c):
-                pts.append(ProjPoint(F, (x, y, 1)))
-        for y in _power_solutions(F, e, minus_one):
-            pts.append(ProjPoint(F, (1, y, 0)))
-    else:
-        q = model.q
-        for x in F.elements():
-            c = F.add(F.pow(x, q), x)
-            for y in _power_solutions(F, q + 1, c):
-                pts.append(ProjPoint(F, (x, y, 1)))
-        pts.append(ProjPoint(F, (1, 0, 0)))
-    return pts
-
-
-def _power_solutions(F, d, c):
-    """All y in F with y^d = c (via the exp/log tables)."""
-    if c == 0:
-        return [0]
-    from math import gcd
-    n = F.units
-    g = gcd(d, n)
-    lc = F.log[c]
-    if lc % g:
-        return []
-    step = n // g
-    t0 = (lc // g) * pow(d // g, -1, step) % step
-    return [F.exp[(t0 + i * step) % n] for i in range(g)]
-
-
 def _check_alpha_semiregular(ns=(5,)):
     evidence = {}
     ok = {}
@@ -196,7 +156,7 @@ def _check_alpha_semiregular(ns=(5,)):
         entry = {k: v for k, v in conds.items()}
         entry["index"] = Gbar.order // G.order
         if q * q <= 1 << 20:
-            pts = _hermitian_rational_points(model)
+            pts = model.rational_points()
             entry["scanned_points"] = len(pts)
             from .action import _fixes_point
             clean = True
@@ -214,12 +174,16 @@ def _check_alpha_semiregular(ns=(5,)):
 def _triangolo_construction(n):
     """The weighted-3-cycle family and its diagonal conjugation stabilizer.
 
-    Only n = 3 and n = 9 keep the eigenvalue field F_{2^(6n)} within the
-    size cap; the acceptance parameter is n = 9.
+    The family has 4(q+1)/9 members, which needs 9 | q + 1, that is
+    n = 3 (mod 6).  Of those n, only 3 and 9 keep the eigenvalue field
+    F_{2^(6n)} within the 2^62 size cap: n = 15 needs F_{2^90}.  The
+    acceptance parameter is n = 9.
     """
     if n not in (3, 9):
         raise UnsupportedParameters(
-            "the census construction is available for n in {3, 9}")
+            "the census needs 9 | 2^n + 1 (n = 3 mod 6) for its family size "
+            "4(q+1)/9, and n >= 15 needs F_{2^(6n)} beyond the 2^62 size cap; "
+            "supported: n in {3, 9}")
     q = 2**n
     F = build_field(2, 2 * n)
     model = FermatHermitian(q)
@@ -675,17 +639,10 @@ def run_check(name, params=None) -> CheckReport:
     return CheckReport(name, shown, verdict, evidence, spec.claim, millis)
 
 
-def run_all(filter_prefix=None, threads=1):
-    """Run the registry (optionally filtered by name prefix) and return the
-    reports in registry order regardless of completion order."""
-    names = [n for n in REGISTRY if filter_prefix is None or n.startswith(filter_prefix)]
-    if threads > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {n: pool.submit(run_check, n) for n in names}
-        reports = [futures[n].result() for n in names]
-    else:
-        reports = [run_check(n) for n in names]
-    return reports
+def run_all(filter_prefix=None):
+    """Run the registry (optionally filtered by name prefix) in registry order."""
+    return [run_check(n) for n in REGISTRY
+            if filter_prefix is None or n.startswith(filter_prefix)]
 
 
 def summarize(reports):

@@ -4,8 +4,8 @@ Output is one JSON object per report line (schema 1), or a table with
 --format table.  Exit codes: 0 all pass, 1 any fail, 2 usage error,
 3 an explicitly requested check reported 'unsupported'.
 
-Reports are byte-identical across runs and thread counts: the millis
-field is emitted as 0 unless --timing is given.
+Reports are byte-identical across runs: the millis field is emitted as 0
+unless --timing is given.
 """
 
 import argparse
@@ -34,8 +34,6 @@ def _build_parser():
     parser.add_argument("--list", action="store_true",
                         help="list registered checks and exit")
     parser.add_argument("--format", choices=("json", "table"), default="json")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="run checks concurrently (reports stay ordered)")
     parser.add_argument("--field-config", metavar="PATH",
                         help="key-value file overriding field moduli")
     parser.add_argument("--out", metavar="PATH",
@@ -83,9 +81,6 @@ def main(argv=None) -> int:
         print("error: exactly one of --check or --all is required",
               file=sys.stderr)
         return USAGE_EXIT
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return USAGE_EXIT
 
     try:
         if args.check:
@@ -99,7 +94,7 @@ def main(argv=None) -> int:
                 params[key.strip()] = value.strip()
             reports = [run_check(args.check, params)]
         else:
-            reports = run_all(filter_prefix=args.filter, threads=args.threads)
+            reports = run_all(filter_prefix=args.filter)
     except UnknownCheck as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

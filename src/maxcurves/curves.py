@@ -5,9 +5,11 @@ lives in affine 3-space plus a single distinguished point at infinity, and
 the Garcia-Stichtenoth plane model is singular at infinity, so its count
 is the affine count plus one (the unique place above the ideal point).
 
-Point counting iterates one coordinate over the base field and counts the
-solutions of the remaining power equation y^d = c through the cyclic group
-structure, which keeps every enumeration here O(|F|) field operations.
+Point counting iterates one coordinate over the base field and solves the
+remaining power equation y^d = c through the cyclic group structure
+(GF.power_solutions), which keeps every enumeration here O(|F|) field
+operations.  The Hermitian models list their points, and count them as the
+length of that list.
 """
 
 from math import isqrt
@@ -21,15 +23,6 @@ INFINITY = "infinity"
 
 class CurveError(ValueError):
     pass
-
-
-def _count_power_solutions(F, d, c):
-    """Number of y in F with y^d = c."""
-    if c == 0:
-        return 1
-    from math import gcd
-    g = gcd(d, F.units)
-    return g if F.pow(c, F.units // g) == 1 else 0
 
 
 class CurveModel:
@@ -79,6 +72,13 @@ class HermitianModel(CurveModel):
     def hermitian_gram(self):
         raise NotImplementedError
 
+    def rational_points(self, field=None):
+        """All points over the (given or model's) field, as ProjPoints."""
+        raise NotImplementedError
+
+    def count_rational_points(self, field=None):
+        return len(self.rational_points(field))
+
     def tangent_line_size(self):
         return 1
 
@@ -105,17 +105,18 @@ class FermatHermitian(HermitianModel):
         acc = F.add(F.add(F.pow(x, e), F.pow(y, e)), F.pow(t, e))
         return acc == 0
 
-    def count_rational_points(self, field=None):
+    def rational_points(self, field=None):
         F = field or self.field
         self._check_char(F)
         e = self.q + 1
-        cnt = 0
         minus_one = F.neg(1)
+        pts = []
         for x in F.elements():
             c = F.sub(minus_one, F.pow(x, e))
-            cnt += _count_power_solutions(F, e, c)
-        cnt += _count_power_solutions(F, e, minus_one)  # chart T = 0, X = 1
-        return cnt
+            pts.extend(ProjPoint(F, (x, y, 1)) for y in F.power_solutions(e, c))
+        # chart T = 0, X = 1
+        pts.extend(ProjPoint(F, (1, y, 0)) for y in F.power_solutions(e, minus_one))
+        return pts
 
 
 class NormTraceHermitian(HermitianModel):
@@ -138,15 +139,16 @@ class NormTraceHermitian(HermitianModel):
         rhs = F.add(F.mul(F.pow(x, q), t), F.mul(x, F.pow(t, q)))
         return lhs == rhs
 
-    def count_rational_points(self, field=None):
+    def rational_points(self, field=None):
         F = field or self.field
         self._check_char(F)
         q = self.q
-        cnt = 0
+        pts = []
         for x in F.elements():
             c = F.add(F.pow(x, q), x)
-            cnt += _count_power_solutions(F, q + 1, c)
-        return cnt + 1  # ideal point (1, 0, 0)
+            pts.extend(ProjPoint(F, (x, y, 1)) for y in F.power_solutions(q + 1, c))
+        pts.append(ProjPoint(F, (1, 0, 0)))  # the ideal point
+        return pts
 
 
 class GeneralizedGK(CurveModel):
@@ -204,7 +206,7 @@ class GeneralizedGK(CurveModel):
             nx = image_count.get(F.pow(y, l + 1), 0)
             if nx:
                 c = F.sub(F.pow(y, l * l), y)
-                cnt += nx * _count_power_solutions(F, self.z_exp, c)
+                cnt += nx * len(F.power_solutions(self.z_exp, c))
         return cnt + 1  # unique point at infinity
 
 
@@ -254,5 +256,5 @@ class GarciaStichtenoth(CurveModel):
         cnt = 0
         for x in F.elements():
             c = F.sub(F.pow(x, e), x)
-            cnt += _count_power_solutions(F, self.y_exp, c)
+            cnt += len(F.power_solutions(self.y_exp, c))
         return cnt + 1  # one place above the ideal point

@@ -14,14 +14,13 @@ may override the modulus for a given (p, k); non-irreducible overrides are
 refused.
 
 Two representations are used internally:
-  * log/antilog tables when p^k <= table limit (default 2^20) - supports
+  * log/antilog tables when p^k <= TABLE_LIMIT (2^20) - supports
     fast multiplication and full enumeration;
   * coefficient vectors (carry-less masks in characteristic 2) above the
     limit - supports arithmetic in fields like F_{2^54} where enumeration
     is never needed.
 """
 
-import threading
 from math import gcd
 
 from .numbertheory import factorize, is_prime, prime_divisors
@@ -234,14 +233,13 @@ def _order_mod_p(a, p):
 class GF:
     """The finite field F_{p^k}.  Elements are ints in [0, p^k)."""
 
-    def __init__(self, p, k, modulus, table_limit=None):
+    def __init__(self, p, k, modulus):
         self.p = p
         self.k = k
         self.order = p**k
         self.units = self.order - 1
         self.modulus = modulus  # digit tuple, low degree first, length k+1
-        limit = TABLE_LIMIT if table_limit is None else table_limit
-        self.table_mode = self.order <= limit
+        self.table_mode = self.order <= TABLE_LIMIT
         self._mod_mask = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
         self._pow_cache = [p**i for i in range(k + 1)]
         self.exp = None
@@ -249,7 +247,7 @@ class GF:
         self.generator = self._find_generator()
         if self.table_mode:
             self._build_tables()
-        self._embed_cache = {}
+        self._embed_cache = {}  # destination field -> TowerMap
         self._unit_factors = None
 
     def __repr__(self):
@@ -320,6 +318,10 @@ class GF:
         return v
 
     # -- arithmetic --------------------------------------------------------
+
+    def const(self, c):
+        """The prime-field constant c (any integer), as an element."""
+        return c % self.p
 
     def add(self, a, b):
         if self.p == 2:
@@ -448,6 +450,22 @@ class GF:
                 y = self._prime_root(y, r)
         return y
 
+    def power_solutions(self, d, c):
+        """All y with y^d = c, in increasing order of log y.  Requires table mode."""
+        if not self.table_mode:
+            raise FieldError(f"{self} has no log tables")
+        if c == 0:
+            return [0]
+        n = self.units
+        g = gcd(d, n)
+        lc = self.log[c]
+        if lc % g:
+            return []
+        step = n // g
+        # log y = t0 + i * step for i < g, with t0 < step
+        t0 = (lc // g) * pow(d // g, -1, step) % step
+        return self.exp[t0::step]
+
     def _prime_root(self, a, r):
         n = self.units
         if n % r != 0:
@@ -501,11 +519,9 @@ class GF:
 class TowerMap:
     """The canonical embedding of one field into an extension.
 
-    Determined by the image of the source generator: the smallest root (in
-    canonical element order) of the source modulus inside the destination.
-    Composition of two tower maps is again a ring homomorphism carrying the
-    source generator to some root of the source modulus, but not always to
-    the smallest one; compose() builds such explicit composites.
+    Determined by the image of the root X of the source modulus: the
+    smallest root (in canonical element order) of that modulus inside the
+    destination.
     """
 
     def __init__(self, src, dst, gen_image):
@@ -515,21 +531,14 @@ class TowerMap:
         self._gen_powers = [1]
         for _ in range(src.k - 1):
             self._gen_powers.append(dst.mul(self._gen_powers[-1], gen_image))
-        self._const = [self._embed_const(c) for c in range(src.p)]
         self._inverse = None
 
-    def _embed_const(self, c):
-        acc = 0
-        for _ in range(c):
-            acc = self.dst.add(acc, 1)
-        return acc
-
     def apply(self, e):
-        ds = self.src.digits(e)
+        dst = self.dst
         acc = 0
-        for c, w in zip(ds, self._gen_powers):
+        for c, w in zip(self.src.digits(e), self._gen_powers):
             if c:
-                acc = self.dst.add(acc, self.dst.mul(self._const[c], w))
+                acc = dst.add(acc, dst.mul(dst.const(c), w))
         return acc
 
     def __call__(self, e):
@@ -546,18 +555,44 @@ class TowerMap:
         except KeyError:
             raise FieldError("element is not in the embedded subfield") from None
 
-    def compose(self, outer):
-        """The composite map src -> outer.dst (self first, then outer)."""
-        if outer.src is not self.dst:
-            raise FieldError("tower maps do not chain")
-        return TowerMap(self.src, outer.dst, outer.apply(self.gen_image))
+
+def nullspace(F, rows):
+    """A basis of the vectors v over F with rows . v = 0.
+
+    Gauss-Jordan elimination with the first nonzero pivot of each column;
+    one basis vector per free column, in increasing column order, with a 1
+    in its free column.
+    """
+    rows = [list(r) for r in rows]
+    n = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, v) for v in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[fc] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = F.neg(rows[i][fc])
+        basis.append(tuple(v))
+    return basis
 
 
 # ---------------------------------------------------------------------------
 
 _FIELDS = {}
 _MODULUS_OVERRIDES = {}
-_BUILD_LOCK = threading.Lock()  # concurrent checks must share field objects
 
 
 def set_modulus_override(p, k, coeffs):
@@ -596,7 +631,7 @@ def load_field_config(path):
             set_modulus_override(p, k, coeffs)
 
 
-def build_field(p, k, table_limit=None):
+def build_field(p, k):
     """The canonical field F_{p^k}.  Idempotent: repeated calls share one object."""
     if not is_prime(p):
         raise FieldError(f"{p} is not prime")
@@ -607,12 +642,8 @@ def build_field(p, k, table_limit=None):
     key = (p, k)
     fld = _FIELDS.get(key)
     if fld is None:
-        with _BUILD_LOCK:
-            fld = _FIELDS.get(key)
-            if fld is None:
-                modulus = _MODULUS_OVERRIDES.get(key) or _canonical_modulus(p, k)
-                fld = GF(p, k, modulus, table_limit=table_limit)
-                _FIELDS[key] = fld
+        modulus = _MODULUS_OVERRIDES.get(key) or _canonical_modulus(p, k)
+        fld = _FIELDS[key] = GF(p, k, modulus)
     return fld
 
 
@@ -623,46 +654,37 @@ def embed(src: GF, dst: GF) -> TowerMap:
         raise FieldError("characteristic mismatch")
     if dst.k % src.k != 0:
         raise FieldError(f"degree {src.k} does not divide {dst.k}")
-    cached = src._embed_cache.get(id(dst))
+    # keyed by the field object, not its id: a field dropped by a modulus
+    # override stays alive here, so its id cannot be reused by a new field
+    cached = src._embed_cache.get(dst)
     if cached is not None:
         return cached
-    if src.k == dst.k:
-        tm = TowerMap(src, dst, dst.from_digits(src.digits(src.generator)))
-        if src is not dst:
-            # identical (p, k) construction can only differ by modulus override
-            tm = TowerMap(src, dst, _smallest_root_in(src, dst))
-    elif src.k == 1:
-        tm = TowerMap(src, dst, _embed_prime_const(src.generator, dst))
+    if src.k == 1:
+        tm = TowerMap(src, dst, dst.const(src.generator))
     else:
         tm = TowerMap(src, dst, _smallest_root_in(src, dst))
-    src._embed_cache[id(dst)] = tm
+    src._embed_cache[dst] = tm
     return tm
-
-
-def _embed_prime_const(c, dst):
-    acc = 0
-    for _ in range(c):
-        acc = dst.add(acc, 1)
-    return acc
 
 
 def _smallest_root_in(src, dst):
     """Smallest root of src's modulus inside dst, in canonical element order.
 
-    The roots are primitive (p^m - 1)-th roots of unity in dst (the source
-    modulus is primitive), so the search walks the canonical generator of
-    that cyclic subgroup and Horner-evaluates the modulus, then minimizes
-    over the Frobenius orbit of the first root found.
+    The roots are the conjugates of X, so they are the primitive e-th roots
+    of unity in dst with e the order of X in src (e = p^m - 1 when the
+    modulus is primitive).  The search walks the canonical generator of that
+    cyclic subgroup and Horner-evaluates the modulus, then minimizes over the
+    Frobenius orbit of the first root found.
     """
     m = src.k
-    sub_units = src.p**m - 1
-    w = dst.pow(dst.generator, dst.units // sub_units)
-    coeffs = [_embed_prime_const(c, dst) for c in src.modulus]
+    e = src.multiplicative_order(src.p)  # the element X
+    w = dst.pow(dst.generator, dst.units // e)
+    coeffs = [dst.const(c) for c in src.modulus]
     wj = 1
     root = None
-    for j in range(1, sub_units + 1):
+    for j in range(1, e + 1):
         wj = dst.mul(wj, w)
-        if gcd(j, sub_units) != 1:
+        if gcd(j, e) != 1:
             continue
         acc = 0
         for c in reversed(coeffs):

@@ -9,6 +9,9 @@ why divisibility questions here are always decided by explicit twisted
 division, with the conventional-associate verdict computed alongside.
 """
 
+from .gf import build_field, nullspace
+
+
 class LinPolyError(ValueError):
     pass
 
@@ -70,47 +73,15 @@ class LinearizedPoly:
         cols = [F.digits(self.evaluate(b)) for b in basis]
         # solve sum_j x_j * cols[j] = 0 over F_p
         rows = [[cols[j][i] for j in range(k)] for i in range(k)]
-        sols = _nullspace_fp(rows, p)
+        sols = nullspace(build_field(p, 1), rows)
         out = set()
         for vec in _span_fp(sols, p):
             e = 0
             for xj, b in zip(vec, basis):
                 if xj:
-                    term = b
-                    acc = 0
-                    for _ in range(xj):
-                        acc = F.add(acc, term)
-                    e = F.add(e, acc)
+                    e = F.add(e, F.mul(F.const(xj), b))
             out.add(e)
         return sorted(out)
-
-
-def _nullspace_fp(rows, p):
-    n = len(rows[0]) if rows else 0
-    m = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, len(m)) if m[i][c] % p), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], p - 2, p) if p > 2 else 1
-        m[r] = [(v * inv) % p for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(m[i][j] - f * m[r][j]) % p for j in range(n)]
-        pivots.append(c)
-        r += 1
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        v = [0] * n
-        v[fc] = 1
-        for pi, pc in enumerate(pivots):
-            v[pc] = (-m[pi][fc]) % p
-        basis.append(v)
-    return basis
 
 
 def _span_fp(basis, p):

@@ -12,6 +12,7 @@ which is exact and deterministic for the group sizes this package handles
 """
 
 from .numbertheory import factorize
+from .proj3 import ProjPoint, normalize
 
 
 class GroupError(ValueError):
@@ -25,15 +26,10 @@ class Projectivity:
         m = tuple(entries)
         if len(m) != 9:
             raise GroupError("expected nine matrix entries")
-        for e in m:
-            if e:
-                inv = field.inv(e)
-                m = tuple(field.mul(inv, x) for x in m)
-                break
-        else:
+        if not any(m):
             raise GroupError("zero matrix")
         self.field = field
-        self.m = m
+        self.m = normalize(field, m)
         self._order = None
         self._det = None
         if self.det() == 0:
@@ -118,7 +114,6 @@ class Projectivity:
         )
 
     def apply_point(self, point):
-        from .proj3 import ProjPoint
         return ProjPoint(point.field, self.apply(point.coords))
 
     def char_poly(self):
@@ -148,10 +143,6 @@ class Projectivity:
                         break
             self._order = n
         return self._order
-
-
-def order_of(m: Projectivity) -> int:
-    return m.order()
 
 
 # -- the named generator shapes ---------------------------------------------
@@ -202,18 +193,13 @@ def make_alpha_a(field, a, q3):
 # -- unitarity ---------------------------------------------------------------
 
 
-def _gram_elements(field, model):
-    from .proj3 import _const
-    return [[_const(field, e) for e in row] for row in model.hermitian_gram()]
-
-
 def unitarity_scalar(m: Projectivity, model):
     """The lambda with conj(M)^T H M = lambda H, or None if M is not unitary."""
     F = m.field
     if F is not model.field:
         raise GroupError("projectivity is not over the model's field")
     q = model.q
-    H = _gram_elements(F, model)
+    H = [[F.const(e) for e in row] for row in model.hermitian_gram()]
     a = m.m
     # B = conj(M)^T H M
     conj = [F.pow(e, q) for e in a]

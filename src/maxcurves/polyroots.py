@@ -86,13 +86,6 @@ def gcd_poly(F, a, b):
     return monic(F, a)
 
 
-def eval_poly(F, a, x):
-    acc = 0
-    for c in reversed(a):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
 def pow_mod(F, base, e, m):
     r = (1,)
     b = mod(F, base, m)

@@ -12,15 +12,20 @@ class ProjError(ValueError):
 
 
 def normalize(field, coords):
-    """Scale a nonzero coordinate triple so its first nonzero entry is 1."""
+    """Scale a nonzero coordinate tuple so its first nonzero entry is 1."""
     coords = tuple(coords)
-    if len(coords) != 3:
-        raise ProjError("expected three homogeneous coordinates")
     for c in coords:
         if c:
             inv = field.inv(c)
             return tuple(field.mul(inv, x) for x in coords)
-    raise ProjError("the zero triple is not a projective point")
+    raise ProjError("the zero vector has no projective class")
+
+
+def _triple(field, coords):
+    coords = tuple(coords)
+    if len(coords) != 3:
+        raise ProjError("expected three homogeneous coordinates")
+    return normalize(field, coords)
 
 
 class ProjPoint:
@@ -28,7 +33,7 @@ class ProjPoint:
 
     def __init__(self, field, coords):
         self.field = field
-        self.coords = normalize(field, coords)
+        self.coords = _triple(field, coords)
 
     def __eq__(self, other):
         return (isinstance(other, ProjPoint) and self.field is other.field
@@ -46,7 +51,7 @@ class ProjLine:
 
     def __init__(self, field, coords):
         self.field = field
-        self.coords = normalize(field, coords)
+        self.coords = _triple(field, coords)
 
     def __eq__(self, other):
         return (isinstance(other, ProjLine) and self.field is other.field
@@ -80,7 +85,7 @@ def polar(point: ProjPoint, model) -> ProjLine:
         acc = 0
         for j in range(3):
             if gram[j][i]:
-                term = F.mul(_const(F, gram[j][i]), conj[j])
+                term = F.mul(F.const(gram[j][i]), conj[j])
                 acc = F.add(acc, term)
         line.append(acc)
     return ProjLine(F, line)
@@ -88,51 +93,13 @@ def polar(point: ProjPoint, model) -> ProjLine:
 
 def pole(line: ProjLine, model) -> ProjPoint:
     """Inverse of polar(): the point whose polar is the given line."""
-    gram = model.hermitian_gram()
+    from .pgu3 import Projectivity  # pgu3 imports this module
     F = line.field
-    q = model.q
-    ginv = _invert3(F, [[_const(F, e) for e in row] for row in gram])
-    conj_v = []
-    for j in range(3):
-        acc = 0
-        for i in range(3):
-            acc = F.add(acc, F.mul(ginv[j][i], line.coords[i]))
-        conj_v.append(acc)
+    gram = Projectivity(F, [F.const(e) for row in model.hermitian_gram() for e in row])
+    # the adjugate is a scalar multiple of the inverse; ProjPoint drops it
+    conj_v = gram.inverse().apply(line.coords)
     # undo x -> x^q inside F_{q^2}: the inverse is x -> x^q again
-    coords = [F.pow(c, q) for c in conj_v]
-    return ProjPoint(F, coords)
-
-
-def _const(F, c):
-    """Integer constant c (possibly negative) as a field element."""
-    acc = 0
-    for _ in range(abs(c)):
-        acc = F.add(acc, 1)
-    return F.neg(acc) if c < 0 else acc
-
-
-def _invert3(F, m):
-    det = _det3(F, m)
-    if det == 0:
-        raise ProjError("singular gram matrix")
-    inv_det = F.inv(det)
-    cof = [[0] * 3 for _ in range(3)]
-    idx = ((1, 2), (0, 2), (0, 1))
-    for i in range(3):
-        for j in range(3):
-            r0, r1 = idx[i]
-            c0, c1 = idx[j]
-            minor = F.sub(F.mul(m[r0][c0], m[r1][c1]), F.mul(m[r0][c1], m[r1][c0]))
-            sign = (i + j) % 2
-            cof[j][i] = F.mul(inv_det, F.neg(minor) if sign else minor)
-    return cof
-
-
-def _det3(F, m):
-    t1 = F.mul(m[0][0], F.sub(F.mul(m[1][1], m[2][2]), F.mul(m[1][2], m[2][1])))
-    t2 = F.mul(m[0][1], F.sub(F.mul(m[1][0], m[2][2]), F.mul(m[1][2], m[2][0])))
-    t3 = F.mul(m[0][2], F.sub(F.mul(m[1][0], m[2][1]), F.mul(m[1][1], m[2][0])))
-    return F.add(F.sub(t1, t2), t3)
+    return ProjPoint(F, [F.pow(c, model.q) for c in conj_v])
 
 
 def line_points(line: ProjLine, field=None):

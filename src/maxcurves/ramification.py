@@ -31,17 +31,6 @@ class RamificationLedger:
         self.quotient_genus = quotient_genus
         self.consistent = consistent
 
-    def as_dict(self):
-        return {
-            "delta": self.delta,
-            "top_genus": self.top_genus,
-            "group_order": self.group.order,
-            "quotient_genus": self.quotient_genus,
-            "consistent": self.consistent,
-            "contributions": sorted(
-                ((order, tag, value) for _, order, tag, value in self.records)),
-        }
-
 
 def i_sigma(sigma, model):
     """(value, tag) for one nontrivial automorphism of a Hermitian model."""

@@ -4,7 +4,9 @@ One line per criterion is printed (run pytest -s to see them); each test
 also enforces the stated runtime budget.
 """
 
+import json
 import time
+from pathlib import Path
 
 from maxcurves.catalog import lemmino_scan, primovalore_scan, quattordici_scan
 from maxcurves.checks import run_all, run_check
@@ -206,12 +208,19 @@ def test_criterion_10_property_suites():
                            if sigma.apply_point(P) == P)
             if eigen != brute:
                 oracle_ok = False
-    # determinism of run_all across thread counts
+    # determinism of run_all: two serial runs, each line equal to the golden
+    # `maxcurves --all` line of the same check
+    golden_path = (Path(__file__).resolve().parents[1]
+                   / "perfbench" / "golden" / "all.jsonl")
+    golden = {json.loads(line)["name"]: line
+              for line in golden_path.read_text().splitlines()}
     deterministic = True
     for prefix in ("g", "l", "q", "s", "d"):
-        runs = [[r.to_json() for r in run_all(filter_prefix=prefix, threads=t)]
-                for t in (1, 2, 4)]
-        if not (runs[0] == runs[1] == runs[2] and runs[0]):
+        runs = [[r.to_json() for r in run_all(filter_prefix=prefix)]
+                for _ in range(2)]
+        if not (runs[0] == runs[1] and runs[0]
+                and all(line == golden[json.loads(line)["name"]]
+                        for line in runs[0])):
             deterministic = False
     elapsed = time.monotonic() - t0
     ok = (axioms and polarity and orbit_stab and double_count and oracle_ok

@@ -1,8 +1,7 @@
 import pytest
 
 from maxcurves.catalog import (CatalogError, alternating_power_sum,
-                               dickson_orders, lemmino_scan, mh_orders,
-                               odd_order_subgroups_cyclic, order_excluded,
+                               lemmino_scan, mh_orders, order_excluded,
                                pgu3_order, primovalore_scan, psu3_order,
                                quattordici_scan)
 
@@ -50,22 +49,6 @@ def test_order_excluded_survivors():
     assert len(order_excluded(1, 8)) == len(mh_orders(8))  # m = 1: all survive
 
 
-def test_dickson_catalog_q4():
-    entries = dickson_orders(4)
-    cyclic = next(e for e in entries if e.label == "i")
-    assert cyclic.params["orders"] == [1, 3, 5]
-    assert any(e.label == "vi" for e in entries)       # A5: 5 | q^2 - 1
-    assert any(e.label == "iv" for e in entries)       # k even
-    assert not any(e.label == "v" for e in entries)    # 16 does not divide 15
-
-
-def test_dickson_odd_order_query():
-    assert odd_order_subgroups_cyclic(4)
-    assert odd_order_subgroups_cyclic(2**10)
-    assert odd_order_subgroups_cyclic(125, coprime_to_char=True)
-    assert not odd_order_subgroups_cyclic(125, coprime_to_char=False)
-
-
 def test_lemmino_spot_values():
     assert alternating_power_sum(3, 5) == 1 - 32 + 1024 == 993
     assert 993 > 3 * 33
@@ -107,5 +90,3 @@ def test_primovalore_direct_divisibility_q10():
 def test_catalog_rejects_non_prime_powers():
     with pytest.raises(CatalogError):
         mh_orders(6)
-    with pytest.raises(CatalogError):
-        dickson_orders(12)

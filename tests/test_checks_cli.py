@@ -1,10 +1,15 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from maxcurves import cli
 from maxcurves.checks import (REGISTRY, CheckError, UnknownCheck, run_all,
                               run_check, summarize)
+from maxcurves.gf import clear_modulus_overrides, set_modulus_override
+
+# the `maxcurves --all` stream (timing off), one line per check
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "all.jsonl"
 
 FAST_CHECKS = ["hermitian-count", "gk-congruence", "gs-congruence", "lemmino",
                "quattordici", "secondovalore-catalog", "delta-ledger",
@@ -58,19 +63,39 @@ def test_run_check_unsupported_parameters():
     assert "reason" in report.evidence
 
 
+def test_triangolo_census_at_n3_and_its_limit():
+    report = run_check("triangolo-census", {"n": "3"})
+    assert report.verdict == "pass", report.evidence
+    report = run_check("triangolo-census", {"n": "5"})
+    assert report.verdict == "unsupported"
+    assert "9 | 2^n + 1" in report.evidence["reason"]
+
+
+def test_eigen_fixed_points_under_imprimitive_override():
+    try:
+        # x^10 + x^3 + x^2 + x + 1 is irreducible but not primitive
+        set_modulus_override(2, 10, (1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 1))
+        report = run_check("eigen-fixed-points", {"ns": "5"})
+        assert report.verdict == "pass", report.evidence
+    finally:
+        clear_modulus_overrides()
+
+
 def test_run_all_filter_and_order():
     reports = run_all(filter_prefix="l")
     assert [r.name for r in reports] == ["lemmino", "linpoly-decompose"]
     assert summarize(reports)["pass"] == 2
 
 
-def test_run_all_deterministic_across_threads():
+def test_run_all_matches_golden_stream():
+    golden = {json.loads(line)["name"]: line
+              for line in GOLDEN.read_text().splitlines()}
     for prefix in ("g", "l", "q", "s"):
-        solo = [r.to_json() for r in run_all(filter_prefix=prefix, threads=1)]
-        multi = [r.to_json() for r in run_all(filter_prefix=prefix, threads=3)]
-        assert solo == multi
-        again = [r.to_json() for r in run_all(filter_prefix=prefix, threads=2)]
-        assert solo == again
+        for _ in range(2):
+            reports = run_all(filter_prefix=prefix)
+            assert reports
+            for r in reports:
+                assert r.to_json() == golden[r.name], r.name
 
 
 def test_cli_single_check_json(capsys):
@@ -94,7 +119,6 @@ def test_cli_usage_errors(capsys):
     assert cli.main(["--check", "lemmino", "--all"]) == 2
     assert cli.main(["--check", "nope"]) == 2
     assert cli.main(["--check", "lemmino", "--param", "oops"]) == 2
-    assert cli.main(["--check", "lemmino", "--threads", "0"]) == 2
 
 
 def test_cli_out_file(tmp_path, capsys):

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from maxcurves.gf import (FieldError, build_field, clear_modulus_overrides,
-                          embed, load_field_config, set_modulus_override)
+                          embed, load_field_config, nullspace,
+                          set_modulus_override)
+from maxcurves.numbertheory import divisors
 
 random.seed(901)
 
@@ -71,6 +73,59 @@ def test_frobenius_is_field_automorphism(p, k):
     assert F.frobenius(x, k) == x  # k-fold iterate is the identity
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_const_matches_repeated_addition(p):
+    for F in (build_field(p, 1), build_field(p, 2)):
+        for c in range(-2 * p, 2 * p):
+            acc = 0
+            for _ in range(abs(c)):
+                acc = F.add(acc, 1)
+            assert F.const(c) == (F.neg(acc) if c < 0 else acc), (F, c)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2)])
+def test_power_solutions_match_brute_force(p, k):
+    F = build_field(p, k)
+    n = F.units
+    for d in divisors(n) + [n + 1, 2 * n + 1, 3 * n - 1, 2 * n + 4]:
+        for c in F.elements():
+            brute = sorted(y for y in F.elements() if F.pow(y, d) == c)
+            assert sorted(F.power_solutions(d, c)) == brute, (F, d, c)
+
+
+def test_power_solutions_need_tables():
+    with pytest.raises(FieldError):
+        build_field(2, 30).power_solutions(3, 1)
+
+
+def _span(F, basis):
+    vecs = {(0, 0, 0)}
+    for b in basis:
+        vecs = {tuple(F.add(x, F.mul(t, y)) for x, y in zip(v, b))
+                for v in vecs for t in F.elements()}
+    return vecs
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2)])
+def test_nullspace_matches_brute_force(p, k):
+    F = build_field(p, k)
+    rng = random.Random(907)
+    space = [(x, y, z) for x in F.elements() for y in F.elements()
+             for z in F.elements()]
+    for trial in range(60):
+        rows = [[rng.randrange(F.order) for _ in range(3)] for _ in range(3)]
+        if trial % 3:  # rank at most 2: the last row combines the others
+            a, b = rng.randrange(F.order), rng.randrange(F.order) * (trial % 2)
+            rows[2] = [F.add(F.mul(a, x), F.mul(b, y))
+                       for x, y in zip(rows[0], rows[1])]
+        null = {v for v in space
+                if all(F.add(F.add(F.mul(r[0], v[0]), F.mul(r[1], v[1])),
+                             F.mul(r[2], v[2])) == 0 for r in rows)}
+        basis = nullspace(F, rows)
+        assert F.order ** len(basis) == len(null)
+        assert _span(F, basis) == null
+
+
 def test_embed_prime_subfield():
     F2, F4 = build_field(2, 1), build_field(2, 2)
     tm = embed(F2, F4)
@@ -112,21 +167,45 @@ def test_embed_image_is_root_of_source_modulus():
         assert conj >= tm.gen_image or conj == tm.gen_image
 
 
-def test_tower_composition_is_embedding():
-    F4, F16, F256 = build_field(2, 2), build_field(2, 4), build_field(2, 8)
-    lower = embed(F4, F16)
-    upper = embed(F16, F256)
-    comp = lower.compose(upper)
-    for _ in range(100):
-        a, b = random.randrange(4), random.randrange(4)
-        assert comp(F4.mul(a, b)) == F256.mul(comp(a), comp(b))
-        assert comp(F4.add(a, b)) == F256.add(comp(a), comp(b))
-    # the composite image is a root of the source modulus in the top field
-    acc = 0
-    for i, c in enumerate(F4.modulus):
-        if c:
-            acc = F256.add(acc, F256.pow(comp.gen_image, i))
-    assert acc == 0
+def _smallest_root(src, dst):
+    """Brute force over dst; p = 2, so every modulus coefficient is 0 or 1."""
+    def value(y):
+        acc = 0
+        for i, c in enumerate(src.modulus):
+            if c:
+                acc = dst.add(acc, dst.pow(y, i))
+        return acc
+    return min(y for y in dst.elements() if value(y) == 0)
+
+
+# x^4 + x^3 + x^2 + x + 1: irreducible, but its root X has order 5, not 15
+IMPRIMITIVE_F16 = (1, 1, 1, 1, 1)
+
+
+def test_embed_identity_and_norm_under_imprimitive_override():
+    try:
+        set_modulus_override(2, 4, IMPRIMITIVE_F16)
+        F = build_field(2, 4)
+        tm = embed(F, F)
+        assert [tm(x) for x in F.elements()] == list(F.elements())
+        assert [F.norm(x, F) for x in F.elements()] == list(F.elements())
+    finally:
+        clear_modulus_overrides()
+
+
+@pytest.mark.parametrize("ratio", [2, 3])
+def test_embed_out_of_imprimitive_override(ratio):
+    try:
+        set_modulus_override(2, 4, IMPRIMITIVE_F16)
+        src, dst = build_field(2, 4), build_field(2, 4 * ratio)
+        tm = embed(src, dst)
+        assert tm.gen_image == _smallest_root(src, dst)
+        for a in src.elements():
+            for b in src.elements():
+                assert tm(src.add(a, b)) == dst.add(tm(a), tm(b))
+                assert tm(src.mul(a, b)) == dst.mul(tm(a), tm(b))
+    finally:
+        clear_modulus_overrides()
 
 
 def test_pullback_round_trip():

@@ -6,7 +6,7 @@ from maxcurves.curves import FermatHermitian, NormTraceHermitian
 from maxcurves.gf import build_field
 from maxcurves.pgu3 import (GroupError, Projectivity, generate, in_psu,
                             is_unitary, make_alpha, make_alpha_a, make_beta,
-                            make_three_cycle, order_of)
+                            make_three_cycle)
 
 random.seed(902)
 
@@ -14,7 +14,7 @@ random.seed(902)
 def test_identity_and_canonical_form():
     F = build_field(2, 4)
     ident = Projectivity.identity(F)
-    assert ident.is_identity() and order_of(ident) == 1
+    assert ident.is_identity() and ident.order() == 1
     # scalar multiples collapse
     for s in range(2, 16):
         m = Projectivity(F, tuple(F.mul(s, e) for e in ident.m))
@@ -50,9 +50,9 @@ def test_inverse_and_order():
     theta = F.root_of_unity(11)
     a = make_alpha(F, theta, 2)
     assert (a * a.inverse()).is_identity()
-    assert order_of(a) == 11
+    assert a.order() == 11
     h = make_three_cycle(F, 1, 1)
-    assert order_of(h) == 3  # h^3 is scalar
+    assert h.order() == 3  # h^3 is scalar
 
 
 def test_three_cycle_permutes_fundamental_points():
@@ -75,9 +75,9 @@ def test_make_alpha_order_matches_theta_order_when_coprime():
         from math import gcd
         a = make_alpha(F, theta, i)
         if gcd(i, 33) == 1:
-            assert order_of(a) == 33
+            assert a.order() == 33
         else:
-            assert order_of(a) in (33, 33 // gcd(i, 33))
+            assert a.order() in (33, 33 // gcd(i, 33))
 
 
 def test_make_alpha_rejects_zero():
@@ -209,7 +209,7 @@ def test_sylow_d_diagonal_group():
     theta = F.root_of_unity(11)
     D = generate([make_alpha(F, theta, 1), make_alpha(F, theta, 0)])
     assert D.order == 121
-    assert all(order_of(g) in (1, 11) for g in D.elements)
+    assert all(g.order() in (1, 11) for g in D.elements)
     n = pgu3_order(32)
     d_part = 1
     while n % 11 == 0:
@@ -223,5 +223,5 @@ def test_alpha_a_shape():
     a = F.root_of_unity(5)
     m = make_alpha_a(F, a, 64)
     assert m.m == (1, 0, 0, 0, a, 0, 0, 0, 1)  # a^(q^3+1) = a^65 = 1 here
-    assert order_of(m) == 5
+    assert m.order() == 5
     assert is_unitary(m, NormTraceHermitian(64))

@@ -22,8 +22,8 @@ def test_order_four_contribution():
     model = NormTraceHermitian(64)
     b = next(b for b in F.elements() if F.add(F.pow(b, 64), b) == 1)
     m = Projectivity(F, (1, 1, b, 0, 1, 1, 0, 0, 1))
-    from maxcurves.pgu3 import is_unitary, order_of
-    assert is_unitary(m, model) and order_of(m) == 4
+    from maxcurves.pgu3 import is_unitary
+    assert is_unitary(m, model) and m.order() == 4
     assert i_sigma(m, model) == (2, "wild-order-4")
 
 
@@ -47,13 +47,11 @@ def test_unsupported_wild_orders_error():
     # an order-8 unipotent would need ramification data this package refuses
     b = next(b for b in F.elements() if F.add(F.pow(b, 64), b) == 1)
     m = Projectivity(F, (1, 1, b, 0, 1, 1, 0, 0, 1))
-    from maxcurves.pgu3 import order_of
-    assert order_of(m) == 4  # sanity: the table covers this one
+    assert m.order() == 4  # sanity: the table covers this one
     F9 = build_field(3, 2)
     model3 = FermatHermitian(3)
     tri = Projectivity(F9, (1, 1, 0, 0, 1, 1, 0, 0, 1))
-    from maxcurves.pgu3 import order_of as ord3
-    assert ord3(tri) == 3
+    assert tri.order() == 3
     with pytest.raises(UnsupportedRamification):
         i_sigma(tri, model3)  # odd-characteristic wild element
 
