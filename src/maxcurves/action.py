@@ -1,16 +1,17 @@
 """Group actions on Hermitian curves: fixed points, orbits, censuses, Sylow.
 
 Fixed points come from eigen-analysis, never from curve enumeration: the
-characteristic polynomial (degree 3) is factored over the base field and,
-for the irreducible part, over the quadratic or cubic extension where its
-roots live.  One-dimensional eigenspaces give isolated fixed points;
+roots of the characteristic polynomial (degree 3) are found over the base
+field; the irreducible rest has one root found in the quadratic or cubic
+extension where its roots live, and the others are its Frobenius
+conjugates.  One-dimensional eigenspaces give isolated fixed points;
 two-dimensional ones give a pointwise-fixed line (homology or elation),
 whose curve intersection is decided by the tangent/secant classification
 through the polarity (and by enumeration in oracle tests at small q).
 """
 
 from .gf import build_field, embed, nullspace
-from .polyroots import divmod_poly, roots, roots_with_multiplicity
+from .polyroots import divmod_poly, one_root, roots
 from .proj3 import ProjLine, ProjPoint, line_points, normalize, pole
 from .pgu3 import Projectivity, SubgroupSpec, generate
 
@@ -86,18 +87,25 @@ def fixed_points(sigma: Projectivity, model) -> FixedPointSet:
     cp = sigma.char_poly()
     eigendata = []  # (field, transported matrix entries, eigenvalue)
     rem = cp
-    for lam, mult in roots_with_multiplicity(F, cp):
+    for lam in roots(F, cp):
         eigendata.append((F, sigma.m, lam))
-        for _ in range(mult):
-            rem = divmod_poly(F, rem, (F.neg(lam), 1))[0]
+        while True:  # divide out every factor X - lam
+            quo, r = divmod_poly(F, rem, (F.neg(lam), 1))
+            if r:
+                break
+            rem = quo
     if len(rem) - 1 > 0:
-        d = len(rem) - 1  # 2 or 3: roots live in the degree-d extension
+        # rem (monic, degree 2 or 3) has no root in F, so it is irreducible:
+        # its roots are one Frobenius orbit in the degree-d extension
+        d = len(rem) - 1
         E = build_field(F.p, F.k * d)
         tm = embed(F, E)
-        rem_e = tuple(tm(c) for c in rem)
         m_e = tuple(tm(c) for c in sigma.m)
-        for lam in roots(E, rem_e):
-            eigendata.append((E, m_e, lam))
+        lam = one_root(E, tuple(tm(c) for c in rem), E.k)
+        lams = [lam]
+        for _ in range(d - 1):
+            lams.append(E.frobenius(lams[-1], F.k))
+        eigendata.extend((E, m_e, lam) for lam in sorted(lams))
     isolated = []
     axis = None
     axis_field = None

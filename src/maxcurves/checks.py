@@ -3,7 +3,9 @@
 Every check reproduces one concrete numeric claim at fixed parameters and
 returns a CheckReport whose verdict is decided by exact integer equality -
 there are no tolerances anywhere.  Check failure is data (a 'fail' verdict),
-never an exception; exceptions are reserved for unusable parameters.
+never an exception.  A check body raises UnsupportedParameters for
+parameters outside its documented limits ('unsupported'); any other
+exception it raises is an internal failure ('error').
 
 Reports serialize deterministically: evidence keys are sorted and the
 elapsed-time field is zeroed unless timing is requested, so records are
@@ -19,11 +21,12 @@ from .catalog import (lemmino_scan, order_excluded, primovalore_scan,
                       quattordici_scan)
 from .curves import FermatHermitian, GarciaStichtenoth, GeneralizedGK, \
     NormTraceHermitian
-from .gf import build_field
+from .gf import TABLE_LIMIT, build_field
 from .linpoly import (AssociatePoly, LinearizedPoly, compose, decompose,
                       p_associate, quotient_family_scan)
-from .pgu3 import Projectivity, generate, in_psu, make_alpha, make_alpha_a, \
-    make_beta, make_three_cycle
+from .numbertheory import is_prime_power
+from .pgu3 import CLOSURE_CAP, Projectivity, generate, in_psu, make_alpha, \
+    make_alpha_a, make_beta, make_three_cycle
 from .proj3 import ProjLine
 from .ramification import different_degree, expected_delta, ledger_feasibility
 
@@ -46,7 +49,7 @@ class CheckReport:
     def __init__(self, name, params, verdict, evidence, claim, millis=0):
         self.name = name
         self.params = params
-        self.verdict = verdict  # "pass" | "fail" | "unsupported"
+        self.verdict = verdict  # "pass" | "fail" | "unsupported" | "error"
         self.evidence = evidence
         self.claim = claim
         self.millis = millis
@@ -70,11 +73,21 @@ def _verdict(conditions):
     return "pass" if all(conditions.values()) else "fail"
 
 
+def _require(ok, reason):
+    """Enforce a documented parameter limit of a check."""
+    if not ok:
+        raise UnsupportedParameters(reason)
+
+
 # ---------------------------------------------------------------------------
 # check implementations
 
 
 def _check_hermitian_count(qs=(2, 3, 4, 8)):
+    for q in qs:
+        _require(q * q <= TABLE_LIMIT and is_prime_power(q),
+                 f"q = {q}: the counts enumerate F_(q^2), so q must be a "
+                 f"prime power with q^2 <= 2^20")
     evidence = {}
     ok = {}
     for q in qs:
@@ -93,6 +106,10 @@ def _check_hermitian_count(qs=(2, 3, 4, 8)):
 
 
 def _check_gk_congruence(ns=(5, 7)):
+    for n in ns:
+        _require(n >= 3 and n % 2 and 2 * n <= 62,
+                 f"n = {n}: the GK curve needs odd n >= 3, and F_(2^(2n)) "
+                 f"must fit the 2^62 size cap (n <= 31)")
     evidence = {}
     ok = {}
     for n in ns:
@@ -113,6 +130,10 @@ def _check_gk_congruence(ns=(5, 7)):
 
 
 def _check_gs_congruence(qs=(2, 3, 4)):
+    for q in qs:
+        _require(q**6 <= TABLE_LIMIT and is_prime_power(q),
+                 f"q = {q}: the count enumerates F_(q^6), so q must be a "
+                 f"prime power with q^6 <= 2^20")
     evidence = {}
     ok = {}
     for q in qs:
@@ -135,6 +156,11 @@ def _check_gs_congruence(qs=(2, 3, 4)):
 
 
 def _check_alpha_semiregular(ns=(5,)):
+    for n in ns:
+        _require(n >= 1 and n % 2 and 2 * n <= 62
+                 and 2**n + 1 <= CLOSURE_CAP,
+                 f"n = {n}: the group orders (q+1)/3 and q+1 need odd n, "
+                 f"and q + 1 must fit the closure cap {CLOSURE_CAP}")
     evidence = {}
     ok = {}
     for n in ns:
@@ -248,6 +274,11 @@ def _check_triangolo_census(n=9):
 
 
 def _check_eigen_fixed_points(ns=(5, 7, 9)):
+    for n in ns:
+        _require(n >= 1 and n % 2 and 6 * n <= 62,
+                 f"n = {n}: the weights need 3 | q + 1 (odd n), and the "
+                 f"eigenvalue field F_(2^(6n)) must fit the 2^62 size cap "
+                 f"(n <= 9)")
     evidence = {}
     ok = {}
     for n in ns:
@@ -275,10 +306,12 @@ def _check_eigen_fixed_points(ns=(5, 7, 9)):
 
 def _check_phi_homomorphism(q=32):
     import random
-    from .numbertheory import is_prime_power
     pk = is_prime_power(q)
     if pk is None or pk[0] != 2:
         raise CheckError("q must be a power of 2")
+    _require(q + 1 <= CLOSURE_CAP,
+             f"q = {q}: the group of order q + 1 must fit the closure cap "
+             f"{CLOSURE_CAP}")
     F = build_field(2, 2 * pk[1])
     model = FermatHermitian(q)
     line = ProjLine(F, (0, 0, 1))
@@ -302,6 +335,7 @@ def _check_phi_homomorphism(q=32):
 
 
 def _check_primovalore(q_max=10**6):
+    _require(q_max >= 10, "the scan must reach q = 10: q_max >= 10")
     hits = primovalore_scan(q_max)
     conds = {"result_set": hits == [1, 2, 3, 10]}
     spot = {"q10_divides": (2128 * 10 - 1568) % (10 * 10 + 10 + 2) == 0,
@@ -311,6 +345,7 @@ def _check_primovalore(q_max=10**6):
 
 
 def _check_lemmino(m_max=20):
+    _require(m_max >= 3, "the scan starts at p' = 3: m_max >= 3")
     violations = lemmino_scan(m_max)
     return _verdict({"no_violations": not violations}), {
         "m_max": m_max, "violations": violations,
@@ -336,6 +371,8 @@ def _check_quattordici(m_max=20):
 
 def _check_secondovalore_catalog(qs=(4, 5)):
     from math import gcd
+    for q in qs:
+        _require(is_prime_power(q), f"q = {q} is not a prime power")
     evidence = {}
     ok = {}
     for q in qs:
@@ -410,6 +447,10 @@ def _check_delta_ledger(qs=(4, 8)):
 
 
 def _check_rh_quotient_genus(n=5):
+    _require(n >= 3 and n % 2 and 2 * n <= 62
+             and 2**n + 1 <= 3 * CLOSURE_CAP,
+             f"n = {n}: the GK curve needs odd n >= 3, and the group of "
+             f"order (q+1)/3 must fit the closure cap {CLOSURE_CAP}")
     q = 2**n
     F = build_field(2, 2 * n)
     model = FermatHermitian(q)
@@ -623,7 +664,10 @@ def run_check(name, params=None) -> CheckReport:
         if key not in spec.params:
             raise CheckError(f"check {name!r} takes no parameter {key!r}")
         parser, _ = spec.params[key]
-        kwargs[key] = parser(raw)
+        try:
+            kwargs[key] = parser(raw)
+        except ValueError:
+            raise CheckError(f"bad value {raw!r} for parameter {key!r}") from None
     shown = {k: kwargs.get(k, spec.params[k][1]) for k in spec.params}
     shown = {k: (list(v) if isinstance(v, tuple) else v) for k, v in shown.items()}
     t0 = time.monotonic()
@@ -633,8 +677,13 @@ def run_check(name, params=None) -> CheckReport:
         verdict, evidence = "unsupported", {"reason": str(exc)}
     except CheckError:
         raise
-    except (ValueError, ArithmeticError) as exc:
-        verdict, evidence = "unsupported", {"reason": str(exc)}
+    except Exception as exc:
+        # an internal failure: the report carries the exception, the log
+        # (stderr by default) the traceback, and the remaining checks still
+        # run; logging is imported here to keep it out of start-up time
+        import logging
+        logging.getLogger(__name__).exception("check %r raised", name)
+        verdict, evidence = "error", {"error": f"{type(exc).__name__}: {exc}"}
     millis = int((time.monotonic() - t0) * 1000)
     return CheckReport(name, shown, verdict, evidence, spec.claim, millis)
 
@@ -646,7 +695,7 @@ def run_all(filter_prefix=None):
 
 
 def summarize(reports):
-    counts = {"pass": 0, "fail": 0, "unsupported": 0}
+    counts = {"pass": 0, "fail": 0, "unsupported": 0, "error": 0}
     for r in reports:
-        counts[r.verdict] = counts.get(r.verdict, 0) + 1
+        counts[r.verdict] += 1
     return counts

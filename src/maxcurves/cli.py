@@ -1,8 +1,8 @@
 """Command-line runner for the verification checks.
 
 Output is one JSON object per report line (schema 1), or a table with
---format table.  Exit codes: 0 all pass, 1 any fail, 2 usage error,
-3 an explicitly requested check reported 'unsupported'.
+--format table.  Exit codes: 0 all pass, 1 any fail or error, 2 usage
+error, 3 an explicitly requested check reported 'unsupported'.
 
 Reports are byte-identical across runs: the millis field is emitted as 0
 unless --timing is given.
@@ -50,7 +50,8 @@ def _emit(reports, fmt, timing, stream):
         return
     width = max(len(r.name) for r in reports) if reports else 4
     for r in reports:
-        mark = {"pass": "PASS", "fail": "FAIL", "unsupported": "UNSUP"}[r.verdict]
+        mark = {"pass": "PASS", "fail": "FAIL", "unsupported": "UNSUP",
+                "error": "ERROR"}[r.verdict]
         extra = f"  {r.millis} ms" if timing else ""
         print(f"{mark:5} {r.name.ljust(width)}  params={r.params}{extra}",
               file=stream)
@@ -110,10 +111,10 @@ def main(argv=None) -> int:
     counts = summarize(reports)
     if args.format == "table":
         print(f"summary: {counts['pass']} pass, {counts['fail']} fail, "
-              f"{counts['unsupported']} unsupported")
+              f"{counts['unsupported']} unsupported, {counts['error']} error")
     if args.check and counts["unsupported"]:
         return UNSUPPORTED_EXIT
-    return 0 if counts["fail"] == 0 and counts["unsupported"] == 0 else 1
+    return 0 if counts["pass"] == len(reports) else 1
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ Two representations are used internally:
 from math import gcd
 
 from .numbertheory import factorize, is_prime, prime_divisors
+from .polyroots import one_root
 
 TABLE_LIMIT = 1 << 20
 SIZE_CAP = 1 << 62
@@ -64,6 +65,25 @@ def _gf2_powmod_x(e, mod, k):
         base = _gf2_mulmod(base, base, mod, k)
         e >>= 1
     return r
+
+
+def _gf2_invmod(a, mod):
+    """The inverse of a nonzero `a` modulo the irreducible `mod`, by the
+    extended Euclidean algorithm on F_2[X] bitmasks.
+
+    Invariant: u = g * a and v = h * a modulo `mod`; each step cancels the
+    leading term of the higher-degree remainder, and deg g stays below
+    deg `mod`.
+    """
+    u, v, g, h = a, mod, 1, 0
+    while u != 1:
+        j = u.bit_length() - v.bit_length()
+        if j < 0:
+            u, v, g, h = v, u, h, g
+            j = -j
+        u ^= v << j
+        g ^= h << j
+    return g
 
 
 def _gf2_gcd(a, b):
@@ -373,6 +393,10 @@ class GF:
             raise ZeroDivisionError("inverse of 0")
         if self.table_mode:
             return self.exp[(-self.log[a]) % self.units]
+        if self.p == 2:
+            return _gf2_invmod(a, self._mod_mask)
+        # odd-p vector mode (p^k > 2^20, p odd) keeps the Fermat inverse:
+        # no registered check builds such a field
         return self._pow_novtable(a, self.units - 1)
 
     def div(self, a, b):
@@ -670,33 +694,15 @@ def embed(src: GF, dst: GF) -> TowerMap:
 def _smallest_root_in(src, dst):
     """Smallest root of src's modulus inside dst, in canonical element order.
 
-    The roots are the conjugates of X, so they are the primitive e-th roots
-    of unity in dst with e the order of X in src (e = p^m - 1 when the
-    modulus is primitive).  The search walks the canonical generator of that
-    cyclic subgroup and Horner-evaluates the modulus, then minimizes over the
-    Frobenius orbit of the first root found.
+    The modulus is irreducible of degree m, so its roots are distinct, lie in
+    the degree-m subfield of dst and form one Frobenius orbit (Lidl-
+    Niederreiter, Thm 2.14).  One root comes from equal-degree splitting with
+    shifts from that subfield (`polyroots.one_root`); the smallest root is
+    the least of its m conjugates.
     """
     m = src.k
-    e = src.multiplicative_order(src.p)  # the element X
-    w = dst.pow(dst.generator, dst.units // e)
-    coeffs = [dst.const(c) for c in src.modulus]
-    wj = 1
-    root = None
-    for j in range(1, e + 1):
-        wj = dst.mul(wj, w)
-        if gcd(j, e) != 1:
-            continue
-        acc = 0
-        for c in reversed(coeffs):
-            acc = dst.mul(acc, wj)
-            acc = dst.add(acc, c)
-        if acc == 0:
-            root = wj
-            break
-    if root is None:
-        raise FieldError("no root of subfield modulus found (unreachable)")
-    best = root
-    x = root
+    root = one_root(dst, tuple(dst.const(c) for c in src.modulus), m)
+    best = x = root
     for _ in range(m - 1):
         x = dst.frobenius(x)
         if x < best:

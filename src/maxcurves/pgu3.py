@@ -287,7 +287,10 @@ class SubgroupSpec:
         return True
 
 
-def generate(gens, cap=2_000_000) -> SubgroupSpec:
+CLOSURE_CAP = 2_000_000
+
+
+def generate(gens, cap=CLOSURE_CAP) -> SubgroupSpec:
     """Closure of the generators under products (breadth-first, deterministic)."""
     gens = list(gens)
     if not gens:

@@ -2,10 +2,19 @@
 
 A polynomial is a list/tuple of field elements (ints), low degree first,
 normalized so the last coefficient is nonzero; () is the zero polynomial.
-Root finding uses gcd with X^|F| - X to isolate the part that splits in the
-field, then deterministic equal-degree splitting (trace polynomials in
-characteristic 2, half-power shifts otherwise), walking the fixed sequence
-0, 1, g, g^2, ... of shift constants so results never depend on randomness.
+
+Root finding is deterministic equal-degree splitting (Cantor-Zassenhaus)
+with shifts taken from the subfield that holds the roots.  When the roots
+of g lie in the degree-s subfield F_{p^s} of F, a shift c of that subfield
+splits g by gcd(g, T_c): T_c is the subfield trace of cX in characteristic
+2 and (X + c)^((p^s-1)/2) - 1 otherwise.  The shifts are 1, w, w^2, ... for
+w a generator of F_{p^s}*: in characteristic 2 the first s of them are a
+basis of F_{p^s}, so one of them separates any two roots; otherwise all of
+F_{p^s} is walked, ending with 0.  `roots` isolates the part of f that
+splits over F (gcd with X^|F| - X) and splits it completely; `one_root`
+descends into the smaller factor of each split until a linear factor is
+left, so the other roots of an irreducible factor follow as its Frobenius
+conjugates.
 """
 
 
@@ -57,12 +66,12 @@ def divmod_poly(F, a, b):
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
     db, lead = len(b) - 1, b[-1]
-    inv_lead = F.inv(lead)
+    inv_lead = 1 if lead == 1 else F.inv(lead)
     q = [0] * max(0, len(a) - db)
     for d in range(len(a) - 1, db - 1, -1):
         c = a[d]
         if c:
-            f = F.mul(c, inv_lead)
+            f = c if lead == 1 else F.mul(c, inv_lead)
             q[d - db] = f
             for j in range(db + 1):
                 a[d - db + j] = F.sub(a[d - db + j], F.mul(f, b[j]))
@@ -103,6 +112,38 @@ def _splitting_part(F, f):
     return gcd_poly(F, sub(F, xq, (0, 1)), f)
 
 
+def _shifts(F, s):
+    """The shift constants of the degree-s subfield, in their fixed order."""
+    q = F.p**s
+    w = F.pow(F.generator, F.units // (q - 1))
+    c = 1
+    for _ in range(s if F.p == 2 else q - 1):
+        yield c
+        c = F.mul(c, w)
+    if F.p != 2:
+        yield 0
+
+
+def _split(F, g, s):
+    """A proper monic factor of g: monic, degree >= 2, with distinct roots
+    all in the degree-s subfield of F."""
+    deg = len(g) - 1
+    for c in _shifts(F, s):
+        if F.p == 2:
+            h = (0, c)
+            acc = h
+            for _ in range(s - 1):
+                h = mod(F, mul(F, h, h), g)
+                acc = add(F, acc, h)
+            d = gcd_poly(F, acc, g)
+        else:
+            h = pow_mod(F, (c, 1), (F.p**s - 1) // 2, g)
+            d = gcd_poly(F, sub(F, h, (1,)), g)
+        if 0 < len(d) - 1 < deg:
+            return d
+    raise RuntimeError("splitting shifts exhausted (unreachable)")
+
+
 def _split_equal_degree(F, g, out):
     """g: monic, squarefree, splits into distinct linear factors over F."""
     deg = len(g) - 1
@@ -111,34 +152,24 @@ def _split_equal_degree(F, g, out):
     if deg == 1:
         out.append(F.neg(g[0]))
         return
-    # deterministic shift sequence: 0, 1, g, g^2, ...
-    shifts = _shift_sequence(F)
-    for c in shifts:
-        if F.p == 2:
-            # trace polynomial of c*X modulo g
-            h = mod(F, (0, c), g)
-            acc = h
-            for _ in range(F.k - 1):
-                h = mod(F, mul(F, h, h), g)
-                acc = add(F, acc, h)
-            d = gcd_poly(F, acc, g)
-        else:
-            s = pow_mod(F, (c, 1), F.units // 2, g)
-            d = gcd_poly(F, sub(F, s, (1,)), g)
-        if 0 < len(d) - 1 < deg:
-            _split_equal_degree(F, d, out)
-            _split_equal_degree(F, divmod_poly(F, g, d)[0], out)
-            return
-    raise RuntimeError("splitting sequence exhausted (unreachable)")
+    d = _split(F, g, F.k)
+    _split_equal_degree(F, d, out)
+    _split_equal_degree(F, divmod_poly(F, g, d)[0], out)
 
 
-def _shift_sequence(F):
-    yield 1
-    c = F.generator
-    for _ in range(4 * F.k + 16):
-        yield c
-        c = F.mul(c, F.generator)
-    yield 0
+def one_root(F, g, s):
+    """One root of g: monic, with distinct roots all in the degree-s
+    subfield of F.  Deterministic: each split keeps the smaller factor."""
+    g = trim(g)
+    if len(g) < 2:
+        raise ValueError("constant polynomial has no root")
+    if F.k % s:
+        raise ValueError(f"{F} has no subfield of degree {s}")
+    while len(g) > 2:
+        d = _split(F, g, s)
+        e = divmod_poly(F, g, d)[0]
+        g = d if len(d) <= len(e) else e
+    return F.neg(g[0])
 
 
 def roots(F, f):
@@ -161,19 +192,3 @@ def roots(F, f):
             _split_equal_degree(F, g, out)
         found.extend(out)
     return sorted(found)
-
-
-def roots_with_multiplicity(F, f):
-    """List of (root, multiplicity) pairs for roots of f lying in F."""
-    out = []
-    for r in roots(F, f):
-        m = 0
-        lin = (F.neg(r), 1)
-        while True:
-            q, rem = divmod_poly(F, f, lin)
-            if rem:
-                break
-            f = q
-            m += 1
-        out.append((r, m))
-    return out

@@ -8,9 +8,10 @@ from maxcurves.action import (ActionError, Mat2, family_census,
                               restrict_to_line, sharply_2_transitive,
                               stabilizer_census, sylow_census)
 from maxcurves.curves import FermatHermitian, NormTraceHermitian
-from maxcurves.gf import build_field
+from maxcurves.gf import build_field, embed
 from maxcurves.pgu3 import (Projectivity, generate, make_alpha, make_alpha_a,
                             make_beta, make_three_cycle)
+from maxcurves.polyroots import divmod_poly, roots
 from maxcurves.proj3 import ProjLine, ProjPoint, all_points
 
 random.seed(903)
@@ -238,6 +239,39 @@ def test_census_double_count_against_brute_force_n3():
     by_points = census.pointwise_incidence(family)
     by_elements = sum(c for _, c in census.per_element)
     assert by_points == by_elements == census.incidence
+
+
+def test_eigenvalues_match_roots_on_the_n3_census_family():
+    # fixed_points finds one root of the irreducible char-poly part and takes
+    # its Frobenius conjugates; the reference is roots() over both fields,
+    # in its order (base-field roots first, each list ascending)
+    from maxcurves.checks import _triangolo_construction
+    _, F, model, family, _ = _triangolo_construction(3)
+    for s in family:
+        cp = s.char_poly()
+        base = roots(F, cp)
+        rem = cp
+        for lam in base:
+            quo, r = divmod_poly(F, rem, (F.neg(lam), 1))
+            while not r:
+                rem = quo
+                quo, r = divmod_poly(F, rem, (F.neg(lam), 1))
+        E = build_field(2, F.k * (len(rem) - 1))
+        tm = embed(F, E)
+        expected = base + roots(E, tuple(tm(c) for c in rem))
+        fps = fixed_points(s, model)
+        assert fps.kind == "points"
+        got = []
+        for P, _ in fps.points:
+            G = P.field
+            m = [tm(c) for c in s.m] if G is E else s.m
+            v = P.coords
+            i = next(i for i, c in enumerate(v) if c)
+            acc = 0
+            for j in range(3):
+                acc = G.add(acc, G.mul(m[3 * i + j], v[j]))
+            got.append(G.div(acc, v[i]))
+        assert got == expected
 
 
 def test_restrict_to_line_basics():

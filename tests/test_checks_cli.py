@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from maxcurves import cli
+from maxcurves import cli, gf
 from maxcurves.checks import (REGISTRY, CheckError, UnknownCheck, run_all,
                               run_check, summarize)
 from maxcurves.gf import clear_modulus_overrides, set_modulus_override
@@ -63,6 +63,40 @@ def test_run_check_unsupported_parameters():
     assert "reason" in report.evidence
 
 
+@pytest.mark.parametrize("name,params,needle", [
+    ("hermitian-count", {"qs": "2048"}, "q^2 <= 2^20"),
+    ("gk-congruence", {"ns": "33"}, "size cap"),
+    ("gs-congruence", {"qs": "16"}, "q^6 <= 2^20"),
+    ("alpha-semiregular", {"ns": "0"}, "odd n"),
+    ("eigen-fixed-points", {"ns": "11"}, "size cap"),
+    ("phi-homomorphism", {"q": str(2**22)}, "closure cap"),
+    ("primovalore", {"q_max": "9"}, "q_max >= 10"),
+    ("lemmino", {"m_max": "2"}, "m_max >= 3"),
+    ("secondovalore-catalog", {"qs": "6"}, "not a prime power"),
+    ("rh-quotient-genus", {"n": "4"}, "odd n >= 3"),
+])
+def test_documented_limits_are_unsupported(name, params, needle):
+    report = run_check(name, params)
+    assert report.verdict == "unsupported"
+    assert needle in report.evidence["reason"]
+
+
+def test_internal_failure_is_error_not_unsupported(monkeypatch, capsys):
+    def body(qs=(4, 8)):
+        return "pass", {"ratio": 1 // 0}
+    monkeypatch.setattr(REGISTRY["delta-ledger"], "func", body)
+    report = run_check("delta-ledger")
+    assert report.verdict == "error"
+    assert list(report.evidence) == ["error"]
+    assert report.evidence["error"].startswith("ZeroDivisionError: ")
+    assert summarize([report])["error"] == 1
+    rc = cli.main(["--check", "delta-ledger", "--format", "table"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out.startswith("ERROR delta-ledger")
+    assert "0 pass, 0 fail, 0 unsupported, 1 error" in out
+
+
 def test_triangolo_census_at_n3_and_its_limit():
     report = run_check("triangolo-census", {"n": "3"})
     assert report.verdict == "pass", report.evidence
@@ -119,6 +153,7 @@ def test_cli_usage_errors(capsys):
     assert cli.main(["--check", "lemmino", "--all"]) == 2
     assert cli.main(["--check", "nope"]) == 2
     assert cli.main(["--check", "lemmino", "--param", "oops"]) == 2
+    assert cli.main(["--check", "lemmino", "--param", "m_max=x"]) == 2
 
 
 def test_cli_out_file(tmp_path, capsys):
@@ -171,3 +206,36 @@ def test_cli_unsupported_exit_code(monkeypatch, capsys):
     rc = cli.main(["--check", "delta-ledger", "--param", "qs=16"])
     capsys.readouterr()
     assert rc == 3
+
+
+# one irreducible but imprimitive modulus per degree, low degree first:
+# Phi_5, a degree-10 factor of X^1023 + 1 whose root has order 341,
+# Phi_13 and Phi_27 = X^18 + X^9 + 1
+IMPRIMITIVE = {
+    4: (1,) * 5,
+    10: (1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 1),
+    12: (1,) * 13,
+    18: (1,) + (0,) * 8 + (1,) + (0,) * 8 + (1,),
+}
+
+# every registered check that builds F_(2^k) for k in IMPRIMITIVE, with the
+# first such degree it builds
+OVERRIDE_DEGREE = {
+    "hermitian-count": 4, "gk-congruence": 10, "gs-congruence": 12,
+    "alpha-semiregular": 10, "triangolo-census": 18,
+    "eigen-fixed-points": 10, "phi-homomorphism": 10, "delta-ledger": 12,
+    "rh-quotient-genus": 10, "prop1sylow-nondiv": 12, "sylow-census": 12,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERRIDE_DEGREE))
+def test_every_check_passes_under_an_imprimitive_override(name):
+    k = OVERRIDE_DEGREE[name]
+    try:
+        set_modulus_override(2, k, IMPRIMITIVE[k])
+        report = run_check(name)
+        assert report.verdict == "pass", report.evidence
+        # the check really ran in the overridden field
+        assert gf._FIELDS[(2, k)].modulus == IMPRIMITIVE[k]
+    finally:
+        clear_modulus_overrides()

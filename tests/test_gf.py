@@ -62,6 +62,19 @@ def test_field_axioms_random_sample(p, k):
         assert F.mul(a, F.inv(a)) == 1
 
 
+@pytest.mark.parametrize("k", [21, 30, 42, 54])
+def test_vector_inverse_matches_fermat(k):
+    F = build_field(2, k)
+    assert not F.table_mode
+    rng = random.Random(k)
+    sample = [1, 2, 1 << (k - 1)] + [rng.randrange(1, F.order)
+                                     for _ in range(200)]
+    for a in sample:
+        inv = F.inv(a)
+        assert inv == F.pow(a, F.units - 1)
+        assert F.mul(a, inv) == 1
+
+
 @pytest.mark.parametrize("p,k", [(2, 6), (3, 4)])
 def test_frobenius_is_field_automorphism(p, k):
     F = build_field(p, k)
@@ -153,18 +166,21 @@ def test_embed_is_ring_homomorphism(src_k, dst_k):
 
 
 def test_embed_image_is_root_of_source_modulus():
-    src, dst = build_field(2, 6), build_field(2, 18)
-    tm = embed(src, dst)
-    acc = 0
-    for i, c in enumerate(src.modulus):
-        if c:
-            acc = dst.add(acc, dst.pow(tm.gen_image, i))
-    assert acc == 0
-    # smallest root: every other root of the modulus is >= the chosen one
-    conj = tm.gen_image
-    for _ in range(src.k):
-        conj = dst.frobenius(conj)
-        assert conj >= tm.gen_image or conj == tm.gen_image
+    # (6, 18) in table mode, the others into vector-mode fields
+    for src_k, dst_k in ((6, 18), (10, 30), (14, 42), (18, 54)):
+        src, dst = build_field(2, src_k), build_field(2, dst_k)
+        tm = embed(src, dst)
+        acc = 0
+        for i, c in enumerate(src.modulus):
+            if c:
+                acc = dst.add(acc, dst.pow(tm.gen_image, i))
+        assert acc == 0
+        # smallest root: the roots are the m conjugates of the chosen one
+        conj = tm.gen_image
+        for _ in range(src.k - 1):
+            conj = dst.frobenius(conj)
+            assert conj > tm.gen_image
+        assert dst.frobenius(conj) == tm.gen_image
 
 
 def _smallest_root(src, dst):

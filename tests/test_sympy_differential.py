@@ -1,0 +1,85 @@
+"""Differential tests against sympy; skipped when sympy is not installed."""
+
+import random
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.domains import ZZ  # noqa: E402
+from sympy.polys.galoistools import (gf_factor, gf_gcdex,  # noqa: E402
+                                     gf_irreducible_p, gf_pow_mod)
+
+from maxcurves.gf import _canonical_modulus, build_field  # noqa: E402
+from maxcurves.numbertheory import factorize, prime_divisors  # noqa: E402
+from maxcurves.polyroots import roots  # noqa: E402
+
+
+def _high_first(low_first):
+    return [int(c) for c in reversed(low_first)]
+
+
+def _mask_to_list(m):
+    return [(m >> i) & 1 for i in reversed(range(m.bit_length()))]
+
+
+def _list_to_mask(cs):
+    return sum(c << i for i, c in enumerate(reversed(cs)))
+
+
+def _sympy_primitive(f, p):
+    """X has order p^k - 1 modulo f."""
+    n = p ** (len(f) - 1) - 1
+    return all(gf_pow_mod([1, 0], n // r, f, p, ZZ) != [1]
+               for r in prime_divisors(n))
+
+
+@pytest.mark.parametrize("p,k", [(2, k) for k in range(1, 9)]
+                         + [(3, k) for k in range(1, 5)]
+                         + [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2)])
+def test_canonical_modulus_is_first_primitive_irreducible(p, k):
+    # candidates in canonical order: (c_0, ..., c_{k-1}) low degree first,
+    # compared lexicographically, so c_0 is the most significant digit
+    for t in range(p**k):
+        digits = [(t // p**(k - 1 - i)) % p for i in range(k)]
+        f = [1] + digits[::-1]  # high degree first
+        # a primitive polynomial has a nonzero constant term (X itself is
+        # irreducible, but its root 0 generates nothing)
+        if f[-1] and gf_irreducible_p(f, p, ZZ) and _sympy_primitive(f, p):
+            break
+    assert _high_first(_canonical_modulus(p, k)) == f
+
+
+def test_factorize_matches_factorint():
+    rng = random.Random(62)
+    samples = [rng.randrange(2, 1 << 62) for _ in range(60)]
+    # products of two ~31-bit factors: the slowest case for Pollard rho
+    samples += [rng.randrange(1 << 30, 1 << 31)
+                * rng.randrange(1 << 30, 1 << 31) for _ in range(5)]
+    samples += [2**61 - 1, 3**39, (2**31 - 1) ** 2]
+    for n in samples:
+        assert dict(factorize(n)) == sympy.factorint(n), n
+
+
+@pytest.mark.parametrize("k", [21, 54])
+def test_vector_inverse_matches_gf_gcdex(k):
+    F = build_field(2, k)
+    mod = _high_first(F.modulus)
+    rng = random.Random(k)
+    sample = [1, 2, 1 << (k - 1)] + [rng.randrange(1, F.order)
+                                     for _ in range(100)]
+    for a in sample:
+        s, _, h = gf_gcdex(_mask_to_list(a), mod, 2, ZZ)
+        assert h == [1]
+        assert F.inv(a) == _list_to_mask(s)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_prime_field_roots_match_gf_factor(p):
+    F = build_field(p, 1)
+    rng = random.Random(p)
+    for _ in range(60):
+        deg = rng.randint(1, 9)
+        f = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+        _, factors = gf_factor(_high_first(f), p, ZZ)
+        expected = sorted((-g[1]) % p for g, _ in factors if len(g) == 2)
+        assert roots(F, f) == expected, f
