@@ -8,14 +8,20 @@ is required.
 
 The defining modulus is the lexicographically smallest monic primitive
 irreducible polynomial of degree k over F_p, comparing coefficient vectors
-low degree first.  Construction is deterministic and cached: build_field(p, k)
-always returns the same object with the same modulus.  A configuration file
-may override the modulus for a given (p, k); non-irreducible overrides are
-refused.
+low degree first.  The search skips candidates that fail one of two
+necessary conditions before the full Rabin and primitivity tests: the
+constant term c_0 must make (-1)^k c_0 a primitive root mod p, and the
+candidate must have no root in F_p.  Every primitive irreducible meets
+both, so the modulus is the one the unpruned scan finds.  Construction is
+deterministic and cached: build_field(p, k) always returns the same object
+with the same modulus.  A configuration file may override the modulus for
+a given (p, k); non-irreducible overrides are refused.
 
 Two representations are used internally:
   * log/antilog tables when p^k <= TABLE_LIMIT (2^20) - supports
-    fast multiplication and full enumeration;
+    fast multiplication and full enumeration; when the generator is X
+    they are filled by a shift register (multiply by X, fold the top
+    digit back through the modulus);
   * coefficient vectors (carry-less masks in characteristic 2) above the
     limit - supports arithmetic in fields like F_{2^54} where enumeration
     is never needed.
@@ -213,27 +219,55 @@ def _canonical_modulus(p, k):
 
     Coefficient vectors (c_0, ..., c_{k-1}) are compared low degree first,
     so candidates are enumerated with c_0 as the most significant digit.
+    Two necessary conditions skip candidates before the Rabin and
+    primitivity tests; every candidate left still goes through both:
+      * the norm (-1)^k c_0 of the root X generates F_p^* (Lidl-
+        Niederreiter, Thm 3.18), so only those c_0 are tried, in order;
+      * a candidate of degree k > 1 has no root in F_p (for p = 2: it has
+        an odd number of nonzero terms, else 1 is a root).
+    Both hold for every primitive irreducible, so the result is the same
+    as the unpruned scan's.
     """
-    if k == 1:
-        # X + c: root is -c; need -c to generate F_p*
-        for c in range(1, p):
-            root = (-c) % p
-            if _order_mod_p(root, p) == p - 1 or p == 2:
-                return (c, 1)
-        raise FieldError("no primitive degree-1 modulus found")
-    # t encodes (c_0, ..., c_{k-1}) with c_0 as the most significant digit,
-    # so increasing t enumerates candidates in the canonical lex order;
-    # c_0 = 0 is reducible, so start where c_0 becomes 1.
-    for t in range(p ** (k - 1), p**k):
-        digits = []
-        v = t
-        for _ in range(k):
-            digits.append(v % p)
-            v //= p
-        coeffs = tuple(reversed(digits)) + (1,)
-        if _is_irreducible(coeffs, p) and _is_primitive_root_x(coeffs, p):
-            return coeffs
+    sign = (-1) ** k
+    for c0 in range(1, p):
+        if _order_mod_p(sign * c0, p) != p - 1:
+            continue
+        # t encodes (c_1, ..., c_{k-1}) with c_1 as the most significant
+        # digit, so increasing t keeps the canonical lex order
+        for t in range(p ** (k - 1)):
+            digits = []
+            v = t
+            for _ in range(k - 1):
+                digits.append(v % p)
+                v //= p
+            coeffs = (c0,) + tuple(reversed(digits)) + (1,)
+            if k > 1 and _has_root_in_prime_field(coeffs, p):
+                continue
+            if _is_irreducible(coeffs, p) and _is_primitive_root_x(coeffs, p):
+                return coeffs
     raise FieldError("no primitive irreducible found (unreachable)")
+
+
+def _has_root_in_prime_field(coeffs, p):
+    # Horner at every nonzero a (the constant term of a candidate is nonzero)
+    for a in range(1, p):
+        v = 0
+        for c in reversed(coeffs):
+            v = (v * a + c) % p
+        if v == 0:
+            return True
+    return False
+
+
+def _add_row(p, row, scale):
+    """Entry y, a base-p number of len(row) digits: the digit-wise sum
+    (mod p) of y and `row` (low digit first), times `scale`."""
+    table = [0]
+    w = scale
+    for r in row:
+        table = [v + (d + r) % p * w for d in range(p) for v in table]
+        w *= p
+    return table
 
 
 def _order_mod_p(a, p):
@@ -295,10 +329,10 @@ class GF:
         exp = [0] * n
         log = [0] * self.order
         g = self.generator
+        p, k = self.p, self.k
         x = 1
-        if self.p == 2 and self.k > 1:
+        if p == 2 and k > 1:
             mm = self._mod_mask
-            k = self.k
             if g == 2:
                 for i in range(n):
                     exp[i] = x
@@ -311,7 +345,27 @@ class GF:
                     exp[i] = x
                     log[x] = i
                     x = _gf2_mulmod(x, g, mm, k)
+        elif g == p:
+            # x -> x * X as a shift register: with x = t p^(k-1) + low, the
+            # digits of low move up one place and the top digit t folds back
+            # as the row -t * modulus.  The digit-wise sum (mod p) with that
+            # row is read from two tables per t: result digits 0..a from the
+            # low a digits of low, digits a+1..k-1 from the rest.
+            a = (k - 1) // 2
+            pa, top = p**a, p ** (k - 1)
+            lo, hi = [], []
+            for t in range(p):
+                row = [(-t * c) % p for c in self.modulus[:k]]
+                lo.append([row[0] + v for v in _add_row(p, row[1:a + 1], p)])
+                hi.append(_add_row(p, row[a + 1:], p * pa))
+            for i in range(n):
+                exp[i] = x
+                log[x] = i
+                t, low = divmod(x, top)
+                b, c = divmod(low, pa)
+                x = lo[t][c] + hi[t][b]
         else:
+            # a generator other than X: an imprimitive override, or k = 1
             for i in range(n):
                 exp[i] = x
                 log[x] = i

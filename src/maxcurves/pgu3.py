@@ -131,17 +131,22 @@ class Projectivity:
         return Projectivity(tower_map.dst, tuple(tower_map(e) for e in self.m))
 
     def order(self):
-        """Least n >= 1 with self^n scalar, via the divisors of |PGL(3, Q)|."""
+        """Least n >= 1 with self^n scalar, via the divisors of |PGL(3, Q)|.
+
+        For each prime power r^e exactly dividing N = |PGL(3, Q)|, the
+        r-part of the order is the order of a = self^(N / r^e), a power of
+        r found by raising a to the r-th power until it is the identity.
+        """
         if self._order is None:
             Q = self.field.order
             n = Q**3 * (Q**3 - 1) * (Q**2 - 1)
+            order = 1
             for r, e in factorize(n):
-                for _ in range(e):
-                    if (self ** (n // r)).is_identity():
-                        n //= r
-                    else:
-                        break
-            self._order = n
+                a = self ** (n // r**e)
+                while not a.is_identity():
+                    a = a ** r
+                    order *= r
+            self._order = order
         return self._order
 
 

@@ -47,6 +47,14 @@ def test_run_check_with_params():
     assert set(report.evidence) == {"q2", "q3"}
 
 
+def test_gs_congruence_at_odd_q():
+    # enumerates F_(5^6) and F_(7^6): odd-p fields built by a shift register
+    report = run_check("gs-congruence", {"qs": "5,7"})
+    assert report.verdict == "pass", report.evidence
+    assert report.evidence["q5"]["enumerated"] == 75626
+    assert report.evidence["q7"]["enumerated"] == 809138
+
+
 def test_run_check_unknown_name():
     with pytest.raises(UnknownCheck):
         run_check("no-such-check")

@@ -1,13 +1,20 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from maxcurves.gf import (FieldError, build_field, clear_modulus_overrides,
-                          embed, load_field_config, nullspace,
-                          set_modulus_override)
+from maxcurves.gf import (FieldError, _canonical_modulus, _is_irreducible,
+                          _is_primitive_root_x, build_field,
+                          clear_modulus_overrides, embed, load_field_config,
+                          nullspace, set_modulus_override)
 from maxcurves.numbertheory import divisors
 
 random.seed(901)
+
+# canonical moduli computed by the unpruned search (read only)
+GOLDEN_MODULI = (Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+                 / "moduli.json")
 
 
 def test_prime_field_convention():
@@ -45,6 +52,58 @@ def test_build_field_rejects_bad_input():
         build_field(2, 0)
     with pytest.raises(FieldError):
         build_field(2, 80)  # beyond the size cap
+
+
+def _unpruned_canonical_modulus(p, k):
+    """Every monic candidate in canonical order through both full tests."""
+    for t in range(p ** (k - 1), p**k):  # c_0 = 0 is never primitive
+        coeffs = tuple((t // p ** (k - 1 - i)) % p for i in range(k)) + (1,)
+        if _is_irreducible(coeffs, p) and _is_primitive_root_x(coeffs, p):
+            return coeffs
+    raise AssertionError("no primitive irreducible")
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 5, 7, 11, 13)
+                                 for k in range(1, 17) if p**k <= 1 << 16])
+def test_pruned_modulus_search_matches_unpruned_scan(p, k):
+    assert _canonical_modulus(p, k) == _unpruned_canonical_modulus(p, k)
+
+
+def test_canonical_moduli_match_golden():
+    golden = json.loads(GOLDEN_MODULI.read_text())
+    assert {"3,6", "5,6", "7,6"} <= set(golden)
+    for key, modulus in golden.items():
+        p, k = (int(v) for v in key.split(","))
+        assert _canonical_modulus(p, k) == tuple(modulus), key
+
+
+def _assert_tables_follow_generator(F):
+    assert len(F.exp) == F.units
+    x = 1
+    for i, e in enumerate(F.exp):
+        assert e == x and F.log[e] == i
+        x = F._mul_novtable(x, F.generator)
+    assert x == 1
+    assert sorted(F.exp) == list(range(1, F.order))
+
+
+@pytest.mark.parametrize("p,k", [(3, 6), (5, 4), (7, 3), (11, 2)])
+def test_odd_tables_follow_the_generator(p, k):
+    F = build_field(p, k)
+    assert F.generator == p  # the element X: the shift-register path
+    _assert_tables_follow_generator(F)
+
+
+def test_odd_tables_under_an_imprimitive_override():
+    # X^2 + 1 over F_3: X has order 4 of 8, so the tables take the
+    # multiply-by-generator path
+    try:
+        set_modulus_override(3, 2, (1, 0, 1))
+        F = build_field(3, 2)
+        assert F.generator != 3
+        _assert_tables_follow_generator(F)
+    finally:
+        clear_modulus_overrides()
 
 
 @pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 2), (2, 10)])

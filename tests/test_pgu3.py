@@ -55,6 +55,24 @@ def test_inverse_and_order():
     assert h.order() == 3  # h^3 is scalar
 
 
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2)])
+def test_order_is_least_scalar_power(p, k):
+    F = build_field(p, k)
+    rng = random.Random(904)
+    checked = 0
+    while checked < 40:
+        try:
+            m = Projectivity(F, [rng.randrange(F.order) for _ in range(9)])
+        except GroupError:
+            continue  # singular
+        n, power = 1, m
+        while not power.is_identity():
+            power = power * m
+            n += 1
+        assert m.order() == n, m
+        checked += 1
+
+
 def test_three_cycle_permutes_fundamental_points():
     F = build_field(2, 4)
     h = make_three_cycle(F, 1, 1)

@@ -35,7 +35,8 @@ def _sympy_primitive(f, p):
 
 @pytest.mark.parametrize("p,k", [(2, k) for k in range(1, 9)]
                          + [(3, k) for k in range(1, 5)]
-                         + [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2)])
+                         + [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]
+                         + [(3, 6), (5, 4), (11, 2), (13, 2)])
 def test_canonical_modulus_is_first_primitive_irreducible(p, k):
     # candidates in canonical order: (c_0, ..., c_{k-1}) low degree first,
     # compared lexicographically, so c_0 is the most significant digit
