@@ -213,13 +213,17 @@ class StabilizerCensus:
 
 
 def _fixes_point(g, P):
-    # proportionality of g(P) and P without any inversion
+    # P is normalised, so its first nonzero coordinate is 1 and pivots the
+    # proportionality test: g(P) = a is a multiple of P iff a equals that
+    # pivot coordinate of a times P (a != 0, as g is invertible)
     F = g.field
-    a = g.apply(P.coords)
-    b = P.coords
-    return (F.mul(a[0], b[1]) == F.mul(a[1], b[0])
-            and F.mul(a[0], b[2]) == F.mul(a[2], b[0])
-            and F.mul(a[1], b[2]) == F.mul(a[2], b[1]))
+    a0, a1, a2 = g.apply(P.coords)
+    x, y, t = P.coords
+    if x:
+        return a1 == F.mul(a0, y) and a2 == F.mul(a0, t)
+    if y:
+        return a0 == 0 and a2 == F.mul(a1, t)
+    return a0 == 0 and a1 == 0
 
 
 def _maybe_transport(g, field):

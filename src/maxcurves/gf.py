@@ -24,9 +24,15 @@ Two representations are used internally:
     digit back through the modulus);
   * coefficient vectors (carry-less masks in characteristic 2) above the
     limit - supports arithmetic in fields like F_{2^54} where enumeration
-    is never needed.
+    is never needed.  In characteristic 2 a product is one integer
+    product of the operands with each bit spread into its own byte, read
+    back by byte parity (`_gf2_clmul`); a square is the bit spread alone
+    (`_gf2_square`).  Either is reduced a byte at a time through tables
+    built once per field (`_gf2_reduction_tables`); the inverse is the
+    extended Euclidean algorithm.
 """
 
+from array import array
 from math import gcd
 
 from .numbertheory import factorize, is_prime, prime_divisors
@@ -48,12 +54,29 @@ class FieldError(ValueError):
 # no trailing zeros.
 
 
-def _gf2_mulmod(a, b, mod, k):
-    r = 0
-    while b:
-        lsb = b & -b
-        r ^= a << (lsb.bit_length() - 1)
-        b ^= lsb
+# A carry-less product as one integer product: spread each bit of an operand
+# into its own byte, multiply the spread operands, and read each byte's
+# parity back.  Coefficient i of the product is a sum of at most
+# min(bit lengths) <= 62 ones (the size cap), below 256, so no byte carries
+# into the next.  The "0b" prefix of bin() spreads to two zero bytes.
+_SPREAD = bytes.maketrans(b"01b", b"\x00\x01\x00")
+_PARITY = bytes(0x30 | (v & 1) for v in range(256))  # b"0" or b"1"
+
+
+def _gf2_clmul(a, b):
+    sa = bin(a).encode().translate(_SPREAD)
+    sb = bin(b).encode().translate(_SPREAD)
+    prod = int.from_bytes(sa, "big") * int.from_bytes(sb, "big")
+    return int(prod.to_bytes(len(sa) + len(sb), "big").translate(_PARITY), 2)
+
+
+def _gf2_square(a):
+    # the square of a carry-less polynomial spreads its bits: bit i -> bit 2i
+    return int(format(a, "b"), 4)
+
+
+def _gf2_rem(r, mod, k):
+    # r mod `mod` (degree k), clearing the top degree one step at a time
     while True:
         d = r.bit_length() - 1
         if d < k:
@@ -62,15 +85,40 @@ def _gf2_mulmod(a, b, mod, k):
 
 
 def _gf2_powmod_x(e, mod, k):
-    # X^e mod `mod`, binary exponentiation
+    # X^e mod `mod`, left to right over the bits of e: square, then
+    # multiply by X (a shift) on a 1 bit
     r = 1
-    base = (mod & 1) if k == 1 else 2  # degree 1: X reduces to its root c0
-    while e:
-        if e & 1:
-            r = _gf2_mulmod(r, base, mod, k)
-        base = _gf2_mulmod(base, base, mod, k)
-        e >>= 1
+    for bit in bin(e)[2:]:
+        r = _gf2_rem(_gf2_square(r), mod, k)
+        if bit == "1":
+            r <<= 1
+            if r >> k:
+                r ^= mod
     return r
+
+
+def _gf2_reduction_tables(mod, k):
+    """Byte tables T_j[v] = v X^(k+8j) mod `mod` for j < ceil((k-1)/8).
+
+    A product of two reduced elements has degree at most 2k - 2, so its
+    part h above X^k has at most k - 1 bits, and it reduces to
+    (r mod X^k) + T_0[byte 0 of h] + T_1[byte 1 of h] + ...  Each table is
+    filled incrementally, t[v] = t[v - 2^i] + X^(k+8j+i) mod `mod` for
+    2^i <= v < 2^(i+1).
+    """
+    tables = []
+    x = mod ^ (1 << k)  # X^k mod `mod`
+    for _ in range(-(-(k - 1) // 8)):
+        t = array("Q", [0]) * 256
+        for i in range(8):
+            low = 1 << i
+            for v in range(low, 2 * low):
+                t[v] = t[v ^ low] ^ x
+            x <<= 1
+            if x >> k:
+                x ^= mod
+        tables.append(t)
+    return tables
 
 
 def _gf2_invmod(a, mod):
@@ -108,29 +156,30 @@ def _poly_trim(t):
 
 
 def _poly_mulmod(a, b, mod, p):
-    # a, b digit tuples reduced mod `mod` (monic, degree k)
+    # a, b digit tuples reduced mod `mod` (monic, degree k); coefficients
+    # are reduced mod p once each, when the top-down reduction reads them
+    # and at the end
     k = len(mod) - 1
     prod = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
+                prod[i + j] += ai * bj
     for d in range(len(prod) - 1, k - 1, -1):
-        c = prod[d]
+        c = prod[d] % p
         if c:
-            for j in range(k + 1):
-                prod[d - k + j] = (prod[d - k + j] - c * mod[j]) % p
-    return _poly_trim(prod)
+            for j in range(k):
+                prod[d - k + j] -= c * mod[j]
+    return _poly_trim([c % p for c in prod[:k]])
 
 
 def _poly_powmod(base, e, mod, p):
+    # left to right over the bits of e: no square after the last one
     r = (1,)
-    b = base
-    while e:
-        if e & 1:
-            r = _poly_mulmod(r, b, mod, p)
-        b = _poly_mulmod(b, b, mod, p)
-        e >>= 1
+    for bit in bin(e)[2:]:
+        r = _poly_mulmod(r, r, mod, p)
+        if bit == "1":
+            r = _poly_mulmod(r, base, mod, p)
     return r
 
 
@@ -164,7 +213,7 @@ def _is_irreducible(coeffs, p):
         frob = 2  # X
         powers = {}
         for i in range(1, k + 1):
-            frob = _gf2_mulmod(frob, frob, mod, k)
+            frob = _gf2_rem(_gf2_square(frob), mod, k)
             powers[i] = frob
         if powers[k] != 2:  # X^(2^k) must equal X
             return False
@@ -287,7 +336,9 @@ def _order_mod_p(a, p):
 class GF:
     """The finite field F_{p^k}.  Elements are ints in [0, p^k)."""
 
-    def __init__(self, p, k, modulus):
+    def __init__(self, p, k, modulus, primitive=False):
+        """`primitive`: the caller has proved X a generator modulo `modulus`
+        (the canonical search does), so it is not tested again."""
         self.p = p
         self.k = k
         self.order = p**k
@@ -295,10 +346,13 @@ class GF:
         self.modulus = modulus  # digit tuple, low degree first, length k+1
         self.table_mode = self.order <= TABLE_LIMIT
         self._mod_mask = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
+        # p = 2 vector mode reduces products through byte tables
+        self._red_tables = (_gf2_reduction_tables(self._mod_mask, k)
+                            if p == 2 and not self.table_mode else None)
         self._pow_cache = [p**i for i in range(k + 1)]
         self.exp = None
         self.log = None
-        self.generator = self._find_generator()
+        self.generator = self._find_generator(primitive)
         if self.table_mode:
             self._build_tables()
         self._embed_cache = {}  # destination field -> TowerMap
@@ -309,13 +363,13 @@ class GF:
 
     # -- construction internals ------------------------------------------
 
-    def _find_generator(self):
+    def _find_generator(self, primitive):
         # X itself when the modulus is primitive (the canonical case);
         # otherwise scan elements in canonical order.
         if self.k == 1:
             root = (-self.modulus[0]) % self.p
             return root
-        if _is_primitive_root_x(self.modulus, self.p):
+        if primitive or _is_primitive_root_x(self.modulus, self.p):
             return self.p  # the element X
         n = self.units
         primes = prime_divisors(n)
@@ -331,20 +385,14 @@ class GF:
         g = self.generator
         p, k = self.p, self.k
         x = 1
-        if p == 2 and k > 1:
+        if p == 2 and g == 2:
             mm = self._mod_mask
-            if g == 2:
-                for i in range(n):
-                    exp[i] = x
-                    log[x] = i
-                    x <<= 1
-                    if x >> k:
-                        x ^= mm
-            else:
-                for i in range(n):
-                    exp[i] = x
-                    log[x] = i
-                    x = _gf2_mulmod(x, g, mm, k)
+            for i in range(n):
+                exp[i] = x
+                log[x] = i
+                x <<= 1
+                if x >> k:
+                    x ^= mm
         elif g == p:
             # x -> x * X as a shift register: with x = t p^(k-1) + low, the
             # digits of low move up one place and the top digit t folds back
@@ -416,23 +464,41 @@ class GF:
             return a
         return self.from_digits([(-x) % self.p for x in self.digits(a)])
 
+    def _reduce(self, r):
+        """r mod the modulus, for p = 2 and r of degree at most 2k - 2."""
+        tables = self._red_tables
+        if tables is None:
+            return _gf2_rem(r, self._mod_mask, self.k)
+        h = r >> self.k
+        r &= self.units  # the low k bits
+        for t in tables:
+            r ^= t[h & 255]
+            h >>= 8
+        return r
+
     def _mul_novtable(self, a, b):
+        if a == 1 or b == 1:
+            # normalised points and matrices: nearly half the vector-mode
+            # products of the fixed-point census have a factor 1
+            return b if a == 1 else a
+        if self.p == 2:
+            return self._reduce(_gf2_clmul(a, b))
         if a == 0 or b == 0:
             return 0
-        if self.p == 2:
-            return _gf2_mulmod(a, b, self._mod_mask, self.k)
         prod = _poly_mulmod(tuple(self.digits(a)), tuple(self.digits(b)),
                             self.modulus, self.p)
         return self.from_digits(list(prod) + [0] * self.k)
 
     def _pow_novtable(self, a, e):
-        r = 1
-        b = a
-        while e:
-            if e & 1:
-                r = self._mul_novtable(r, b)
-            b = self._mul_novtable(b, b)
-            e >>= 1
+        # left to right over the bits of e: no square after the last one
+        if e == 0:
+            return 1
+        two = self.p == 2
+        r = a
+        for bit in bin(e)[3:]:
+            r = self._reduce(_gf2_square(r)) if two else self._mul_novtable(r, r)
+            if bit == "1":
+                r = self._mul_novtable(r, a)
         return r
 
     def mul(self, a, b):
@@ -720,8 +786,12 @@ def build_field(p, k):
     key = (p, k)
     fld = _FIELDS.get(key)
     if fld is None:
-        modulus = _MODULUS_OVERRIDES.get(key) or _canonical_modulus(p, k)
-        fld = _FIELDS[key] = GF(p, k, modulus)
+        override = _MODULUS_OVERRIDES.get(key)
+        if override:
+            fld = GF(p, k, override)
+        else:
+            fld = GF(p, k, _canonical_modulus(p, k), primitive=True)
+        _FIELDS[key] = fld
     return fld
 
 

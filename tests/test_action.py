@@ -2,15 +2,15 @@ import random
 
 import pytest
 
-from maxcurves.action import (ActionError, Mat2, family_census,
+from maxcurves.action import (ActionError, Mat2, _fixes_point, family_census,
                               common_fixed_curve_points, fixed_points,
                               is_semiregular, line_image, orbits,
                               restrict_to_line, sharply_2_transitive,
                               stabilizer_census, sylow_census)
 from maxcurves.curves import FermatHermitian, NormTraceHermitian
 from maxcurves.gf import build_field, embed
-from maxcurves.pgu3 import (Projectivity, generate, make_alpha, make_alpha_a,
-                            make_beta, make_three_cycle)
+from maxcurves.pgu3 import (GroupError, Projectivity, generate, make_alpha,
+                            make_alpha_a, make_beta, make_three_cycle)
 from maxcurves.polyroots import divmod_poly, roots
 from maxcurves.proj3 import ProjLine, ProjPoint, all_points
 
@@ -43,6 +43,47 @@ def test_alpha_fixes_fundamental_triangle_off_curve():
     assert sorted(p.coords for p, _ in fps.points) == [
         (0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert fps.on_curve_count() == 0
+
+
+def _fixes_by_cross_products(g, P):
+    """Oracle: g(P) and P are proportional iff their three 2x2 minors vanish."""
+    F = g.field
+    a, b = g.apply(P.coords), P.coords
+    return (F.mul(a[0], b[1]) == F.mul(a[1], b[0])
+            and F.mul(a[0], b[2]) == F.mul(a[2], b[0])
+            and F.mul(a[1], b[2]) == F.mul(a[2], b[1]))
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 4), (3, 2)])
+def test_pivot_fixes_point_matches_cross_products(p, k):
+    F = build_field(p, k)
+    rng = random.Random(p * 100 + k)
+    gs = []
+    while len(gs) < 12:
+        try:
+            gs.append(Projectivity(F, [rng.randrange(F.order)
+                                       for _ in range(9)]))
+        except GroupError:  # singular
+            pass
+    # diagonals (the identity and homologies among them) and elations fix
+    # points in every chart of the pivot test
+    units = [F.exp[i] for i in range(0, F.units, max(1, F.units // 4))]
+    gs += [Projectivity(F, (1, 0, 0, 0, d, 0, 0, 0, e))
+           for d in units for e in units]
+    c = F.generator
+    gs += [Projectivity(F, (1, c, 0, 0, 1, 0, 0, 0, 1)),
+           Projectivity(F, (1, 0, 0, 0, 1, c, 0, 0, 1)),
+           Projectivity(F, (1, 0, c, 0, 1, 0, 0, 0, 1)),
+           Projectivity(F, (1, 0, 0, c, 1, 0, 0, 0, 1))]
+    seen = set()
+    for P in all_points(F):
+        chart = P.coords.index(1)
+        for g in gs:
+            fixed = _fixes_point(g, P)
+            assert fixed == _fixes_by_cross_products(g, P), (g, P)
+            seen.add((chart, fixed))
+    assert seen == {(chart, fixed) for chart in range(3)
+                    for fixed in (False, True)}
 
 
 @pytest.mark.parametrize("q", [2, 4, 8])

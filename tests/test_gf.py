@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from maxcurves.gf import (FieldError, _canonical_modulus, _is_irreducible,
+from maxcurves.gf import (FieldError, _canonical_modulus, _gf2_clmul,
+                          _gf2_rem, _gf2_square, _is_irreducible,
                           _is_primitive_root_x, build_field,
                           clear_modulus_overrides, embed, load_field_config,
                           nullspace, set_modulus_override)
@@ -119,6 +120,63 @@ def test_field_axioms_random_sample(p, k):
         assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
     for a in range(1, min(n, 200)):
         assert F.mul(a, F.inv(a)) == 1
+
+
+def _clmul_by_shift_and_add(a, b):
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    return r
+
+
+def test_clmul_and_square_match_shift_and_add():
+    rng = random.Random(62)
+    for k in range(2, 63):
+        # coefficient k - 1 of ones * ones is a sum of k ones: 62 in one
+        # byte at k = 62, the most the size cap allows
+        ones = (1 << k) - 1
+        pairs = [(ones, ones), (ones, 1), (1 << (k - 1), ones), (0, ones),
+                 (ones, 0)]
+        pairs += [(rng.randrange(1 << k), rng.randrange(1 << k))
+                  for _ in range(40)]
+        for a, b in pairs:
+            assert _gf2_clmul(a, b) == _clmul_by_shift_and_add(a, b), (k, a, b)
+            assert _gf2_square(a) == _gf2_clmul(a, a)
+
+
+# x^21 + x^7 + 1: irreducible (a factor of x^49 - 1), its root X has order 49
+IMPRIMITIVE_F2_21 = (1,) + (0,) * 6 + (1,) + (0,) * 13 + (1,)
+
+
+def _assert_table_reduction_matches_bit_loop(F, rng):
+    k, mod = F.k, F._mod_mask
+    assert len(F._red_tables) == -(-(k - 1) // 8)
+    ones = F.units
+    # every product and square of reduced elements, up to degree 2k - 2
+    samples = [0, ones, (1 << (2 * k - 1)) - 1, _gf2_clmul(ones, ones),
+               _gf2_square(ones), 1 << (2 * k - 2)]
+    for _ in range(200):
+        a, b = rng.randrange(F.order), rng.randrange(F.order)
+        samples += [_gf2_clmul(a, b), _gf2_square(a)]
+    for r in samples:
+        assert F._reduce(r) == _gf2_rem(r, mod, k), (k, r)
+
+
+def test_table_reduction_matches_bit_loop():
+    rng = random.Random(54)
+    for k in range(21, 55):
+        _assert_table_reduction_matches_bit_loop(build_field(2, k), rng)
+    try:
+        set_modulus_override(2, 21, IMPRIMITIVE_F2_21)
+        F = build_field(2, 21)
+        assert F.generator != 2 and not F.table_mode
+        _assert_table_reduction_matches_bit_loop(F, rng)
+        assert F.pow(2, 49) == 1 and F.pow(2, 7) != 1
+    finally:
+        clear_modulus_overrides()
 
 
 @pytest.mark.parametrize("k", [21, 30, 42, 54])
@@ -264,6 +322,21 @@ def test_embed_identity_and_norm_under_imprimitive_override():
         tm = embed(F, F)
         assert [tm(x) for x in F.elements()] == list(F.elements())
         assert [F.norm(x, F) for x in F.elements()] == list(F.elements())
+    finally:
+        clear_modulus_overrides()
+
+
+def test_canonical_fields_have_generator_x():
+    golden = json.loads(GOLDEN_MODULI.read_text())
+    for key in golden:
+        p, k = (int(v) for v in key.split(","))
+        F = build_field(p, k)
+        if k > 1:
+            assert F.generator == p, key
+            assert _is_primitive_root_x(F.modulus, p), key
+    try:
+        set_modulus_override(2, 4, IMPRIMITIVE_F16)
+        assert build_field(2, 4).generator == 3  # X + 1: the first of order 15
     finally:
         clear_modulus_overrides()
 

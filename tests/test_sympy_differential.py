@@ -7,7 +7,8 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.polys.domains import ZZ  # noqa: E402
 from sympy.polys.galoistools import (gf_factor, gf_gcdex,  # noqa: E402
-                                     gf_irreducible_p, gf_pow_mod)
+                                     gf_irreducible_p, gf_mul, gf_pow_mod,
+                                     gf_rem)
 
 from maxcurves.gf import _canonical_modulus, build_field  # noqa: E402
 from maxcurves.numbertheory import factorize, prime_divisors  # noqa: E402
@@ -72,6 +73,24 @@ def test_vector_inverse_matches_gf_gcdex(k):
         s, _, h = gf_gcdex(_mask_to_list(a), mod, 2, ZZ)
         assert h == [1]
         assert F.inv(a) == _list_to_mask(s)
+
+
+@pytest.mark.parametrize("k", [21, 37, 54])
+def test_vector_mul_and_pow_match_gf_mul_and_gf_rem(k):
+    F = build_field(2, k)
+    mod = _high_first(F.modulus)
+    rng = random.Random(k)
+    top = 1 << (k - 1)
+    pairs = [(F.units, F.units), (top, top), (1, top)]
+    pairs += [(rng.randrange(1, F.order), rng.randrange(1, F.order))
+              for _ in range(40)]
+    for a, b in pairs:
+        prod = gf_mul(_mask_to_list(a), _mask_to_list(b), 2, ZZ)
+        assert F.mul(a, b) == _list_to_mask(gf_rem(prod, mod, 2, ZZ))
+    for a, _ in pairs[:20]:
+        e = rng.randrange(F.order)
+        assert F.pow(a, e) == _list_to_mask(
+            gf_pow_mod(_mask_to_list(a), e % F.units, mod, 2, ZZ))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
