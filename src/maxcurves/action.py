@@ -139,49 +139,53 @@ def is_semiregular(group: SubgroupSpec, model) -> bool:
                for s in group.nontrivial())
 
 
-def _transported_generators(group, field):
-    if group.field is field:
-        return list(group.generators)
-    tm = embed(group.field, field)
-    return [g.transport(tm) for g in group.generators]
+def _transported(field, elements, memo):
+    """The elements with their entries embedded into `field`, memoised per
+    field object in `memo`."""
+    if field not in memo:
+        memo[field] = [g if g.field is field else g.transport(embed(g.field, field))
+                       for g in elements]
+    return memo[field]
 
 
 def orbits(group: SubgroupSpec, points):
-    """Partition of the points into group orbits.
+    """Partition of the points into group orbits, in one pass.
 
-    The points must be closed under the action (checked).  Each orbit is
-    sorted, and orbits are listed by their least representative.
+    The points must be closed under the action (checked on every image).
+    Orbits hold the caller's point objects; each orbit is sorted, and
+    orbits are listed by their least representative, ties between fields
+    broken by field order, then by first appearance.
     """
-    points = list(points)
-    if not points:
-        return []
-    by_field = {}
-    for P in points:
-        by_field.setdefault(id(P.field), (P.field, set()))[1].add(P)
+    remaining = {P: P for P in points}
+    # seeds by least coordinates, ties by field order and then by first
+    # appearance: two stable sorts, with one key tuple per field
+    field_key = {}
+    for P in remaining:
+        field_key.setdefault(P.field, (P.field.order, len(field_key)))
+    seeds = sorted(remaining, key=lambda P: field_key[P.field])
+    seeds.sort(key=lambda P: P.coords)
+    memo = {}
     out = []
-    for _, (field, pts) in sorted(by_field.items(), key=lambda kv: kv[1][0].order):
-        gens = _transported_generators(group, field)
-        for P in pts:
+    for seed in seeds:
+        if seed not in remaining:
+            continue
+        gens = _transported(seed.field, group.generators, memo)
+        orbit = [remaining.pop(seed)]
+        members = {seed}
+        for P in orbit:  # breadth first: the list grows while it is read
             for g in gens:
-                if g.apply_point(P) not in pts:
+                Q = g.apply_point(P)
+                if Q in members:
+                    continue
+                # a finished orbit is closed, so no generator maps a point
+                # outside it into it: an image neither in this orbit nor
+                # remaining is not one of the points
+                Q = remaining.pop(Q, None)
+                if Q is None:
                     raise ActionError("points are not closed under the action")
-        remaining = set(pts)
-        while remaining:
-            seed = min(remaining, key=lambda p: p.coords)
-            orbit = {seed}
-            frontier = [seed]
-            while frontier:
-                nxt = []
-                for P in frontier:
-                    for g in gens:
-                        Q = g.apply_point(P)
-                        if Q not in orbit:
-                            orbit.add(Q)
-                            nxt.append(Q)
-                frontier = nxt
-            remaining -= orbit
-            out.append(sorted(orbit, key=lambda p: p.coords))
-    out.sort(key=lambda orb: orb[0].coords)
+                members.add(Q)
+                orbit.append(Q)
+        out.append(sorted(orbit, key=lambda p: p.coords))
     return out
 
 
@@ -202,14 +206,10 @@ class StabilizerCensus:
     def pointwise_incidence(self, elements):
         """Independent recount of |I|: sum over census points of the number
         of the given nontrivial elements fixing them."""
-        total = 0
-        cache = {}
-        for P in self.points:
-            fid = id(P.field)
-            if fid not in cache:
-                cache[fid] = [_maybe_transport(e, P.field) for e in elements]
-            total += sum(1 for e in cache[fid] if _fixes_point(e, P))
-        return total
+        memo = {}
+        return sum(1 for P in self.points
+                   for e in _transported(P.field, elements, memo)
+                   if _fixes_point(e, P))
 
 
 def _fixes_point(g, P):
@@ -224,12 +224,6 @@ def _fixes_point(g, P):
     if y:
         return a0 == 0 and a2 == F.mul(a1, t)
     return a0 == 0 and a1 == 0
-
-
-def _maybe_transport(g, field):
-    if g.field is field:
-        return g
-    return g.transport(embed(g.field, field))
 
 
 def family_census(elements, group: SubgroupSpec, model) -> StabilizerCensus:
@@ -412,11 +406,7 @@ def sharply_2_transitive(group: SubgroupSpec, orbit) -> bool:
     """
     orbit = list(orbit)
     n = len(orbit)
-    pts = set(orbit)
-    for g in group.elements:
-        for P in orbit:
-            if g.apply_point(P) not in pts:
-                raise ActionError("orbit is not closed under the action")
+    orbits(group, orbit)  # raises ActionError unless the orbit is closed
     if n == 1 and group.order == 1:
         return True
     if group.order != n * (n - 1):

@@ -28,7 +28,8 @@ from .numbertheory import is_prime_power
 from .pgu3 import CLOSURE_CAP, Projectivity, generate, in_psu, make_alpha, \
     make_alpha_a, make_beta, make_three_cycle
 from .proj3 import ProjLine
-from .ramification import different_degree, expected_delta, ledger_feasibility
+from .ramification import different_degree, expected_delta, ledger_feasibility, \
+    wild_contribution
 
 SCHEMA_VERSION = 1
 
@@ -83,7 +84,7 @@ def _require(ok, reason):
 # check implementations
 
 
-def _check_hermitian_count(qs=(2, 3, 4, 8)):
+def _check_hermitian_count(qs):
     for q in qs:
         _require(q * q <= TABLE_LIMIT and is_prime_power(q),
                  f"q = {q}: the counts enumerate F_(q^2), so q must be a "
@@ -105,7 +106,7 @@ def _check_hermitian_count(qs=(2, 3, 4, 8)):
     return _verdict(ok), evidence
 
 
-def _check_gk_congruence(ns=(5, 7)):
+def _check_gk_congruence(ns):
     for n in ns:
         _require(n >= 3 and n % 2 and 2 * n <= 62,
                  f"n = {n}: the GK curve needs odd n >= 3, and F_(2^(2n)) "
@@ -129,7 +130,7 @@ def _check_gk_congruence(ns=(5, 7)):
     return _verdict(ok), evidence
 
 
-def _check_gs_congruence(qs=(2, 3, 4)):
+def _check_gs_congruence(qs):
     for q in qs:
         _require(q**6 <= TABLE_LIMIT and is_prime_power(q),
                  f"q = {q}: the count enumerates F_(q^6), so q must be a "
@@ -155,7 +156,7 @@ def _check_gs_congruence(qs=(2, 3, 4)):
     return _verdict(ok), evidence
 
 
-def _check_alpha_semiregular(ns=(5,)):
+def _check_alpha_semiregular(ns):
     for n in ns:
         _require(n >= 1 and n % 2 and 2 * n <= 62
                  and 2**n + 1 <= CLOSURE_CAP,
@@ -184,12 +185,9 @@ def _check_alpha_semiregular(ns=(5,)):
         if q * q <= 1 << 20:
             pts = model.rational_points()
             entry["scanned_points"] = len(pts)
-            from .action import _fixes_point
-            clean = True
-            for g in Gbar.nontrivial():
-                if any(_fixes_point(g, P) for P in pts):
-                    clean = False
-                    break
+            # orbit-stabilizer: every orbit has |Gbar| points iff no
+            # nontrivial element fixes a point
+            clean = all(len(o) == Gbar.order for o in orbits(Gbar, pts))
             entry["exhaustive_scan_confirms"] = clean
             conds["scan"] = clean and len(pts) == q**3 + 1
         evidence[f"n{n}"] = entry
@@ -234,7 +232,7 @@ def _triangolo_construction(n):
     return q, F, model, family, stabilizer
 
 
-def _check_triangolo_census(n=9):
+def _check_triangolo_census(n):
     q, F, model, family, stab = _triangolo_construction(n)
     census = family_census(family, stab, model)
     expected_incidence = 4 * (q + 1) // 3
@@ -273,7 +271,7 @@ def _check_triangolo_census(n=9):
     return _verdict(conds), evidence
 
 
-def _check_eigen_fixed_points(ns=(5, 7, 9)):
+def _check_eigen_fixed_points(ns):
     for n in ns:
         _require(n >= 1 and n % 2 and 6 * n <= 62,
                  f"n = {n}: the weights need 3 | q + 1 (odd n), and the "
@@ -304,11 +302,10 @@ def _check_eigen_fixed_points(ns=(5, 7, 9)):
     return _verdict(ok), evidence
 
 
-def _check_phi_homomorphism(q=32):
+def _check_phi_homomorphism(q):
     import random
     pk = is_prime_power(q)
-    if pk is None or pk[0] != 2:
-        raise CheckError("q must be a power of 2")
+    _require(pk is not None and pk[0] == 2, f"q = {q} must be a power of 2")
     _require(q + 1 <= CLOSURE_CAP,
              f"q = {q}: the group of order q + 1 must fit the closure cap "
              f"{CLOSURE_CAP}")
@@ -334,7 +331,7 @@ def _check_phi_homomorphism(q=32):
     return _verdict(conds), evidence
 
 
-def _check_primovalore(q_max=10**6):
+def _check_primovalore(q_max):
     _require(q_max >= 10, "the scan must reach q = 10: q_max >= 10")
     hits = primovalore_scan(q_max)
     conds = {"result_set": hits == [1, 2, 3, 10]}
@@ -344,7 +341,7 @@ def _check_primovalore(q_max=10**6):
     return _verdict(conds), {"q_max": q_max, "hits": hits, **spot}
 
 
-def _check_lemmino(m_max=20):
+def _check_lemmino(m_max):
     _require(m_max >= 3, "the scan starts at p' = 3: m_max >= 3")
     violations = lemmino_scan(m_max)
     return _verdict({"no_violations": not violations}), {
@@ -354,7 +351,7 @@ def _check_lemmino(m_max=20):
     }
 
 
-def _check_quattordici(m_max=20):
+def _check_quattordici(m_max):
     table = quattordici_scan(m_max)
     survivors = {m: s for m, s in table.items() if s}
     conds = {
@@ -369,7 +366,7 @@ def _check_quattordici(m_max=20):
     }
 
 
-def _check_secondovalore_catalog(qs=(4, 5)):
+def _check_secondovalore_catalog(qs):
     from math import gcd
     for q in qs:
         _require(is_prime_power(q), f"q = {q} is not a prime power")
@@ -414,7 +411,7 @@ _DELTA_PROFILES = {
 }
 
 
-def _check_delta_ledger(qs=(4, 8)):
+def _check_delta_ledger(qs):
     evidence = {}
     ok = {}
     for q in qs:
@@ -425,9 +422,9 @@ def _check_delta_ledger(qs=(4, 8)):
         model = FermatHermitian(q**3)
         delta = expected_delta(data["top_genus"], data["quotient_genus"],
                                data["group_order"])
-        wild = {2: model.q + 2, 4: 2}
         main_profile = data["profiles"][list(data["profiles"])[-1]]
-        component = sum(wild[o] * c for o, c in main_profile if o in wild)
+        component = sum(wild_contribution(o, model) * c
+                        for o, c in main_profile if o % model.p == 0)
         verdicts = {}
         for name, profile in data["profiles"].items():
             feasible, why = ledger_feasibility(delta, profile, model)
@@ -446,7 +443,7 @@ def _check_delta_ledger(qs=(4, 8)):
     return _verdict(ok), evidence
 
 
-def _check_rh_quotient_genus(n=5):
+def _check_rh_quotient_genus(n):
     _require(n >= 3 and n % 2 and 2 * n <= 62
              and 2**n + 1 <= 3 * CLOSURE_CAP,
              f"n = {n}: the GK curve needs odd n >= 3, and the group of "
@@ -496,7 +493,7 @@ def _check_linpoly_decompose():
     }
 
 
-def _check_prop1sylow_nondiv(q=4):
+def _check_prop1sylow_nondiv(q):
     if q != 4:
         raise UnsupportedParameters("the family scan is pinned at q = 4")
     F = build_field(2, 12)
@@ -512,7 +509,7 @@ def _check_prop1sylow_nondiv(q=4):
     }
 
 
-def _check_sylow_census(q=4):
+def _check_sylow_census(q):
     if q != 4:
         raise UnsupportedParameters("the Sylow construction is pinned at q = 4")
     F = build_field(2, 12)
@@ -524,7 +521,7 @@ def _check_sylow_census(q=4):
     G = generate(gens)
     count, sylows = sylow_census(G, 2)
     fixed = common_fixed_curve_points(sylows[0], model)
-    orbit_count = len(orbits(G, fixed)) if fixed else 0
+    orbit_count = len(orbits(G, fixed))
     sharply = sharply_2_transitive(G, fixed)
     conds = {
         "group_order": G.order == 20,
@@ -658,9 +655,9 @@ def run_check(name, params=None) -> CheckReport:
     if name not in REGISTRY:
         raise UnknownCheck(f"unknown check {name!r}; known: {', '.join(sorted(REGISTRY))}")
     spec = REGISTRY[name]
-    kwargs = {}
-    params = dict(params or {})
-    for key, raw in params.items():
+    # the body gets every parameter: the parsed value, else the default
+    kwargs = {k: default for k, (_, default) in spec.params.items()}
+    for key, raw in (params or {}).items():
         if key not in spec.params:
             raise CheckError(f"check {name!r} takes no parameter {key!r}")
         parser, _ = spec.params[key]
@@ -668,15 +665,12 @@ def run_check(name, params=None) -> CheckReport:
             kwargs[key] = parser(raw)
         except ValueError:
             raise CheckError(f"bad value {raw!r} for parameter {key!r}") from None
-    shown = {k: kwargs.get(k, spec.params[k][1]) for k in spec.params}
-    shown = {k: (list(v) if isinstance(v, tuple) else v) for k, v in shown.items()}
+    shown = {k: (list(v) if isinstance(v, tuple) else v) for k, v in kwargs.items()}
     t0 = time.monotonic()
     try:
         verdict, evidence = spec.func(**kwargs)
     except UnsupportedParameters as exc:
         verdict, evidence = "unsupported", {"reason": str(exc)}
-    except CheckError:
-        raise
     except Exception as exc:
         # an internal failure: the report carries the exception, the log
         # (stderr by default) the traceback, and the remaining checks still

@@ -32,19 +32,22 @@ class RamificationLedger:
         self.consistent = consistent
 
 
+def wild_contribution(order, model):
+    """i(sigma) for an element whose order the characteristic divides, from
+    the closed table: characteristic 2, order 2 gives Q + 2, order 4 gives 2."""
+    if model.p == 2 and order in (2, 4):
+        return model.q + 2 if order == 2 else 2
+    raise UnsupportedRamification(
+        f"no contribution rule for order {order} in characteristic {model.p}")
+
+
 def i_sigma(sigma, model):
     """(value, tag) for one nontrivial automorphism of a Hermitian model."""
     if sigma.is_identity():
         raise UnsupportedRamification("i(sigma) is defined for nontrivial elements")
     order = sigma.order()
-    p = model.p
-    if order % p == 0:
-        if p == 2 and order == 2:
-            return model.q + 2, "wild-order-2"
-        if p == 2 and order == 4:
-            return 2, "wild-order-4"
-        raise UnsupportedRamification(
-            f"no contribution rule for order {order} in characteristic {p}")
+    if order % model.p == 0:
+        return wild_contribution(order, model), f"wild-order-{order}"
     fps = fixed_points(sigma, model)
     if fps.kind == "line":
         return fps.on_curve_count(), "tame-homology"
@@ -76,17 +79,11 @@ def expected_delta(g_top: int, g_quot: int, n: int) -> int:
     return (2 * g_top - 2) - n * (2 * g_quot - 2)
 
 
-def _allowed_contributions(order, count, model):
-    p, Q = model.p, model.q
-    if order % p == 0:
-        if p == 2 and order == 2:
-            return (Q + 2,)
-        if p == 2 and order == 4:
-            return (2,)
-        raise UnsupportedRamification(
-            f"no contribution rule for order {order} in characteristic {p}")
+def _allowed_contributions(order, model):
+    if order % model.p == 0:
+        return (wild_contribution(order, model),)
     # tame: at most 3 isolated fixed points, or a homology axis
-    return (0, 1, 2, 3, Q + 1)
+    return (0, 1, 2, 3, model.q + 1)
 
 
 def ledger_feasibility(delta, element_profile, model):
@@ -95,7 +92,7 @@ def ledger_feasibility(delta, element_profile, model):
     wild_sum = 0
     tame_counts = []
     for order, count in element_profile:
-        allowed = _allowed_contributions(order, count, model)
+        allowed = _allowed_contributions(order, model)
         if len(allowed) == 1:
             wild_sum += allowed[0] * count
         else:

@@ -8,7 +8,7 @@ from maxcurves.action import (ActionError, Mat2, _fixes_point, family_census,
                               restrict_to_line, sharply_2_transitive,
                               stabilizer_census, sylow_census)
 from maxcurves.curves import FermatHermitian, NormTraceHermitian
-from maxcurves.gf import build_field, embed
+from maxcurves.gf import GF, build_field, embed
 from maxcurves.pgu3 import (GroupError, Projectivity, generate, make_alpha,
                             make_alpha_a, make_beta, make_three_cycle)
 from maxcurves.polyroots import divmod_poly, roots
@@ -172,6 +172,107 @@ def test_orbits_rejects_unclosed_sets():
     h = generate([make_three_cycle(F, 1, 1)])
     with pytest.raises(ActionError):
         orbits(h, [ProjPoint(F, (1, 0, 0))])
+    with pytest.raises(ActionError):
+        sharply_2_transitive(h, [ProjPoint(F, (1, 0, 0)),
+                                 ProjPoint(F, (0, 1, 0))])
+
+
+def reference_orbits(group, points):
+    """The former two-pass partition: a closure pass per field, then each
+    orbit grown from the least remaining point, orbits sorted at the end."""
+    points = list(points)
+    by_field = {}
+    for P in points:
+        by_field.setdefault(id(P.field), (P.field, set()))[1].add(P)
+    out = []
+    for _, (field, pts) in sorted(by_field.items(),
+                                  key=lambda kv: kv[1][0].order):
+        if group.field is field:
+            gens = list(group.generators)
+        else:
+            tm = embed(group.field, field)
+            gens = [g.transport(tm) for g in group.generators]
+        for P in pts:
+            for g in gens:
+                if g.apply_point(P) not in pts:
+                    raise ActionError("points are not closed under the action")
+        remaining = set(pts)
+        while remaining:
+            seed = min(remaining, key=lambda p: p.coords)
+            orbit = {seed}
+            frontier = [seed]
+            while frontier:
+                nxt = []
+                for P in frontier:
+                    for g in gens:
+                        Q = g.apply_point(P)
+                        if Q not in orbit:
+                            orbit.add(Q)
+                            nxt.append(Q)
+                frontier = nxt
+            remaining -= orbit
+            out.append(sorted(orbit, key=lambda p: p.coords))
+    out.sort(key=lambda orb: orb[0].coords)
+    return out
+
+
+def n3_orbit_cases():
+    """(group, points) inputs at n = 3: the curve under Gbar; the census,
+    whose F_{2^18} points need transported generators; and a shuffled mix
+    of both with the curve over a second F_{2^6} object of another modulus,
+    where least representatives such as (0, 1, 1) tie across fields."""
+    from maxcurves.checks import _triangolo_construction
+    _, F, model, family, stab = _triangolo_construction(3)
+    curve = model.rational_points()
+    gbar = generate([make_alpha(F, F.root_of_unity(9), 2)])
+    census = family_census(family, stab, model).points
+    other = GF(2, 6, (1, 0, 0, 1, 0, 0, 1))  # X^6 + X^3 + 1, imprimitive
+    mixed = curve + census + model.rational_points(other)
+    random.Random(611).shuffle(mixed)
+    return [(gbar, curve), (stab, census), (stab, mixed)]
+
+
+def test_orbits_match_reference_partition():
+    for group, pts in n3_orbit_cases():
+        parts = orbits(group, pts)
+        assert parts == reference_orbits(group, pts)
+        ids = {id(P) for P in pts}
+        assert all(id(Q) in ids for orbit in parts for Q in orbit)
+    mixed = n3_orbit_cases()[2][1]
+    assert len({P.field for P in mixed}) == 3
+
+
+def orbit_confirms(group, pts):
+    # orbit-stabilizer, as in the alpha-semiregular check
+    return all(len(o) == group.order for o in orbits(group, pts))
+
+
+def pairwise_scan(group, pts):
+    return not any(_fixes_point(g, P)
+                   for g in group.nontrivial() for P in pts)
+
+
+def test_orbit_confirmation_matches_pairwise_scan_n3():
+    from maxcurves.checks import run_check
+    F = build_field(2, 6)
+    model = FermatHermitian(8)
+    pts = model.rational_points()
+    theta = F.root_of_unity(3)
+    for group in (generate([make_alpha(F, theta, 2)]),
+                  generate([make_alpha(F, F.root_of_unity(9), 2)])):
+        assert orbit_confirms(group, pts) and pairwise_scan(group, pts)
+    # the homology diag(theta, theta, 1) fixes the q + 1 points on T = 0
+    homology = generate([Projectivity(F, (theta, 0, 0, 0, theta, 0,
+                                          0, 0, 1))])
+    assert not orbit_confirms(homology, pts)
+    assert not pairwise_scan(homology, pts)
+    fixed = sorted(o[0].coords for o in orbits(homology, pts) if len(o) == 1)
+    assert fixed == sorted(P.coords for P in pts if P.coords[2] == 0)
+    assert len(fixed) == 9
+    report = run_check("alpha-semiregular", {"ns": "3"})
+    assert report.verdict == "pass"
+    assert report.evidence["n3"]["scanned_points"] == 8**3 + 1
+    assert report.evidence["n3"]["exhaustive_scan_confirms"]
 
 
 def test_orbit_stabilizer_identity():

@@ -82,11 +82,20 @@ def test_run_check_unsupported_parameters():
     ("lemmino", {"m_max": "2"}, "m_max >= 3"),
     ("secondovalore-catalog", {"qs": "6"}, "not a prime power"),
     ("rh-quotient-genus", {"n": "4"}, "odd n >= 3"),
+    ("phi-homomorphism", {"q": "9"}, "power of 2"),
 ])
 def test_documented_limits_are_unsupported(name, params, needle):
     report = run_check(name, params)
     assert report.verdict == "unsupported"
     assert needle in report.evidence["reason"]
+
+
+def test_check_bodies_take_exactly_the_registry_parameters():
+    import inspect
+    for name, spec in REGISTRY.items():
+        sig = inspect.signature(spec.func).parameters
+        assert list(sig) == list(spec.params), name
+        assert all(p.default is p.empty for p in sig.values()), name
 
 
 def test_internal_failure_is_error_not_unsupported(monkeypatch, capsys):
