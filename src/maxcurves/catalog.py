@@ -176,6 +176,15 @@ def quattordici_scan(m_max: int):
     return out
 
 
+def _primovalore_residue(q, m):
+    """q^9 (q^9 + 1) (q^6 - 1) mod m, from q^3, q^6 and q^9 mod m by one
+    product each."""
+    q3 = q * q * q % m
+    q6 = q3 * q3 % m
+    q9 = q6 * q3 % m
+    return q9 * (q9 + 1) % m * ((q6 - 1) % m) % m
+
+
 def primovalore_scan(q_max: int):
     """{q <= q_max : (q^2+q+2) divides q^9 (q^9+1)(q^6-1)}, computed both by
     direct big-integer divisibility and by the linear remainder 2128 q - 1568
@@ -185,8 +194,7 @@ def primovalore_scan(q_max: int):
     hits = []
     for q in range(1, q_max + 1):
         m = q * q + q + 2
-        a = pow(q, 9, m)
-        direct = (a * (a + 1) % m) * ((pow(q, 6, m) - 1) % m) % m == 0
+        direct = _primovalore_residue(q, m) == 0
         linear = (2128 * q - 1568) % m == 0
         if direct != linear:
             raise CatalogError(

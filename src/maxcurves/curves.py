@@ -12,6 +12,7 @@ operations.  The Hermitian models list their points, and count them as the
 length of that list.
 """
 
+from functools import cached_property
 from math import isqrt
 
 from .gf import build_field
@@ -59,9 +60,14 @@ class HermitianModel(CurveModel):
         pk = is_prime_power(q)
         if pk is None:
             raise CurveError(f"{q} is not a prime power")
-        self.p, k = pk
+        self.p, self._k = pk
         self.q = q
-        self.field = build_field(self.p, 2 * k)
+
+    @cached_property
+    def field(self):
+        """F_{q^2}, built on first use: a model read only for q, p or its
+        genus builds no field."""
+        return build_field(self.p, 2 * self._k)
 
     def genus(self):
         return self.q * (self.q - 1) // 2

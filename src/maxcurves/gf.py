@@ -39,6 +39,10 @@ from .numbertheory import factorize, is_prime, prime_divisors
 from .polyroots import one_root
 
 TABLE_LIMIT = 1 << 20
+# Tables of a field with more elements than this are array('I'), below it
+# lists: a random-pair exp[log a + log b] lookup is faster from lists up to
+# 2^14 elements and from arrays (fewer cache misses) from 2^15 on.
+COMPACT_LIMIT = 1 << 14
 SIZE_CAP = 1 << 62
 
 
@@ -380,8 +384,13 @@ class GF:
 
     def _build_tables(self):
         n = self.units
-        exp = [0] * n
-        log = [0] * self.order
+        if self.order > COMPACT_LIMIT:
+            # 4-byte entries, allocated at full size (never a list converted)
+            exp = array("I", [0]) * n
+            log = array("I", [0]) * self.order
+        else:
+            exp = [0] * n
+            log = [0] * self.order
         g = self.generator
         p, k = self.p, self.k
         x = 1
@@ -393,6 +402,24 @@ class GF:
                 x <<= 1
                 if x >> k:
                     x ^= mm
+        elif p == 2:
+            # an imprimitive override, or k = 1: x * g as shifts and XORs
+            # over the set bits of g; the part above X^k, deg g bits at most,
+            # folds back a byte at a time through the reduction tables
+            bits = g.bit_length()
+            shifts = [j for j in range(bits) if g >> j & 1]
+            folds = _gf2_reduction_tables(self._mod_mask, k)[:(bits + 6) // 8]
+            for i in range(n):
+                exp[i] = x
+                log[x] = i
+                y = 0
+                for j in shifts:
+                    y ^= x << j
+                h = y >> k
+                x = y & n
+                for t in folds:
+                    x ^= t[h & 255]
+                    h >>= 8
         elif g == p:
             # x -> x * X as a shift register: with x = t p^(k-1) + low, the
             # digits of low move up one place and the top digit t folds back
@@ -413,13 +440,17 @@ class GF:
                 b, c = divmod(low, pa)
                 x = lo[t][c] + hi[t][b]
         else:
-            # a generator other than X: an imprimitive override, or k = 1
+            # odd p, a generator other than X: an imprimitive override, or
+            # k = 1
             for i in range(n):
                 exp[i] = x
                 log[x] = i
                 x = self._mul_novtable(x, g)
         if x != 1:
             raise FieldError("generator order mismatch while building tables")
+        # doubled antilog: exp[i] = g^(i mod n) for i < 2n, so `mul` and `inv`
+        # index it without reducing mod n
+        exp *= 2
         self.exp = exp
         self.log = log
 
@@ -505,14 +536,15 @@ class GF:
         if a == 0 or b == 0:
             return 0
         if self.table_mode:
-            return self.exp[(self.log[a] + self.log[b]) % self.units]
+            log = self.log
+            return self.exp[log[a] + log[b]]
         return self._mul_novtable(a, b)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         if self.table_mode:
-            return self.exp[(-self.log[a]) % self.units]
+            return self.exp[self.units - self.log[a]]
         if self.p == 2:
             return _gf2_invmod(a, self._mod_mask)
         # odd-p vector mode (p^k > 2^20, p odd) keeps the Fermat inverse:
@@ -608,7 +640,7 @@ class GF:
         step = n // g
         # log y = t0 + i * step for i < g, with t0 < step
         t0 = (lc // g) * pow(d // g, -1, step) % step
-        return self.exp[t0::step]
+        return list(self.exp[t0:n:step])
 
     def _prime_root(self, a, r):
         n = self.units

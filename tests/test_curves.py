@@ -1,5 +1,6 @@
 import pytest
 
+from maxcurves import curves
 from maxcurves.curves import (INFINITY, CurveError, FermatHermitian,
                               GarciaStichtenoth, GeneralizedGK,
                               NormTraceHermitian)
@@ -41,6 +42,21 @@ def test_hermitian_count_against_full_scan(q):
         fermat, fermat.field)
     assert ntrace.count_rational_points() == brute_force_plane_count(
         ntrace, ntrace.field)
+
+
+def test_hermitian_model_builds_its_field_on_first_use(monkeypatch):
+    calls = []
+
+    def counting_build_field(p, k):
+        calls.append((p, k))
+        return build_field(p, k)
+
+    monkeypatch.setattr(curves, "build_field", counting_build_field)
+    model = FermatHermitian(4**3)
+    assert (model.q, model.p, model.genus()) == (64, 2, 2016)
+    assert calls == []
+    assert model.field is model.field is build_field(2, 12)
+    assert calls == [(2, 12)]
 
 
 def test_fermat_membership_basics():

@@ -1,11 +1,12 @@
 import json
 import random
+from array import array
 from pathlib import Path
 
 import pytest
 
-from maxcurves.gf import (FieldError, _canonical_modulus, _gf2_clmul,
-                          _gf2_rem, _gf2_square, _is_irreducible,
+from maxcurves.gf import (COMPACT_LIMIT, FieldError, _canonical_modulus,
+                          _gf2_clmul, _gf2_rem, _gf2_square, _is_irreducible,
                           _is_primitive_root_x, build_field,
                           clear_modulus_overrides, embed, load_field_config,
                           nullspace, set_modulus_override)
@@ -79,13 +80,15 @@ def test_canonical_moduli_match_golden():
 
 
 def _assert_tables_follow_generator(F):
-    assert len(F.exp) == F.units
+    n = F.units
+    assert len(F.exp) == 2 * n
     x = 1
-    for i, e in enumerate(F.exp):
+    for i, e in enumerate(F.exp[:n]):
         assert e == x and F.log[e] == i
         x = F._mul_novtable(x, F.generator)
     assert x == 1
-    assert sorted(F.exp) == list(range(1, F.order))
+    assert F.exp[n:] == F.exp[:n]  # the doubled antilog
+    assert sorted(F.exp[:n]) == list(range(1, F.order))
 
 
 @pytest.mark.parametrize("p,k", [(3, 6), (5, 4), (7, 3), (11, 2)])
@@ -105,6 +108,61 @@ def test_odd_tables_under_an_imprimitive_override():
         _assert_tables_follow_generator(F)
     finally:
         clear_modulus_overrides()
+
+
+# x^15 + x^6 + x^5 + x^3 + x^2 + x + 1: irreducible, X is not a generator
+# (the generator is X + 1), and F_{2^15} is past COMPACT_LIMIT
+IMPRIMITIVE_F2_15 = (1, 1, 1, 1, 0, 1, 1) + (0,) * 8 + (1,)
+
+
+def test_p2_tables_under_an_imprimitive_override():
+    # the multiply-by-generator path of p = 2, into array tables
+    try:
+        set_modulus_override(2, 15, IMPRIMITIVE_F2_15)
+        F = build_field(2, 15)
+        assert F.generator == 3 and isinstance(F.exp, array)
+        _assert_tables_follow_generator(F)
+    finally:
+        clear_modulus_overrides()
+
+
+@pytest.mark.parametrize("p,k", [(2, 14), (2, 15), (7, 6)])
+def test_table_storage_kind_follows_the_field_size(p, k):
+    F = build_field(p, k)
+    kind = array if F.order > COMPACT_LIMIT else list
+    assert type(F.exp) is kind and type(F.log) is kind
+
+
+@pytest.mark.parametrize("p,k", [(2, 14), (2, 15), (7, 6)])
+def test_table_arithmetic_matches_polynomial_arithmetic(p, k):
+    # F_{2^14} has list tables, F_{2^15} and F_{7^6} array tables
+    F = build_field(p, k)
+    n = F.units
+    rng = random.Random(p * 100 + k)
+    top = F.exp[n - 1]  # g^(n-1): its square reads exp[2n - 2]
+    pairs = [(top, top), (top, 1), (1, 1), (F.generator, top), (0, top)]
+    pairs += [(rng.randrange(1, F.order), rng.randrange(1, F.order))
+              for _ in range(300)]
+    for a, b in pairs:
+        assert F.mul(a, b) == F._mul_novtable(a, b), (a, b)
+        if b:
+            inv_b = F._pow_novtable(b, n - 1)
+            assert F.inv(b) == inv_b
+            assert F.div(a, b) == F._mul_novtable(a, inv_b)
+        e = rng.randrange(-2 * n, 2 * n)
+        if a:
+            assert F.pow(a, e) == F._pow_novtable(a, e % n), (a, e)
+    assert F.mul(top, top) == F.exp[2 * n - 2] == F.exp[n - 2]
+    assert F.inv(1) == F.exp[n] == 1
+
+
+def test_power_solutions_is_a_list_on_array_tables():
+    F = build_field(2, 15)
+    assert isinstance(F.exp, array)
+    sols = F.power_solutions(7, 1)  # 7 divides 2^15 - 1
+    assert type(sols) is list and len(sols) == 7
+    assert sols == [F.exp[i * (F.units // 7)] for i in range(7)]
+    assert all(F.pow(y, 7) == 1 for y in sols)
 
 
 @pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 2), (2, 10)])
