@@ -215,15 +215,22 @@ class StabilizerCensus:
 def _fixes_point(g, P):
     # P is normalised, so its first nonzero coordinate is 1 and pivots the
     # proportionality test: g(P) = a is a multiple of P iff a equals that
-    # pivot coordinate of a times P (a != 0, as g is invertible)
-    F = g.field
-    a0, a1, a2 = g.apply(P.coords)
+    # pivot coordinate of a times P (a != 0, as g is invertible).  The rows
+    # of a come from g.m one at a time, so most pairs that are not fixed are
+    # decided before the third row is computed.
+    F, m = g.field, g.m
+    mul, add = F.mul, F.add
     x, y, t = P.coords
-    if x:
-        return a1 == F.mul(a0, y) and a2 == F.mul(a0, t)
-    if y:
-        return a0 == 0 and a2 == F.mul(a1, t)
-    return a0 == 0 and a1 == 0
+    if x:  # P = (1, y, t)
+        a0 = add(add(m[0], mul(m[1], y)), mul(m[2], t))
+        if add(add(m[3], mul(m[4], y)), mul(m[5], t)) != mul(a0, y):
+            return False
+        return add(add(m[6], mul(m[7], y)), mul(m[8], t)) == mul(a0, t)
+    if y:  # P = (0, 1, t)
+        if add(m[1], mul(m[2], t)):
+            return False
+        return add(m[7], mul(m[8], t)) == mul(add(m[4], mul(m[5], t)), t)
+    return m[2] == 0 and m[5] == 0  # P = (0, 0, 1)
 
 
 def family_census(elements, group: SubgroupSpec, model) -> StabilizerCensus:

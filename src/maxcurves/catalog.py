@@ -176,30 +176,29 @@ def quattordici_scan(m_max: int):
     return out
 
 
-def _primovalore_residue(q, m):
-    """q^9 (q^9 + 1) (q^6 - 1) mod m, from q^3, q^6 and q^9 mod m by one
-    product each."""
-    q3 = q * q * q % m
-    q6 = q3 * q3 % m
-    q9 = q6 * q3 % m
-    return q9 * (q9 + 1) % m * ((q6 - 1) % m) % m
-
-
 def primovalore_scan(q_max: int):
     """{q <= q_max : (q^2+q+2) divides q^9 (q^9+1)(q^6-1)}, computed both by
     direct big-integer divisibility and by the linear remainder 2128 q - 1568
-    of the polynomial division.  The two methods must agree everywhere."""
+    of the polynomial division.  The two methods must agree everywhere.
+
+    The direct test takes q^3, q^6 and q^9 mod m by one product each and
+    reduces q^9 (q^9 + 1)(q^6 - 1) with a single % m."""
     if q_max < 10:
         raise CatalogError("q_max must be at least 10")
     hits = []
     for q in range(1, q_max + 1):
-        m = q * q + q + 2
-        direct = _primovalore_residue(q, m) == 0
-        linear = (2128 * q - 1568) % m == 0
-        if direct != linear:
+        qq = q * q
+        m = qq + q + 2
+        q3 = qq * q % m
+        q6 = q3 * q3 % m
+        q9 = q6 * q3 % m
+        direct = q9 * (q9 + 1) * (q6 - 1) % m
+        linear = (2128 * q - 1568) % m
+        if direct and linear:  # neither divisible: the common case
+            continue
+        if direct or linear:
             raise CatalogError(
                 f"divisibility methods disagree at q = {q}: the linear "
                 f"remainder reduction is wrong")
-        if direct:
-            hits.append(q)
+        hits.append(q)
     return hits

@@ -9,6 +9,7 @@ why divisibility questions here are always decided by explicit twisted
 division, with the conventional-associate verdict computed alongside.
 """
 
+from . import polyroots
 from .gf import build_field, nullspace
 
 
@@ -278,7 +279,6 @@ class AssociatePoly:
         """Ordinary polynomial divisibility; conventional associates only."""
         if self.convention != "conventional":
             raise LinPolyError("divides() is for the conventional associate")
-        from . import polyroots
         if not self.coeffs:
             return not other.coeffs
         _, rem = polyroots.divmod_poly(self.field, other.coeffs, self.coeffs)

@@ -3,13 +3,16 @@
 A Projectivity stores a 3x3 invertible matrix as a 9-tuple (row-major) in
 canonical form: scaled so the first nonzero entry is 1.  All equality and
 hashing goes through that form, so scalar multiples collapse to one object.
-Element orders are computed against the divisor lattice of |PGL(3, Q)|
-rather than by naive iteration.
+Element orders are computed from the exponent p^c lcm(Q^2 - 1, Q^3 - 1) of
+PGL(3, Q), all prime parts from one product tree, rather than by naive
+iteration.
 
 Subgroup generation is breadth-first product saturation from the identity,
 which is exact and deterministic for the group sizes this package handles
 (a few hundred elements; the default cap is 2 * 10^6).
 """
+
+from math import lcm, prod
 
 from .numbertheory import factorize
 from .proj3 import ProjPoint, normalize
@@ -131,23 +134,51 @@ class Projectivity:
         return Projectivity(tower_map.dst, tuple(tower_map(e) for e in self.m))
 
     def order(self):
-        """Least n >= 1 with self^n scalar, via the divisors of |PGL(3, Q)|.
+        """Least n >= 1 with self^n scalar, from the exponent of PGL(3, Q).
 
-        For each prime power r^e exactly dividing N = |PGL(3, Q)|, the
-        r-part of the order is the order of a = self^(N / r^e), a power of
-        r found by raising a to the r-th power until it is the identity.
+        The order divides E = p^c lcm(Q^2 - 1, Q^3 - 1), with p^c the least
+        power of p that is at least 3.  Proof: a matrix g of the class has
+        the Jordan-Chevalley decomposition g = su with s semisimple, u
+        unipotent and su = us.  The eigenvalues of s are the roots of the
+        characteristic cubic of g, so each lies in F_{Q^j} for some j <= 3
+        and its multiplicative order divides Q^j - 1, which divides
+        lcm(Q^2 - 1, Q^3 - 1); s is diagonalisable, so s^lcm = 1.  The 3x3
+        nilpotent u - 1 has (u - 1)^3 = 0, so in characteristic p
+        u^(p^c) = 1 + (u - 1)^(p^c) = 1.  Hence g^E = 1 already in GL(3, Q).
+
+        The r-part of the order, for r^e exactly dividing E, is the order of
+        self^(E / r^e), found by raising it to the r-th power until it is
+        the identity.  All r-parts come from one product tree over the
+        primes of E: a node holding a = self^(E / (its primes' parts))
+        gives each half of its primes a raised to the other half's part, so
+        the cost is O(log E log #primes) products, not O(log E #primes).
         """
         if self._order is None:
-            Q = self.field.order
-            n = Q**3 * (Q**3 - 1) * (Q**2 - 1)
-            order = 1
-            for r, e in factorize(n):
-                a = self ** (n // r**e)
-                while not a.is_identity():
-                    a = a ** r
-                    order *= r
-            self._order = order
+            F = self.field
+            Q = F.order
+            pc = F.p
+            while pc < 3:
+                pc *= F.p
+            E = pc * lcm(Q**2 - 1, Q**3 - 1)
+            self._order = _order_from_tree(self, factorize(E))
         return self._order
+
+
+def _order_from_tree(a, factors):
+    """Order of a, given that a^(prod r^e over `factors`) is the identity."""
+    if a.is_identity():
+        return 1
+    if len(factors) == 1:
+        (r, _), = factors
+        order = 1
+        while not a.is_identity():
+            a = a ** r
+            order *= r
+        return order
+    half = len(factors) // 2
+    left, right = factors[:half], factors[half:]
+    return (_order_from_tree(a ** prod(r**e for r, e in right), left)
+            * _order_from_tree(a ** prod(r**e for r, e in left), right))
 
 
 # -- the named generator shapes ---------------------------------------------

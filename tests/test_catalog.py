@@ -1,9 +1,9 @@
 import pytest
 
-from maxcurves.catalog import (CatalogError, _primovalore_residue,
-                               alternating_power_sum, lemmino_scan, mh_orders,
-                               order_excluded, pgu3_order, primovalore_scan,
-                               psu3_order, quattordici_scan)
+from maxcurves.catalog import (CatalogError, alternating_power_sum,
+                               lemmino_scan, mh_orders, order_excluded,
+                               pgu3_order, primovalore_scan, psu3_order,
+                               quattordici_scan)
 
 
 def test_group_orders():
@@ -82,13 +82,11 @@ def test_primovalore_scan():
     assert 2128 * 10 - 1568 == 112 * 176
 
 
-def test_primovalore_residue_matches_pow():
-    # the scan's direct test as it was written with two pow calls per q
-    for q in range(1, 10**4 + 1):
-        m = q * q + q + 2
-        a = pow(q, 9, m)
-        assert _primovalore_residue(q, m) == (
-            (a * (a + 1) % m) * ((pow(q, 6, m) - 1) % m) % m), q
+def test_primovalore_scan_matches_big_integer_divisibility():
+    # the definition itself, in exact integers with no modular shortcut
+    assert primovalore_scan(10**4) == [
+        q for q in range(1, 10**4 + 1)
+        if q**9 * (q**9 + 1) * (q**6 - 1) % (q * q + q + 2) == 0]
 
 
 def test_primovalore_direct_divisibility_q10():

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from maxcurves.curves import FermatHermitian, NormTraceHermitian
-from maxcurves.gf import build_field
+from maxcurves.gf import build_field, embed
+from maxcurves.numbertheory import factorize
 from maxcurves.pgu3 import (GroupError, Projectivity, generate, in_psu,
                             is_unitary, make_alpha, make_alpha_a, make_beta,
                             make_three_cycle)
@@ -71,6 +72,95 @@ def test_order_is_least_scalar_power(p, k):
             n += 1
         assert m.order() == n, m
         checked += 1
+
+
+def _order_by_group_order(m):
+    """The former order(): r-parts one prime at a time from |PGL(3, Q)|."""
+    Q = m.field.order
+    n = Q**3 * (Q**3 - 1) * (Q**2 - 1)
+    order = 1
+    for r, e in factorize(n):
+        a = m ** (n // r**e)
+        while not a.is_identity():
+            a = a ** r
+            order *= r
+    return order
+
+
+def _naive_order(m):
+    n, power = 1, m
+    while not power.is_identity():
+        power = power * m
+        n += 1
+    return n
+
+
+SMALL_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2)]
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_order_matches_group_order_reference(p, k):
+    F = build_field(p, k)
+    rng = random.Random(1000 * p + k)
+    checked = 0
+    while checked < 30:
+        try:
+            m = Projectivity(F, [rng.randrange(F.order) for _ in range(9)])
+        except GroupError:
+            continue  # singular
+        assert m.order() == _order_by_group_order(m), m
+        checked += 1
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 4), (2, 2, 4), (3, 1, 3),
+                                   (3, 2, 3), (5, 1, 5), (5, 2, 5)])
+def test_order_of_unipotent_jordan_block(p, k, n):
+    # (J - 1)^2 != 0, so the order is the least power of p that is >= 3
+    J = Projectivity(build_field(p, k), (1, 1, 0, 0, 1, 1, 0, 0, 1))
+    assert J.order() == n == _order_by_group_order(J)
+
+
+def _subfield_coefficients(F, roots):
+    """Coefficients, low degree first, of the monic prod (X - r) over F,
+    from roots in an extension of F (the product's coefficients lie in F)."""
+    big = build_field(F.p, F.k * len(roots))
+    into = embed(F, big)
+    back = {into(u): u for u in range(F.order)}
+    poly = [1]
+    for r in roots:
+        shifted = [0] + poly  # X * poly
+        for i, c in enumerate(poly):
+            shifted[i] = big.sub(shifted[i], big.mul(r, c))
+        poly = shifted
+    return [back[c] for c in poly[:-1]]
+
+
+def _conjugates_of_generator(F, degree):
+    big = build_field(F.p, F.k * degree)
+    g = big.generator
+    return [big.pow(g, F.order**i) for i in range(degree)]
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_order_of_singer_cycle(p, k):
+    # companion matrix of a primitive cubic: X generates F_{Q^3}*, and
+    # X^n lies in F_Q* iff (Q^3 - 1) / (Q - 1) divides n
+    F = build_field(p, k)
+    c0, c1, c2 = _subfield_coefficients(F, _conjugates_of_generator(F, 3))
+    C = Projectivity(F, (0, 0, F.neg(c0), 1, 0, F.neg(c1), 0, 1, F.neg(c2)))
+    Q = F.order
+    assert C.order() == Q * Q + Q + 1 == _naive_order(C)
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_order_of_primitive_quadratic_companion_plus_one(p, k):
+    # the 1 block forces a scalar power to be the identity, so the order
+    # is the multiplicative order of a generator of F_{Q^2}
+    F = build_field(p, k)
+    c0, c1 = _subfield_coefficients(F, _conjugates_of_generator(F, 2))
+    C = Projectivity(F, (0, F.neg(c0), 0, 1, F.neg(c1), 0, 0, 0, 1))
+    Q = F.order
+    assert C.order() == Q * Q - 1 == _naive_order(C)
 
 
 def test_three_cycle_permutes_fundamental_points():
