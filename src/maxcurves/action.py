@@ -205,32 +205,58 @@ class StabilizerCensus:
 
     def pointwise_incidence(self, elements):
         """Independent recount of |I|: sum over census points of the number
-        of the given nontrivial elements fixing them."""
-        memo = {}
-        return sum(1 for P in self.points
-                   for e in _transported(P.field, elements, memo)
-                   if _fixes_point(e, P))
+        of the given nontrivial elements fixing them.  Each pair is decided
+        in the element's own field (`_pivot_forms`), with the entries as
+        they are and no product in the point's field."""
+        by_field = {}
+        for g in elements:
+            by_field.setdefault(g.field, []).append(g.m)
+        count = 0
+        for P in self.points:
+            for E, ms in by_field.items():
+                forms = _pivot_forms(P, embed(E, P.field))
+                count += sum(1 for m in ms if _fixes(E, m, forms))
+        return count
 
 
-def _fixes_point(g, P):
-    # P is normalised, so its first nonzero coordinate is 1 and pivots the
-    # proportionality test: g(P) = a is a multiple of P iff a equals that
-    # pivot coordinate of a times P (a != 0, as g is invertible).  The rows
-    # of a come from g.m one at a time, so most pairs that are not fixed are
-    # decided before the third row is computed.
-    F, m = g.field, g.m
+def _pivot_forms(P, tm):
+    """The equations over tm.src that say an element g over tm.src fixes P.
+
+    P lies over tm.dst and is normalised, so its first nonzero coordinate
+    P_pi is 1, and g(P) is a multiple of P iff for each j != pi
+        Sum_a m[3j+a] P_a - P_j Sum_a m[3pi+a] P_a = 0.
+    With P_a and P_j P_a written in coordinates over tm.src
+    (`TowerMap.coordinates`), the left side has coordinate
+        Sum_a m[3j+a] u_a - Sum_a m[3pi+a] w_a
+    at each i < tm.degree, for u_a and w_a the i-th coordinates of P_a and
+    of P_j P_a, and it vanishes iff all of them do.  Returns (3 pi, rows)
+    with one row (3j, u_0, u_1, u_2, w_0, w_1, w_2) per pair (j, i).
+    """
+    K, x = P.field, P.coords
+    piv = 0 if x[0] else 1 if x[1] else 2
+    u = [tm.coordinates(c) for c in x]
+    rows = []
+    for j in range(3):
+        if j != piv:
+            w = [tm.coordinates(K.mul(x[j], c)) for c in x]
+            rows.extend((3 * j, u[0][i], u[1][i], u[2][i],
+                         w[0][i], w[1][i], w[2][i])
+                        for i in range(tm.degree))
+    return 3 * piv, rows
+
+
+def _fixes(F, m, forms):
+    """Does the element with entries m over F fix the point of `forms`
+    (`_pivot_forms`)?  Stops at the first nonzero coordinate."""
+    p3, rows = forms
     mul, add = F.mul, F.add
-    x, y, t = P.coords
-    if x:  # P = (1, y, t)
-        a0 = add(add(m[0], mul(m[1], y)), mul(m[2], t))
-        if add(add(m[3], mul(m[4], y)), mul(m[5], t)) != mul(a0, y):
+    r0, r1, r2 = m[p3], m[p3 + 1], m[p3 + 2]
+    for j3, u0, u1, u2, w0, w1, w2 in rows:
+        row = add(add(mul(m[j3], u0), mul(m[j3 + 1], u1)), mul(m[j3 + 2], u2))
+        piv = add(add(mul(r0, w0), mul(r1, w1)), mul(r2, w2))
+        if row != piv:
             return False
-        return add(add(m[6], mul(m[7], y)), mul(m[8], t)) == mul(a0, t)
-    if y:  # P = (0, 1, t)
-        if add(m[1], mul(m[2], t)):
-            return False
-        return add(m[7], mul(m[8], t)) == mul(add(m[4], mul(m[5], t)), t)
-    return m[2] == 0 and m[5] == 0  # P = (0, 0, 1)
+    return True
 
 
 def family_census(elements, group: SubgroupSpec, model) -> StabilizerCensus:

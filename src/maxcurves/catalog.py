@@ -176,15 +176,21 @@ def quattordici_scan(m_max: int):
     return out
 
 
+# (a, b): q^9 (q^9 + 1)(q^6 - 1) = (a q + b) modulo q^2 + q + 2 in Z[q]
+PRIMOVALORE_REMAINDER = (2128, -1568)
+
+
 def primovalore_scan(q_max: int):
     """{q <= q_max : (q^2+q+2) divides q^9 (q^9+1)(q^6-1)}, computed both by
     direct big-integer divisibility and by the linear remainder 2128 q - 1568
-    of the polynomial division.  The two methods must agree everywhere.
+    (PRIMOVALORE_REMAINDER) of the polynomial division.  The two methods
+    must agree everywhere.
 
     The direct test takes q^3, q^6 and q^9 mod m by one product each and
     reduces q^9 (q^9 + 1)(q^6 - 1) with a single % m."""
     if q_max < 10:
         raise CatalogError("q_max must be at least 10")
+    a, b = PRIMOVALORE_REMAINDER
     hits = []
     for q in range(1, q_max + 1):
         qq = q * q
@@ -193,7 +199,7 @@ def primovalore_scan(q_max: int):
         q6 = q3 * q3 % m
         q9 = q6 * q3 % m
         direct = q9 * (q9 + 1) * (q6 - 1) % m
-        linear = (2128 * q - 1568) % m
+        linear = (a * q + b) % m
         if direct and linear:  # neither divisible: the common case
             continue
         if direct or linear:

@@ -17,8 +17,8 @@ import time
 
 from .action import family_census, fixed_points, is_semiregular, orbits, \
     restrict_to_line, sylow_census, common_fixed_curve_points, sharply_2_transitive
-from .catalog import (lemmino_scan, order_excluded, primovalore_scan,
-                      quattordici_scan)
+from .catalog import (PRIMOVALORE_REMAINDER, lemmino_scan, order_excluded,
+                      primovalore_scan, quattordici_scan)
 from .curves import FermatHermitian, GarciaStichtenoth, GeneralizedGK, \
     NormTraceHermitian
 from .gf import TABLE_LIMIT, build_field
@@ -335,8 +335,9 @@ def _check_primovalore(q_max):
     _require(q_max >= 10, "the scan must reach q = 10: q_max >= 10")
     hits = primovalore_scan(q_max)
     conds = {"result_set": hits == [1, 2, 3, 10]}
-    spot = {"q10_divides": (2128 * 10 - 1568) % (10 * 10 + 10 + 2) == 0,
-            "q4_excluded": (2128 * 4 - 1568) % (4 * 4 + 4 + 2) != 0}
+    a, b = PRIMOVALORE_REMAINDER
+    spot = {"q10_divides": (a * 10 + b) % (10 * 10 + 10 + 2) == 0,
+            "q4_excluded": (a * 4 + b) % (4 * 4 + 4 + 2) != 0}
     conds.update(spot)
     return _verdict(conds), {"q_max": q_max, "hits": hits, **spot}
 

@@ -570,6 +570,12 @@ class GF:
         """a^(p^times)."""
         if a == 0:
             return 0
+        if self._red_tables is not None:
+            # p = 2 vector mode: `times` squarings, each a bit spread and a
+            # byte reduction with no product
+            for _ in range(times % self.k):
+                a = self._reduce(_gf2_square(a))
+            return a
         return self.pow(a, pow(self.p, times, self.units))
 
     def elements(self):
@@ -673,22 +679,20 @@ class GF:
         """Norm of e down to the subfield `sub`; returns an element of sub."""
         tm = embed(sub, self)
         m, ratio = sub.k, self.k // sub.k
-        acc = 1
-        x = e
-        for _ in range(ratio):
-            acc = self.mul(acc, x)
+        acc = x = e
+        for _ in range(ratio - 1):
             x = self.frobenius(x, m)
+            acc = self.mul(acc, x)
         return tm.pullback(acc)
 
     def trace(self, e, sub):
         """Trace of e down to the subfield `sub`; returns an element of sub."""
         tm = embed(sub, self)
         m, ratio = sub.k, self.k // sub.k
-        acc = 0
-        x = e
-        for _ in range(ratio):
-            acc = self.add(acc, x)
+        acc = x = e
+        for _ in range(ratio - 1):
             x = self.frobenius(x, m)
+            acc = self.add(acc, x)
         return tm.pullback(acc)
 
 
@@ -698,16 +702,22 @@ class TowerMap:
     Determined by the image of the root X of the source modulus: the
     smallest root (in canonical element order) of that modulus inside the
     destination.
+
+    The destination is a vector space over the source with basis
+    1, theta, ..., theta^(r-1), for theta = dst.generator and r the
+    degree [dst : src] (theta generates dst* and hence dst over any
+    subfield).  `coordinates` reads an element in that basis.
     """
 
     def __init__(self, src, dst, gen_image):
         self.src = src
         self.dst = dst
         self.gen_image = gen_image
+        self.degree = dst.k // src.k
         self._gen_powers = [1]
         for _ in range(src.k - 1):
             self._gen_powers.append(dst.mul(self._gen_powers[-1], gen_image))
-        self._inverse = None
+        self._units = None
 
     def apply(self, e):
         dst = self.dst
@@ -720,16 +730,63 @@ class TowerMap:
     def __call__(self, e):
         return self.apply(e)
 
+    def _unit_coordinates(self):
+        """The tag of each unit vector p^b of dst, b < dst.k: the columns of
+        the inverse of the matrix whose columns are the digits of the
+        F_p-basis tm(X^j) theta^i of dst (tag digit i * src.k + j)."""
+        dst, n = self.dst, self.dst.k
+        basis, t = [], 1
+        for _ in range(self.degree):
+            basis += [dst.mul(w, t) for w in self._gen_powers]
+            t = dst.mul(t, dst.generator)
+        if dst.p != 2:
+            # the kernel of [M | I] over F_p: (-M^-1 e_b, e_b) for each b
+            rows = [[dst.digits(v)[r] for v in basis]
+                    + [int(r == c) for c in range(n)] for r in range(n)]
+            return [[-x for x in v[:n]]
+                    for v in nullspace(build_field(dst.p, 1), rows)]
+        # Gauss-Jordan on (image, tag) bitmask rows: no other row keeps the
+        # pivot bit of a row, so at the end each image is its pivot alone
+        rows = {}
+        for idx, v in enumerate(basis):
+            tag = 1 << idx
+            for b, (w, wt) in rows.items():
+                if v >> b & 1:
+                    v, tag = v ^ w, tag ^ wt
+            piv = v.bit_length() - 1
+            for b, (w, wt) in rows.items():
+                if w >> piv & 1:
+                    rows[b] = (w ^ v, wt ^ tag)
+            rows[piv] = (v, tag)
+        return [rows[b][1] for b in range(n)]
+
+    def coordinates(self, e):
+        """The r = [dst : src] elements c_i of src with
+        e = Sum tm(c_i) theta^i, read through `_unit_coordinates`."""
+        units = self._units
+        if units is None:
+            units = self._units = self._unit_coordinates()
+        src, m = self.src, self.src.k
+        if self.dst.p == 2:
+            tag = b = 0
+            while e:
+                if e & 1:
+                    tag ^= units[b]
+                e >>= 1
+                b += 1
+            return [tag >> (i * m) & src.units for i in range(self.degree)]
+        digits = self.dst.digits(e)
+        tag = [sum(d * u[j] for d, u in zip(digits, units))
+               for j in range(self.dst.k)]
+        return [src.from_digits(tag[i * m:(i + 1) * m])
+                for i in range(self.degree)]
+
     def pullback(self, e):
         """Preimage of e, which must lie in the embedded subfield image."""
-        if self._inverse is None:
-            if not self.src.table_mode:
-                raise FieldError("pullback needs an enumerable source field")
-            self._inverse = {self.apply(x): x for x in self.src.elements()}
-        try:
-            return self._inverse[e]
-        except KeyError:
-            raise FieldError("element is not in the embedded subfield") from None
+        c = self.coordinates(e)
+        if any(c[1:]):
+            raise FieldError("element is not in the embedded subfield")
+        return c[0]
 
 
 def nullspace(F, rows):

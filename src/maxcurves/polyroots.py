@@ -15,6 +15,14 @@ splits over F (gcd with X^|F| - X) and splits it completely; `one_root`
 descends into the smaller factor of each split until a linear factor is
 left, so the other roots of an irreducible factor follow as its Frobenius
 conjugates.
+
+Both X^|F| mod f and the characteristic-2 trace take p-th powers mod a
+fixed g.  The p-th power map is additive, so (Sum h_i X^i)^p mod g is
+Sum h_i^p R_i for the table R_i = X^(p i) mod g, i < deg g, built once per
+g (Berlekamp's Q-matrix; von zur Gathen and Shoup): a step costs deg g
+p-th powers in F and the products by the table rows, with no polynomial
+product or division.  Every polynomial it yields equals the one square-
+and-multiply gives, so every gcd, split and root is the same.
 """
 
 
@@ -106,9 +114,35 @@ def pow_mod(F, base, e, m):
     return r
 
 
+def _frobenius_table(F, g):
+    """R_i = X^(p i) mod g for i < deg g: R_0 = 1, R_(i+1) = R_i (X^p mod g)."""
+    xp = mod(F, (0,) * F.p + (1,), g)
+    table = [(1,)]
+    for _ in range(len(g) - 2):
+        table.append(mod(F, mul(F, table[-1], xp), g))
+    return table
+
+
+def _frobenius(F, h, table):
+    """h^p mod g for h reduced mod g, from the table of g: the p-th power
+    map is additive, so (Sum h_i X^i)^p = Sum h_i^p X^(p i)."""
+    out = [0] * len(table)
+    f_add, f_mul, frob = F.add, F.mul, F.frobenius
+    for c, row in zip(h, table):
+        if c:
+            c = frob(c)
+            for j, r in enumerate(row):
+                if r:
+                    out[j] = f_add(out[j], f_mul(c, r))
+    return trim(out)
+
+
 def _splitting_part(F, f):
     """gcd(f, X^|F| - X): the product of the distinct linear factors over F."""
-    xq = pow_mod(F, (0, 1), F.order, f)
+    table = _frobenius_table(F, f)
+    xq = mod(F, (0, 1), f)
+    for _ in range(F.k):  # X^(p^k) by k p-th powers
+        xq = _frobenius(F, xq, table)
     return gcd_poly(F, sub(F, xq, (0, 1)), f)
 
 
@@ -128,12 +162,13 @@ def _split(F, g, s):
     """A proper monic factor of g: monic, degree >= 2, with distinct roots
     all in the degree-s subfield of F."""
     deg = len(g) - 1
+    table = _frobenius_table(F, g) if F.p == 2 else None
     for c in _shifts(F, s):
         if F.p == 2:
             h = (0, c)
             acc = h
             for _ in range(s - 1):
-                h = mod(F, mul(F, h, h), g)
+                h = _frobenius(F, h, table)
                 acc = add(F, acc, h)
             d = gcd_poly(F, acc, g)
         else:

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from maxcurves.action import (ActionError, Mat2, _fixes_point, family_census,
-                              common_fixed_curve_points, fixed_points,
-                              is_semiregular, line_image, orbits,
-                              restrict_to_line, sharply_2_transitive,
+from maxcurves.action import (ActionError, Mat2, _fixes, _pivot_forms,
+                              common_fixed_curve_points, family_census,
+                              fixed_points, is_semiregular, line_image,
+                              orbits, restrict_to_line, sharply_2_transitive,
                               stabilizer_census, sylow_census)
 from maxcurves.curves import FermatHermitian, NormTraceHermitian
 from maxcurves.gf import GF, build_field, embed
@@ -45,6 +45,25 @@ def test_alpha_fixes_fundamental_triangle_off_curve():
     assert fps.on_curve_count() == 0
 
 
+def _fixes_point(g, P):
+    """Reference: g and P over one field.  P is normalised, so its first
+    nonzero coordinate is 1 and pivots the proportionality test: g(P) = a
+    is a multiple of P iff a equals that pivot coordinate of a times P."""
+    F, m = g.field, g.m
+    mul, add = F.mul, F.add
+    x, y, t = P.coords
+    if x:  # P = (1, y, t)
+        a0 = add(add(m[0], mul(m[1], y)), mul(m[2], t))
+        if add(add(m[3], mul(m[4], y)), mul(m[5], t)) != mul(a0, y):
+            return False
+        return add(add(m[6], mul(m[7], y)), mul(m[8], t)) == mul(a0, t)
+    if y:  # P = (0, 1, t)
+        if add(m[1], mul(m[2], t)):
+            return False
+        return add(m[7], mul(m[8], t)) == mul(add(m[4], mul(m[5], t)), t)
+    return m[2] == 0 and m[5] == 0  # P = (0, 0, 1)
+
+
 def _fixes_by_cross_products(g, P):
     """Oracle: g(P) and P are proportional iff their three 2x2 minors vanish."""
     F = g.field
@@ -54,10 +73,7 @@ def _fixes_by_cross_products(g, P):
             and F.mul(a[1], b[2]) == F.mul(a[2], b[1]))
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (2, 4), (3, 2)])
-def test_pivot_fixes_point_matches_cross_products(p, k):
-    F = build_field(p, k)
-    rng = random.Random(p * 100 + k)
+def _pivot_test_elements(F, rng):
     gs = []
     while len(gs) < 12:
         try:
@@ -75,15 +91,56 @@ def test_pivot_fixes_point_matches_cross_products(p, k):
            Projectivity(F, (1, 0, 0, 0, 1, c, 0, 0, 1)),
            Projectivity(F, (1, 0, c, 0, 1, 0, 0, 0, 1)),
            Projectivity(F, (1, 0, 0, c, 1, 0, 0, 0, 1))]
+    return gs
+
+
+def _check_pivot_decisions(F, K, gs, points):
+    """Elements over F, points over K: the pair decision in F (_pivot_forms,
+    _fixes) and the reference in K after transport (_fixes_point) both
+    agree with the cross products.  Returns the (chart, fixed, point has
+    coordinates in F) triples seen."""
+    tm = embed(F, K)
+    image = {tm(a) for a in F.elements()}
     seen = set()
-    for P in all_points(F):
+    for P in points:
         chart = P.coords.index(1)
+        forms = _pivot_forms(P, tm)
         for g in gs:
-            fixed = _fixes_point(g, P)
-            assert fixed == _fixes_by_cross_products(g, P), (g, P)
-            seen.add((chart, fixed))
-    assert seen == {(chart, fixed) for chart in range(3)
-                    for fixed in (False, True)}
+            g_k = g.transport(tm)
+            fixed = _fixes(F, g.m, forms)
+            assert fixed == _fixes_by_cross_products(g_k, P), (g, P)
+            assert fixed == _fixes_point(g_k, P), (g, P)
+            seen.add((chart, fixed, set(P.coords) <= image))
+    assert {(chart, fixed) for chart, fixed, _ in seen} == {
+        (chart, fixed) for chart in range(3) for fixed in (False, True)}
+    return seen
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 4), (3, 2)])
+def test_pivot_fixes_point_matches_cross_products(p, k):
+    F = build_field(p, k)
+    gs = _pivot_test_elements(F, random.Random(p * 100 + k))
+    _check_pivot_decisions(F, F, gs, all_points(F))
+
+
+def test_pivot_forms_over_a_subfield_match_cross_products():
+    # elements over F_4, points over F_64: every point of the charts X = 0,
+    # those with coordinates in F_4, the fixed points in F_64 of the random
+    # elements, and a sample
+    F, K = build_field(2, 2), build_field(2, 6)
+    rng = random.Random(226)
+    gs = _pivot_test_elements(F, rng)
+    image = [embed(F, K)(a) for a in F.elements()]
+    eigen = [P for g in gs[:12]
+             for P, _ in fixed_points(g, FermatHermitian(2)).points
+             if P.field is K]
+    points = list(all_points(K))
+    points = ([P for P in points if P.coords[0] == 0]
+              + [ProjPoint(K, (1, y, t)) for y in image for t in image]
+              + eigen + rng.sample(points, 300))
+    seen = _check_pivot_decisions(F, K, gs, points)
+    # some fixed point lies outside the image of F_4
+    assert any(fixed and not inside for _, fixed, inside in seen)
 
 
 @pytest.mark.parametrize("q", [2, 4, 8])
@@ -275,6 +332,16 @@ def test_orbit_confirmation_matches_pairwise_scan_n3():
     assert report.evidence["n3"]["exhaustive_scan_confirms"]
 
 
+@pytest.mark.slow
+def test_orbit_confirmation_matches_pairwise_scan_n5():
+    F = build_field(2, 10)
+    model = FermatHermitian(32)
+    pts = model.rational_points()
+    for group in (generate([make_alpha(F, F.root_of_unity(11), 2)]),
+                  generate([make_alpha(F, F.root_of_unity(33), 2)])):
+        assert orbit_confirms(group, pts) and pairwise_scan(group, pts)
+
+
 def test_orbit_stabilizer_identity():
     model = FermatHermitian(4)
     F = model.field
@@ -381,6 +448,48 @@ def test_census_double_count_against_brute_force_n3():
     by_points = census.pointwise_incidence(family)
     by_elements = sum(c for _, c in census.per_element)
     assert by_points == by_elements == census.incidence
+
+
+def _pair_decisions(points, family):
+    """Each (point, element) pair decided both ways: in the element's field
+    (_pivot_forms, _fixes) and by _fixes_point after transport."""
+    out = []
+    for P in points:
+        tm = embed(family[0].field, P.field)
+        forms = _pivot_forms(P, tm)
+        for g in family:
+            out.append((_fixes(g.field, g.m, forms),
+                        _fixes_point(g.transport(tm), P)))
+    return out
+
+
+def test_recount_matches_fixes_point_on_every_pair_n3():
+    # the census points lie in F_{2^18} over the family's F_{2^6}; the
+    # rational curve points lie in F_{2^6} itself
+    from maxcurves.checks import _triangolo_construction
+    _, F, model, family, stab = _triangolo_construction(3)
+    census = family_census(family, stab, model)
+    decisions = _pair_decisions(census.points, family)
+    assert all(new == ref for new, ref in decisions)
+    assert census.pointwise_incidence(family) == sum(
+        ref for _, ref in decisions) == 12
+    rational = _pair_decisions(model.rational_points(), family)
+    assert len(rational) == 4 * (8**3 + 1)
+    assert all(new == ref for new, ref in rational)
+    # the family has no rational fixed point on the curve
+    assert not any(ref for _, ref in rational)
+
+
+@pytest.mark.slow
+def test_recount_matches_fixes_point_on_every_pair_n9():
+    from maxcurves.checks import _triangolo_construction
+    _, F, model, family, stab = _triangolo_construction(9)
+    census = family_census(family, stab, model)
+    decisions = _pair_decisions(census.points, family)
+    assert len(decisions) == 342 * 228 == 77976
+    assert all(new == ref for new, ref in decisions)
+    assert census.pointwise_incidence(family) == sum(
+        ref for _, ref in decisions) == 684
 
 
 def test_eigenvalues_match_roots_on_the_n3_census_family():

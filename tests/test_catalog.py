@@ -1,5 +1,6 @@
 import pytest
 
+from maxcurves import catalog
 from maxcurves.catalog import (CatalogError, alternating_power_sum,
                                lemmino_scan, mh_orders, order_excluded,
                                pgu3_order, primovalore_scan, psu3_order,
@@ -87,6 +88,25 @@ def test_primovalore_scan_matches_big_integer_divisibility():
     assert primovalore_scan(10**4) == [
         q for q in range(1, 10**4 + 1)
         if q**9 * (q**9 + 1) * (q**6 - 1) % (q * q + q + 2) == 0]
+
+
+def test_primovalore_remainder_is_the_polynomial_remainder():
+    # q^9 (q^9 + 1)(q^6 - 1) = q^24 - q^18 + q^15 - q^9, divided by the
+    # monic q^2 + q + 2 in Z[q], top degree first
+    rem = [0] * 25
+    rem[24], rem[18], rem[15], rem[9] = 1, -1, 1, -1
+    for d in range(24, 1, -1):
+        c, rem[d] = rem[d], 0
+        rem[d - 1] -= c
+        rem[d - 2] -= 2 * c
+    assert (rem[1], rem[0]) == catalog.PRIMOVALORE_REMAINDER
+
+
+def test_primovalore_scan_raises_when_the_methods_disagree(monkeypatch):
+    # at q = 1, m = 4 divides 1 * 2 * 0 directly, but not 2128 - 1567
+    monkeypatch.setattr(catalog, "PRIMOVALORE_REMAINDER", (2128, -1567))
+    with pytest.raises(CatalogError, match="disagree at q = 1"):
+        primovalore_scan(10)
 
 
 def test_primovalore_direct_divisibility_q10():

@@ -423,6 +423,49 @@ def test_pullback_round_trip():
         tm.pullback(dst.generator)  # a generator of F_256 is not in F_16
 
 
+# F_{2^21} is beyond the enumeration limit, which pullback no longer needs
+@pytest.mark.parametrize("src_pk,dst_pk", [((2, 2), (2, 6)), ((2, 18), (2, 54)),
+                                           ((2, 21), (2, 42)), ((3, 2), (3, 6)),
+                                           ((5, 1), (5, 3))])
+def test_coordinates_round_trip(src_pk, dst_pk):
+    src, dst = build_field(*src_pk), build_field(*dst_pk)
+    tm = embed(src, dst)
+    r = dst.k // src.k
+    rng = random.Random(src.order + dst.k)
+    for z in [0, 1, dst.generator] + [rng.randrange(dst.order)
+                                      for _ in range(60)]:
+        c = tm.coordinates(z)
+        assert len(c) == r and all(0 <= ci < src.order for ci in c)
+        acc, t = 0, 1
+        for ci in c:
+            acc = dst.add(acc, dst.mul(tm(ci), t))
+            t = dst.mul(t, dst.generator)
+        assert acc == z
+    for _ in range(30):
+        x = rng.randrange(src.order)
+        assert tm.coordinates(tm(x)) == [x] + [0] * (r - 1)
+        assert tm.pullback(tm(x)) == x
+    with pytest.raises(FieldError):
+        tm.pullback(dst.generator)  # generates dst, so outside src
+
+
+def test_norm_trace_vector_mode_f2_21_in_f2_42():
+    sub, big = build_field(2, 21), build_field(2, 42)
+    tm = embed(sub, big)
+    rng = random.Random(2142)
+    for _ in range(20):
+        x, y = rng.randrange(1, big.order), rng.randrange(1, big.order)
+        nx, tx = big.norm(x, sub), big.trace(x, sub)
+        conj = big.frobenius(x, sub.k)
+        assert 0 < nx < sub.order and 0 <= tx < sub.order
+        assert tm(nx) == big.mul(x, conj) and tm(tx) == big.add(x, conj)
+        assert big.norm(big.mul(x, y), sub) == sub.mul(nx, big.norm(y, sub))
+        assert big.trace(big.add(x, y), sub) == sub.add(tx, big.trace(y, sub))
+        a = rng.randrange(sub.order)
+        assert big.norm(tm(a), sub) == sub.mul(a, a)
+        assert big.trace(tm(a), sub) == 0  # a + a in characteristic 2
+
+
 def test_norm_trace_f4_over_f2():
     F2, F4 = build_field(2, 1), build_field(2, 2)
     w = F4.generator

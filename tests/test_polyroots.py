@@ -2,8 +2,11 @@ import random
 
 import pytest
 
-from maxcurves.gf import build_field
-from maxcurves.polyroots import divmod_poly, mul, one_root, roots
+from maxcurves import polyroots
+from maxcurves.gf import _smallest_root_in, build_field
+from maxcurves.polyroots import (_frobenius, _frobenius_table, _shifts, add,
+                                 divmod_poly, gcd_poly, mod, mul,
+                                 one_root, pow_mod, roots, sub)
 
 FIELDS = [(2, 8), (2, 12), (3, 4)]
 
@@ -70,3 +73,75 @@ def test_one_root_outside_the_subfield_raises(p, k):
     g = _product(F, _orbit(F, x, 1))
     with pytest.raises(RuntimeError, match="unreachable"):
         one_root(F, g, 1)
+
+
+def _random_poly(F, rng, deg, monic_=False):
+    cs = [rng.randrange(F.order) for _ in range(deg)]
+    return tuple(cs) + (1 if monic_ else rng.randrange(1, F.order),)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 4), (2, 54), (3, 2), (5, 2)])
+def test_frobenius_table_matches_pow_mod(p, k):
+    F = build_field(p, k)
+    rng = random.Random(1000 * p + k)
+    for deg in (1, 2, 3, 5, 8):
+        g = _random_poly(F, rng, deg, monic_=True)
+        table = _frobenius_table(F, g)
+        assert len(table) == deg
+        for _ in range(8):
+            h = mod(F, _random_poly(F, rng, rng.randrange(deg + 3)), g)
+            assert _frobenius(F, h, table) == pow_mod(F, h, p, g)
+
+
+def _splitting_part_by_pow_mod(F, f):
+    """Reference: X^|F| by square-and-multiply modulo f."""
+    xq = pow_mod(F, (0, 1), F.order, f)
+    return gcd_poly(F, sub(F, xq, (0, 1)), f)
+
+
+def _split_by_squaring(F, g, s):
+    """Reference: the characteristic-2 trace by repeated squaring mod g."""
+    deg = len(g) - 1
+    for c in _shifts(F, s):
+        if F.p == 2:
+            h = (0, c)
+            acc = h
+            for _ in range(s - 1):
+                h = mod(F, mul(F, h, h), g)
+                acc = add(F, acc, h)
+            d = gcd_poly(F, acc, g)
+        else:
+            h = pow_mod(F, (c, 1), (F.p**s - 1) // 2, g)
+            d = gcd_poly(F, sub(F, h, (1,)), g)
+        if 0 < len(d) - 1 < deg:
+            return d
+    raise RuntimeError("splitting shifts exhausted (unreachable)")
+
+
+def _results(F, split, mixed, s, embeddings):
+    return ([roots(F, f) for f in split + mixed],
+            [one_root(F, g, s) for g in split],
+            [_smallest_root_in(src, dst) for src, dst in embeddings])
+
+
+@pytest.mark.parametrize("p,k,s", [(2, 8, 4), (2, 12, 6), (2, 30, 10), (3, 4, 2)])
+def test_frobenius_table_leaves_every_root_unchanged(p, k, s, monkeypatch):
+    # split polynomials over the degree-s subfield (so one_root applies),
+    # their products with random factors (so roots strips a non-split part),
+    # and the embeddings of the subfields of F into F
+    F = build_field(p, k)
+    rng = random.Random(31 * k + s)
+    w = F.pow(F.generator, F.units // (p**s - 1))  # generates F_(p^s)*
+    split, mixed = [], []
+    for _ in range(6):
+        rts = sorted({F.pow(w, rng.randrange(p**s - 1))
+                      for _ in range(rng.randint(2, 5))})
+        g = _product(F, rts)
+        split.append(g)
+        mixed.append(mul(F, g, _random_poly(F, rng, 3, monic_=True)))
+    embeddings = [(build_field(p, m), F) for m in range(2, k + 1)
+                  if k % m == 0]
+    got = _results(F, split, mixed, s, embeddings)
+    monkeypatch.setattr(polyroots, "_split", _split_by_squaring)
+    monkeypatch.setattr(polyroots, "_splitting_part", _splitting_part_by_pow_mod)
+    assert got == _results(F, split, mixed, s, embeddings)
