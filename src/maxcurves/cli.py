@@ -82,6 +82,13 @@ def main(argv=None) -> int:
         print("error: exactly one of --check or --all is required",
               file=sys.stderr)
         return USAGE_EXIT
+    if args.all and args.param:
+        print("error: --param applies to --check, not --all", file=sys.stderr)
+        return USAGE_EXIT
+    if args.check and args.filter is not None:
+        print("error: --filter applies to --all, not --check",
+              file=sys.stderr)
+        return USAGE_EXIT
 
     try:
         if args.check:
@@ -96,6 +103,10 @@ def main(argv=None) -> int:
             reports = [run_check(args.check, params)]
         else:
             reports = run_all(filter_prefix=args.filter)
+            if not reports:
+                print(f"error: no check name starts with {args.filter!r}",
+                      file=sys.stderr)
+                return USAGE_EXIT
     except UnknownCheck as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -9,8 +9,11 @@ why divisibility questions here are always decided by explicit twisted
 division, with the conventional-associate verdict computed alongside.
 """
 
+from math import gcd
+
 from . import polyroots
 from .gf import build_field, nullspace
+from .numbertheory import is_prime_power
 
 
 class LinPolyError(ValueError):
@@ -310,16 +313,14 @@ def quotient_family_scan(field, q):
     """
     F = field
     p = F.p
-    import math
-    e2 = round(math.log(q * q, p))
-    e3 = round(math.log(q**3, p))
-    if p**e2 != q * q or p**e3 != q**3:
+    pe = is_prime_power(q)
+    if pe is None or pe[0] != p:
         raise LinPolyError("q is not a power of the field characteristic")
-    target = LinearizedPoly(F, {e3: 1, 0: 1 if p == 2 else 1})
+    e2, e3 = 2 * pe[1], 3 * pe[1]
+    target = LinearizedPoly(F, {e3: 1, 0: 1})
     target_assoc = p_associate(target)
     n = F.units
     m13 = q * q - q + 1
-    from math import gcd
     k_subgroup_size = n // gcd(m13, n)
     gk = F.pow(F.generator, gcd(m13, n))  # generates the (q^2-q+1)-th powers
     r_exp = gcd(q * q - 1, n)

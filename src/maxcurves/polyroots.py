@@ -7,10 +7,14 @@ Root finding is deterministic equal-degree splitting (Cantor-Zassenhaus)
 with shifts taken from the subfield that holds the roots.  When the roots
 of g lie in the degree-s subfield F_{p^s} of F, a shift c of that subfield
 splits g by gcd(g, T_c): T_c is the subfield trace of cX in characteristic
-2 and (X + c)^((p^s-1)/2) - 1 otherwise.  The shifts are 1, w, w^2, ... for
-w a generator of F_{p^s}*: in characteristic 2 the first s of them are a
-basis of F_{p^s}, so one of them separates any two roots; otherwise all of
-F_{p^s} is walked, ending with 0.  `roots` isolates the part of f that
+2 and (X + c)^((p^s-1)/2) - 1 otherwise.  For w a generator of F_{p^s}*,
+the shifts in characteristic 2 are w, w^2, ..., w^s: 1, w, ..., w^(s-1) is
+a basis of F_{2^s} over F_2 and multiplying by w is an F_2-linear
+bijection, so they are a basis too, and one of them separates any two
+roots.  The shift 1 is left out because it never splits a g that is
+irreducible over a proper subfield holding its coefficients: Tr(r) is then
+the same on every root.  Otherwise the shifts are 1, w, w^2, ..., walking
+all of F_{p^s}, ending with 0.  `roots` isolates the part of f that
 splits over F (gcd with X^|F| - X) and splits it completely; `one_root`
 descends into the smaller factor of each split until a linear factor is
 left, so the other roots of an irreducible factor follow as its Frobenius
@@ -147,10 +151,12 @@ def _splitting_part(F, f):
 
 
 def _shifts(F, s):
-    """The shift constants of the degree-s subfield, in their fixed order."""
+    """The shift constants of the degree-s subfield, in their fixed order:
+    w, w^2, ..., w^s for p = 2 (w times the basis 1, ..., w^(s-1), so a
+    basis of F_{2^s} over F_2), else 1, w, ..., w^(p^s - 2), 0."""
     q = F.p**s
     w = F.pow(F.generator, F.units // (q - 1))
-    c = 1
+    c = w if F.p == 2 else 1
     for _ in range(s if F.p == 2 else q - 1):
         yield c
         c = F.mul(c, w)
@@ -166,10 +172,12 @@ def _split(F, g, s):
     for c in _shifts(F, s):
         if F.p == 2:
             h = (0, c)
-            acc = h
+            acc = [0] * deg  # Sum (cX)^(2^i) mod g, added in place by XOR
+            acc[1] = c
             for _ in range(s - 1):
                 h = _frobenius(F, h, table)
-                acc = add(F, acc, h)
+                for i, x in enumerate(h):
+                    acc[i] ^= x
             d = gcd_poly(F, acc, g)
         else:
             h = pow_mod(F, (c, 1), (F.p**s - 1) // 2, g)

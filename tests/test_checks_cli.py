@@ -173,6 +173,25 @@ def test_cli_usage_errors(capsys):
     assert cli.main(["--check", "lemmino", "--param", "m_max=x"]) == 2
 
 
+def test_cli_filter_matching_no_check_is_a_usage_error(capsys):
+    assert cli.main(["--all", "--filter", "zzz"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'zzz'" in captured.err
+
+
+def test_cli_param_with_all_is_a_usage_error(capsys):
+    # would otherwise run lemmino at its default m_max and exit 0
+    assert cli.main(["--all", "--filter", "lemm", "--param", "m_max=3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--param" in captured.err
+
+
+def test_cli_filter_with_check_is_a_usage_error(capsys):
+    assert cli.main(["--check", "lemmino", "--filter", "q"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--filter" in captured.err
+
+
 def test_cli_out_file(tmp_path, capsys):
     path = tmp_path / "reports.jsonl"
     rc = cli.main(["--check", "delta-ledger", "--out", str(path)])

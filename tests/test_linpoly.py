@@ -173,3 +173,9 @@ def test_quotient_family_scan_q4():
     assert tested == 273 * 315  # (q^2-1)-power classes times k-subgroup size
     assert divisible == 0
     assert disagreements == 0
+
+
+@pytest.mark.parametrize("q", [3, 6])
+def test_quotient_family_scan_rejects_q_not_a_power_of_p(q):
+    with pytest.raises(LinPolyError, match="not a power"):
+        quotient_family_scan(build_field(2, 12), q)

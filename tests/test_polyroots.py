@@ -3,7 +3,11 @@ import random
 import pytest
 
 from maxcurves import polyroots
-from maxcurves.gf import _smallest_root_in, build_field
+from maxcurves.action import fixed_points
+from maxcurves.checks import _triangolo_construction
+from maxcurves.curves import FermatHermitian
+from maxcurves.gf import _smallest_root_in, build_field, embed
+from maxcurves.pgu3 import make_alpha, make_three_cycle
 from maxcurves.polyroots import (_frobenius, _frobenius_table, _shifts, add,
                                  divmod_poly, gcd_poly, mod, mul,
                                  one_root, pow_mod, roots, sub)
@@ -124,11 +128,10 @@ def _results(F, split, mixed, s, embeddings):
             [_smallest_root_in(src, dst) for src, dst in embeddings])
 
 
-@pytest.mark.parametrize("p,k,s", [(2, 8, 4), (2, 12, 6), (2, 30, 10), (3, 4, 2)])
-def test_frobenius_table_leaves_every_root_unchanged(p, k, s, monkeypatch):
-    # split polynomials over the degree-s subfield (so one_root applies),
-    # their products with random factors (so roots strips a non-split part),
-    # and the embeddings of the subfields of F into F
+def _inputs(p, k, s):
+    """Split polynomials over the degree-s subfield of F = F_(p^k) (so
+    one_root applies), their products with random factors (so roots strips
+    a non-split part), and the embeddings of the subfields of F into F."""
     F = build_field(p, k)
     rng = random.Random(31 * k + s)
     w = F.pow(F.generator, F.units // (p**s - 1))  # generates F_(p^s)*
@@ -141,7 +144,125 @@ def test_frobenius_table_leaves_every_root_unchanged(p, k, s, monkeypatch):
         mixed.append(mul(F, g, _random_poly(F, rng, 3, monic_=True)))
     embeddings = [(build_field(p, m), F) for m in range(2, k + 1)
                   if k % m == 0]
+    return F, split, mixed, embeddings
+
+
+@pytest.mark.parametrize("p,k,s", [(2, 8, 4), (2, 12, 6), (2, 30, 10), (3, 4, 2)])
+def test_frobenius_table_leaves_every_root_unchanged(p, k, s, monkeypatch):
+    F, split, mixed, embeddings = _inputs(p, k, s)
     got = _results(F, split, mixed, s, embeddings)
     monkeypatch.setattr(polyroots, "_split", _split_by_squaring)
     monkeypatch.setattr(polyroots, "_splitting_part", _splitting_part_by_pow_mod)
     assert got == _results(F, split, mixed, s, embeddings)
+
+
+def _shifts_from_one(F, s):
+    """Reference: the former shift order 1, w, ..., w^(s-1) for p = 2, whose
+    first shift never splits a g irreducible over a proper subfield that
+    holds its coefficients."""
+    q = F.p**s
+    w = F.pow(F.generator, F.units // (q - 1))
+    c = 1
+    for _ in range(s if F.p == 2 else q - 1):
+        yield c
+        c = F.mul(c, w)
+    if F.p != 2:
+        yield 0
+
+
+def _gf2_rank(vectors):
+    """Rank over F_2 of field elements of characteristic 2 (bit vectors)."""
+    pivots = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
+
+
+@pytest.mark.parametrize("k", [1, 6, 12, 54])
+def test_characteristic_2_shifts_are_a_basis_without_1(k):
+    F = build_field(2, k)
+    for s in (s for s in range(1, k + 1) if k % s == 0):
+        shifts = list(_shifts(F, s))
+        assert len(shifts) == s and _gf2_rank(shifts) == s
+        assert all(F.pow(c, 2**s) == c for c in shifts)  # in F_(2^s)
+        assert (1 in shifts) == (s == 1)
+
+
+def _trace_x(F, g, s):
+    """Sum X^(2^i) mod g for i < s, by repeated squaring."""
+    h = acc = (0, 1)
+    for _ in range(s - 1):
+        h = mod(F, mul(F, h, h), g)
+        acc = add(F, acc, h)
+    return acc
+
+
+def test_shift_1_never_splits_a_polynomial_over_a_subfield():
+    # the subfield trace is constant on a Frobenius orbit, so gcd(Tr(X), g)
+    # is 1 or g for g irreducible over a proper subfield holding its
+    # coefficients: X^3 - a (a a non-cube of F_(2^18)) with roots in
+    # F_(2^54), and the F_(2^18) modulus with roots in F_(2^18)
+    E, S = build_field(2, 54), build_field(2, 18)
+    tm = embed(S, E)
+    assert not S.is_dth_power(S.generator, 3)
+    cubic = (tm(S.generator), 0, 0, 1)
+    modulus = tuple(E.const(c) for c in S.modulus)
+    for g, s in ((cubic, 54), (modulus, 18)):
+        d = gcd_poly(E, _trace_x(E, g, s), g)
+        assert len(d) - 1 in (0, len(g) - 1)
+
+
+@pytest.mark.parametrize("p,k,s", [(2, 8, 4), (2, 12, 6), (2, 30, 10),
+                                   (2, 54, 18), (3, 4, 2)])
+def test_shift_order_leaves_roots_and_embeddings_unchanged(p, k, s, monkeypatch):
+    # one_root may return another conjugate; roots sorts its roots and
+    # _smallest_root_in takes the least conjugate, so neither moves
+    F, split, mixed, embeddings = _inputs(p, k, s)
+
+    def results():
+        return ([roots(F, f) for f in split + mixed],
+                [_smallest_root_in(src, dst) for src, dst in embeddings])
+
+    got = results()
+    monkeypatch.setattr(polyroots, "_shifts", _shifts_from_one)
+    assert got == results()
+
+
+def _fixed_point_key(fps):
+    return (fps.kind, [(P.field.k, P.coords, on) for P, on in fps.points],
+            None if fps.axis is None else fps.axis.coords)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_shift_order_leaves_eigen_fixed_points_unchanged(n, monkeypatch):
+    # the eigen-fixed-points 3-cycle: eigenvalues in F_(2^(6n)), found by
+    # one_root, and the embedding of F_(2^(2n)) into it
+    q = 2**n
+    F, E = build_field(2, 2 * n), build_field(2, 6 * n)
+    model = FermatHermitian(q)
+    sigma = (make_alpha(F, F.root_of_unity((q + 1) // 3), 2)
+             * make_three_cycle(F, F.root_of_unity(q + 1), 1, q=q))
+
+    def results():
+        return _smallest_root_in(F, E), _fixed_point_key(fixed_points(sigma, model))
+
+    got = results()
+    monkeypatch.setattr(polyroots, "_shifts", _shifts_from_one)
+    assert got == results()
+
+
+@pytest.mark.slow
+def test_shift_order_leaves_the_n9_census_unchanged(monkeypatch):
+    _, _, model, family, _ = _triangolo_construction(9)
+
+    def results():
+        return [_fixed_point_key(fixed_points(sigma, model)) for sigma in family]
+
+    got = results()
+    monkeypatch.setattr(polyroots, "_shifts", _shifts_from_one)
+    assert got == results()
