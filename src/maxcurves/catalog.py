@@ -35,10 +35,6 @@ def psu3_order(q: int) -> int:
     return q**3 * (q * q - 1) * (q**3 + 1) // gcd(3, q + 1)
 
 
-def pgu3_order(q: int) -> int:
-    return q**3 * (q * q - 1) * (q**3 + 1)
-
-
 def pgl2_order(q: int) -> int:
     return q * (q * q - 1)
 

@@ -94,12 +94,13 @@ def main(argv=None) -> int:
         if args.check:
             params = {}
             for item in args.param:
-                if "=" not in item:
-                    print(f"error: bad --param {item!r} (expected KEY=VALUE)",
-                          file=sys.stderr)
+                key, eq, value = item.partition("=")
+                key = key.strip()
+                if not eq or key in params:
+                    why = f"{key!r} given twice" if eq else "expected KEY=VALUE"
+                    print(f"error: bad --param {item!r} ({why})", file=sys.stderr)
                     return USAGE_EXIT
-                key, value = item.split("=", 1)
-                params[key.strip()] = value.strip()
+                params[key] = value.strip()
             reports = [run_check(args.check, params)]
         else:
             reports = run_all(filter_prefix=args.filter)

@@ -360,7 +360,6 @@ class GF:
         if self.table_mode:
             self._build_tables()
         self._embed_cache = {}  # destination field -> TowerMap
-        self._unit_factors = None
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
@@ -585,23 +584,6 @@ class GF:
         return range(self.order)
 
     # -- multiplicative structure -----------------------------------------
-
-    def _factors_of_units(self):
-        if self._unit_factors is None:
-            self._unit_factors = factorize(self.units)
-        return self._unit_factors
-
-    def multiplicative_order(self, a):
-        if a == 0:
-            raise FieldError("0 has no multiplicative order")
-        o = self.units
-        for r, e in self._factors_of_units():
-            for _ in range(e):
-                if self.pow(a, o // r) == 1:
-                    o //= r
-                else:
-                    break
-        return o
 
     def root_of_unity(self, m):
         """A primitive m-th root of unity (generator^((p^k-1)/m)); m must divide p^k - 1."""

@@ -11,7 +11,6 @@ division, with the conventional-associate verdict computed alongside.
 
 from math import gcd
 
-from . import polyroots
 from .gf import build_field, nullspace
 from .numbertheory import is_prime_power
 
@@ -73,7 +72,6 @@ class LinearizedPoly:
         F = self.field
         p, k = F.p, F.k
         basis = [F.pow(F.generator, j) if j else 1 for j in range(k)]
-        basis[0] = 1
         cols = [F.digits(self.evaluate(b)) for b in basis]
         # solve sum_j x_j * cols[j] = 0 over F_p
         rows = [[cols[j][i] for j in range(k)] for i in range(k)]
@@ -184,32 +182,64 @@ def decompose(target: LinearizedPoly, inner: LinearizedPoly):
 
 
 def left_quotient(outer: LinearizedPoly, target: LinearizedPoly):
-    """The Q with outer(Q(X)) = target, or None; solved top-down using the
-    inverse Frobenius (always available in a finite field)."""
+    """The Q with outer(Q(X)) = target, or None (see `_twisted_quotient`)."""
     F = target.field
     if F is not outer.field:
         raise LinPolyError("operands over different fields")
     if not outer:
         raise LinPolyError("cannot divide by the zero polynomial")
-    s = outer.top_index
-    a_s = outer.coeffs[s]
-    work = dict(target.coeffs)
+    out = _twisted_quotient(F, outer.coeffs, target.coeffs)
+    return None if out is None else LinearizedPoly(F, out)
+
+
+# -- division cores -------------------------------------------------------------
+# Both take {index: coeff} dicts with no zero terms.  Each quotient term
+# cancels the top term left, which is popped, so only the divisor's lower
+# terms are subtracted; a zero they leave is popped when it reaches the top.
+
+
+def _twisted_quotient(F, outer, target):
+    """The {d: q_d} with outer(Q(X)) = target, or None.  The top term
+    c t^(s+d) left fixes q_d = (c / a_s)^(p^-s), p^-s = p^(-s mod k)."""
+    mul, sub, pw = F.mul, F.sub, F.pow
+    s = max(outer)
+    inv_lead = F.inv(outer[s])
+    unfrob = F.p ** (-s % F.k)
+    rest = [(i, a, F.p**i) for i, a in outer.items() if i != s]
+    work = dict(target)
     out = {}
     while work:
         t = max(work)
+        c = work.pop(t)
+        if not c:
+            continue
         if t < s:
             return None
-        d = t - s
-        # a_s * q_d^(p^s) = work[t]  ->  q_d = (work[t]/a_s)^(p^-s)
-        rhs = F.div(work[t], a_s)
-        q_d = F.frobenius(rhs, (F.k - s % F.k) % F.k) if s % F.k else rhs
-        out[d] = q_d
-        for i, a in outer.coeffs.items():
-            k = i + d
-            work[k] = F.sub(work.get(k, 0), F.mul(a, F.pow(q_d, F.p**i)))
-            if work[k] == 0:
-                del work[k]
-    return LinearizedPoly(F, out)
+        q_d = out[t - s] = pw(mul(c, inv_lead), unfrob)
+        for i, a, pi in rest:
+            j = i + t - s
+            work[j] = sub(work.get(j, 0), mul(a, pw(q_d, pi)))
+    return out
+
+
+def _remainder(F, divisor, dividend):
+    """dividend mod divisor as ordinary polynomials Sum c_i t^i."""
+    mul, sub = F.mul, F.sub
+    s = max(divisor)
+    inv_lead = F.inv(divisor[s])
+    rest = [(i, b) for i, b in divisor.items() if i != s]
+    work = dict(dividend)
+    while work:
+        t = max(work)
+        if t < s:
+            break
+        c = work.pop(t)
+        if c:
+            f = mul(c, inv_lead)
+            for i, b in rest:
+                j = i + t - s
+                work[j] = sub(work.get(j, 0), mul(f, b))
+    return {j: c for j, c in work.items() if c}
 
 
 def symbolic_divides(l: LinearizedPoly, m: LinearizedPoly, side: str) -> bool:
@@ -284,8 +314,12 @@ class AssociatePoly:
             raise LinPolyError("divides() is for the conventional associate")
         if not self.coeffs:
             return not other.coeffs
-        _, rem = polyroots.divmod_poly(self.field, other.coeffs, self.coeffs)
-        return not rem
+        return not _remainder(self.field, _nonzero(self.coeffs),
+                              _nonzero(other.coeffs))
+
+
+def _nonzero(coeffs):
+    return {i: c for i, c in enumerate(coeffs) if c}
 
 
 def p_associate(l: LinearizedPoly, convention="conventional") -> AssociatePoly:
@@ -297,7 +331,7 @@ def p_associate(l: LinearizedPoly, convention="conventional") -> AssociatePoly:
 
 
 def inverse_associate(a: AssociatePoly) -> LinearizedPoly:
-    return LinearizedPoly(a.field, {i: c for i, c in enumerate(a.coeffs) if c})
+    return LinearizedPoly(a.field, _nonzero(a.coeffs))
 
 
 # -- the quotient-equation family scan ------------------------------------------
@@ -307,51 +341,38 @@ def quotient_family_scan(field, q):
     """Scan the family A X^(q^2) + B X with A = k^-1 a^(q^2), B = -k^-1 a
     (a nonzero, k a (q^2-q+1)-th power) for left-divisibility into
     X^(q^3) + X, under both the composition criterion and the conventional
-    p-associate criterion.
-
-    Returns (families_tested, divisible_count, criteria_disagreements).
-    """
-    F = field
-    p = F.p
-    pe = is_prime_power(q)
-    if pe is None or pe[0] != p:
-        raise LinPolyError("q is not a power of the field characteristic")
-    e2, e3 = 2 * pe[1], 3 * pe[1]
-    target = LinearizedPoly(F, {e3: 1, 0: 1})
-    target_assoc = p_associate(target)
-    n = F.units
-    m13 = q * q - q + 1
-    k_subgroup_size = n // gcd(m13, n)
-    gk = F.pow(F.generator, gcd(m13, n))  # generates the (q^2-q+1)-th powers
-    r_exp = gcd(q * q - 1, n)
-    tested = 0
-    divisible = 0
-    disagreements = 0
-    # representatives a_r, one per value of a^(q^2-1): scaling a by a
-    # (q^2-1)-th root of unity rescales (A, B) by a unit already covered
-    # through the k-subgroup, so representatives suffice.
-    seen_r = set()
-    a = 1
-    reps = []
-    for t in range(n):
-        r = F.pow(a, q * q - 1)
-        if r not in seen_r:
-            seen_r.add(r)
-            reps.append(a)
-        a = F.mul(a, F.generator)
-    for a in reps:
-        a_q2 = F.pow(a, q * q)
-        kinv = 1
-        for _ in range(k_subgroup_size):
-            kinv = F.mul(kinv, gk)
-            A = F.mul(kinv, a_q2)
-            B = F.neg(F.mul(kinv, a))
-            cand = LinearizedPoly(F, {e2: A, 0: B})
-            tested += 1
-            by_composition = left_quotient(cand, target) is not None
-            by_conventional = p_associate(cand).divides(target_assoc)
-            if by_composition != by_conventional:
-                disagreements += 1
-            if by_composition:
-                divisible += 1
+    p-associate criterion.  Returns (families_tested, divisible_count,
+    criteria_disagreements)."""
+    tested = divisible = disagreements = 0
+    for _, composes, divides in _family_verdicts(field, q):
+        tested += 1
+        divisible += composes
+        disagreements += (composes and not divides) or (divides and not composes)
     return tested, divisible, disagreements
+
+
+def _family_verdicts(F, q):
+    """(member, composes, divides) in scan order: each member {2e: A, 0: B}
+    (q = p^e) goes through both division cores."""
+    pe = is_prime_power(q)
+    if pe is None or pe[0] != F.p:
+        raise LinPolyError("q is not a power of the field characteristic")
+    e2 = 2 * pe[1]
+    target = {3 * pe[1]: 1, 0: 1}
+    mul, neg, pw = F.mul, F.neg, F.pow
+    h = gcd(q * q - q + 1, F.units)
+    gk = pw(F.generator, h)  # generates the (q^2-q+1)-th powers
+    # the first a per value of a^(q^2-1): scaling a by a (q^2-1)-th root of
+    # unity rescales (A, B) by a unit that the k-subgroup already covers
+    reps = {}
+    for j in range(F.units):
+        a = pw(F.generator, j)
+        reps.setdefault(pw(a, q * q - 1), a)
+    for a in reps.values():
+        a_q2 = pw(a, q * q)
+        kinv = 1
+        for _ in range(F.units // h):
+            kinv = mul(kinv, gk)
+            cand = {e2: mul(kinv, a_q2), 0: neg(mul(kinv, a))}
+            yield (cand, _twisted_quotient(F, cand, target) is not None,
+                   not _remainder(F, cand, target))

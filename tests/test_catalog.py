@@ -3,8 +3,12 @@ import pytest
 from maxcurves import catalog
 from maxcurves.catalog import (CatalogError, alternating_power_sum,
                                lemmino_scan, mh_orders, order_excluded,
-                               pgu3_order, primovalore_scan, psu3_order,
-                               quattordici_scan)
+                               primovalore_scan, psu3_order, quattordici_scan)
+
+
+def pgu3_order(q):
+    """|PGU(3, q)| = q^3 (q^2 - 1)(q^3 + 1)."""
+    return q**3 * (q * q - 1) * (q**3 + 1)
 
 
 def test_group_orders():

@@ -186,6 +186,17 @@ def test_cli_param_with_all_is_a_usage_error(capsys):
     assert captured.out == "" and "--param" in captured.err
 
 
+def test_cli_repeated_param_key_is_a_usage_error(capsys):
+    # would otherwise keep only the last value and report q = 3 alone
+    argv = ["--check", "hermitian-count", "--param", "qs=2", "--param", "qs=3"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'qs' given twice" in captured.err
+    # keys are compared after stripping, as they are passed on
+    assert cli.main(["--check", "lemmino", "--param", "m_max=3",
+                     "--param", " m_max = 4"]) == 2
+
+
 def test_cli_filter_with_check_is_a_usage_error(capsys):
     assert cli.main(["--check", "lemmino", "--filter", "q"]) == 2
     captured = capsys.readouterr()

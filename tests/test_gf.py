@@ -10,7 +10,7 @@ from maxcurves.gf import (COMPACT_LIMIT, FieldError, _canonical_modulus,
                           _is_primitive_root_x, build_field,
                           clear_modulus_overrides, embed, load_field_config,
                           nullspace, set_modulus_override)
-from maxcurves.numbertheory import divisors
+from maxcurves.numbertheory import divisors, factorize
 
 random.seed(901)
 
@@ -496,11 +496,22 @@ def test_root_of_unity_f1024():
     assert F.root_of_unity(1) == 1
 
 
+def multiplicative_order(F, a):
+    """The order of the unit a: |F*| divided down one prime at a time."""
+    o = F.units
+    for r, e in factorize(F.units):
+        for _ in range(e):
+            if F.pow(a, o // r) != 1:
+                break
+            o //= r
+    return o
+
+
 def test_root_of_unity_has_exact_order():
     F = build_field(2, 12)
     for m in (3, 5, 7, 9, 13, 35, 45):
         e = F.root_of_unity(m)
-        assert F.multiplicative_order(e) == m
+        assert multiplicative_order(F, e) == m
 
 
 def test_is_dth_power():
@@ -530,8 +541,8 @@ def test_modulus_override_and_config(tmp_path):
         set_modulus_override(2, 4, (1, 1, 1, 1, 1))
         F = build_field(2, 4)
         assert F.modulus == (1, 1, 1, 1, 1)
-        assert F.multiplicative_order(F.generator) == 15
-        assert F.multiplicative_order(2) == 5  # the root X itself
+        assert multiplicative_order(F, F.generator) == 15
+        assert multiplicative_order(F, 2) == 5  # the root X itself
         # reducible override is refused
         with pytest.raises(FieldError):
             set_modulus_override(2, 4, (1, 0, 0, 0, 1))  # (x+1)^4

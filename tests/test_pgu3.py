@@ -12,6 +12,11 @@ from maxcurves.pgu3 import (GroupError, Projectivity, generate, in_psu,
 random.seed(902)
 
 
+def pgu3_order(q):
+    """|PGU(3, q)| = q^3 (q^2 - 1)(q^3 + 1)."""
+    return q**3 * (q * q - 1) * (q**3 + 1)
+
+
 def test_identity_and_canonical_form():
     F = build_field(2, 4)
     ident = Projectivity.identity(F)
@@ -298,7 +303,6 @@ def test_generate_cap():
 
 
 def test_subgroup_order_divides_pgu_order():
-    from maxcurves.catalog import pgu3_order
     F = build_field(2, 10)
     q = 32
     theta = F.root_of_unity(11)
@@ -312,7 +316,6 @@ def test_subgroup_order_divides_pgu_order():
 def test_sylow_d_diagonal_group():
     # D = {diag(lam, mu, 1)} over the d^h-th roots is a Sylow d-subgroup:
     # order d^{2h} equals the full d-part of |PGU(3, q)| at q = 32, d = 11
-    from maxcurves.catalog import pgu3_order
     F = build_field(2, 10)
     theta = F.root_of_unity(11)
     D = generate([make_alpha(F, theta, 1), make_alpha(F, theta, 0)])
