@@ -17,25 +17,30 @@ deterministic and cached: build_field(p, k) always returns the same object
 with the same modulus.  A configuration file may override the modulus for
 a given (p, k); non-irreducible overrides are refused.
 
-Two representations are used internally:
-  * log/antilog tables when p^k <= TABLE_LIMIT (2^20) - supports
-    fast multiplication and full enumeration; when the generator is X
-    they are filled by a shift register (multiply by X, fold the top
-    digit back through the modulus);
-  * coefficient vectors (carry-less masks in characteristic 2) above the
-    limit - supports arithmetic in fields like F_{2^54} where enumeration
-    is never needed.  In characteristic 2 a product is one integer
-    product of the operands with each bit spread into its own byte, read
-    back by byte parity (`_gf2_clmul`); a square is the bit spread alone
-    (`_gf2_square`).  Either is reduced a byte at a time through tables
-    built once per field (`_gf2_reduction_tables`); the inverse is the
-    extended Euclidean algorithm.
+Two representations are used internally, each with one arithmetic:
+  * log/antilog tables when p^k <= TABLE_LIMIT (2^20), for any p -
+    supports fast multiplication, d-th roots and full enumeration; when
+    the generator is X they are filled by a shift register (multiply by
+    X, fold the top digit back through the modulus).  Odd p is table-only:
+    a field or override with p odd and p^k above the limit is refused;
+  * carry-less coefficient masks in characteristic 2 above the limit -
+    supports arithmetic in fields like F_{2^54} where enumeration is
+    never needed.  A product is one integer product of the operands with
+    each bit spread into its own byte, read back by byte parity
+    (`_gf2_clmul`); a square is the bit spread alone (`_gf2_square`).
+    Either is reduced a byte at a time through tables built once per
+    field (`_gf2_reduction_tables`); the inverse is the extended
+    Euclidean algorithm.
+In characteristic 2, + and - are XOR, bound as the field's `add` and
+`sub` when it is constructed (`neg` is the identity); for odd p they are
+digit-wise mod p.
 """
 
+import operator
 from array import array
 from math import gcd
 
-from .numbertheory import factorize, is_prime, prime_divisors
+from .numbertheory import is_prime, prime_divisors
 from .polyroots import one_root
 
 TABLE_LIMIT = 1 << 20
@@ -323,6 +328,12 @@ def _add_row(p, row, scale):
     return table
 
 
+def _require_table_mode(p, k):
+    # odd p has no vector arithmetic: refuse before any modulus search
+    if p != 2 and p**k > TABLE_LIMIT:
+        raise FieldError(f"{p}^{k} > 2^20: odd p is table-only")
+
+
 def _order_mod_p(a, p):
     if a % p == 0:
         return 0
@@ -343,6 +354,7 @@ class GF:
     def __init__(self, p, k, modulus, primitive=False):
         """`primitive`: the caller has proved X a generator modulo `modulus`
         (the canonical search does), so it is not tested again."""
+        _require_table_mode(p, k)
         self.p = p
         self.k = k
         self.order = p**k
@@ -350,10 +362,13 @@ class GF:
         self.modulus = modulus  # digit tuple, low degree first, length k+1
         self.table_mode = self.order <= TABLE_LIMIT
         self._mod_mask = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
-        # p = 2 vector mode reduces products through byte tables
-        self._red_tables = (_gf2_reduction_tables(self._mod_mask, k)
-                            if p == 2 and not self.table_mode else None)
-        self._pow_cache = [p**i for i in range(k + 1)]
+        if p == 2:
+            self.add = self.sub = operator.xor
+            self.neg = operator.pos  # the identity on ints
+        # vector mode (p = 2) reduces products through byte tables
+        self._red_tables = (None if self.table_mode
+                            else _gf2_reduction_tables(self._mod_mask, k))
+        self._pow_cache = [p**i for i in range(k)]  # digit place values
         self.exp = None
         self.log = None
         self.generator = self._find_generator(primitive)
@@ -370,8 +385,7 @@ class GF:
         # X itself when the modulus is primitive (the canonical case);
         # otherwise scan elements in canonical order.
         if self.k == 1:
-            root = (-self.modulus[0]) % self.p
-            return root
+            return (-self.modulus[0]) % self.p
         if primitive or _is_primitive_root_x(self.modulus, self.p):
             return self.p  # the element X
         n = self.units
@@ -456,14 +470,10 @@ class GF:
     # -- digit conversions -----------------------------------------------
 
     def digits(self, e):
-        p = self.p
-        out = []
-        for _ in range(self.k):
-            out.append(e % p)
-            e //= p
-        return out
+        return [e // w % self.p for w in self._pow_cache]
 
     def from_digits(self, ds):
+        # any integers: each is reduced mod p here
         v = 0
         for c, w in zip(ds, self._pow_cache):
             v += (c % self.p) * w
@@ -475,24 +485,18 @@ class GF:
         """The prime-field constant c (any integer), as an element."""
         return c % self.p
 
+    # odd p, digit-wise; characteristic 2 binds operator.xor and
+    # operator.pos over these three in __init__
     def add(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        da, db = self.digits(a), self.digits(b)
-        p = self.p
-        return self.from_digits([(x + y) % p for x, y in zip(da, db)])
+        return self.from_digits([x + y for x, y in
+                                 zip(self.digits(a), self.digits(b))])
 
     def sub(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        da, db = self.digits(a), self.digits(b)
-        p = self.p
-        return self.from_digits([(x - y) % p for x, y in zip(da, db)])
+        return self.from_digits([x - y for x, y in
+                                 zip(self.digits(a), self.digits(b))])
 
     def neg(self, a):
-        if self.p == 2:
-            return a
-        return self.from_digits([(-x) % self.p for x in self.digits(a)])
+        return self.from_digits([-x for x in self.digits(a)])
 
     def _reduce(self, r):
         """r mod the modulus, for p = 2 and r of degree at most 2k - 2."""
@@ -513,11 +517,12 @@ class GF:
             return b if a == 1 else a
         if self.p == 2:
             return self._reduce(_gf2_clmul(a, b))
+        # odd p: digit tuples, which fill an imprimitive override's tables
         if a == 0 or b == 0:
             return 0
         prod = _poly_mulmod(tuple(self.digits(a)), tuple(self.digits(b)),
                             self.modulus, self.p)
-        return self.from_digits(list(prod) + [0] * self.k)
+        return self.from_digits(prod)
 
     def _pow_novtable(self, a, e):
         # left to right over the bits of e: no square after the last one
@@ -544,11 +549,7 @@ class GF:
             raise ZeroDivisionError("inverse of 0")
         if self.table_mode:
             return self.exp[self.units - self.log[a]]
-        if self.p == 2:
-            return _gf2_invmod(a, self._mod_mask)
-        # odd-p vector mode (p^k > 2^20, p odd) keeps the Fermat inverse:
-        # no registered check builds such a field
-        return self._pow_novtable(a, self.units - 1)
+        return _gf2_invmod(a, self._mod_mask)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -601,18 +602,14 @@ class GF:
         return self.pow(e, self.units // g) == 1
 
     def nth_root(self, a, d):
-        """Some y with y^d = a, deterministic; raises if a is not a d-th power."""
+        """The y with y^d = a of least log: `power_solutions(d, a)[0]`.
+        Requires table mode; raises if a is not a d-th power."""
         if d < 1:
             raise FieldError("d must be positive")
-        if a == 0:
-            return 0
-        if not self.is_dth_power(a, d):
+        sols = self.power_solutions(d, a)
+        if not sols:
             raise FieldError("element is not a d-th power")
-        y = a
-        for r, e in factorize(d):
-            for _ in range(e):
-                y = self._prime_root(y, r)
-        return y
+        return sols[0]
 
     def power_solutions(self, d, c):
         """All y with y^d = c, in increasing order of log y.  Requires table mode."""
@@ -629,31 +626,6 @@ class GF:
         # log y = t0 + i * step for i < g, with t0 < step
         t0 = (lc // g) * pow(d // g, -1, step) % step
         return list(self.exp[t0:n:step])
-
-    def _prime_root(self, a, r):
-        n = self.units
-        if n % r != 0:
-            return self.pow(a, pow(r, -1, n))
-        s, u = 0, n
-        while u % r == 0:
-            u //= r
-            s += 1
-        # y0^r = a * w with w in the Sylow-r subgroup (order r^s, small here)
-        v = pow(r, -1, u)
-        y0 = self.pow(a, v)
-        w = self.div(self.pow(y0, r), a)
-        if w == 1:
-            return y0
-        z = self.pow(self.generator, u)  # order r^s
-        size = r**s
-        zr = self.pow(z, r)
-        w_inv = self.inv(w)
-        c = 1
-        for _ in range(size):
-            if self.pow(c, r) == w_inv:
-                return self.mul(y0, c)
-            c = self.mul(c, z)
-        raise FieldError("not an r-th power (unreachable after is_dth_power)")
 
     # -- subfield structure -------------------------------------------------
 
@@ -812,6 +784,7 @@ _MODULUS_OVERRIDES = {}
 
 def set_modulus_override(p, k, coeffs):
     """Override the modulus used for (p, k).  Refuses non-irreducible input."""
+    _require_table_mode(p, k)
     coeffs = tuple(int(c) % p for c in coeffs)
     if len(coeffs) != k + 1 or coeffs[-1] != 1:
         raise FieldError("override must be monic of degree k")
@@ -854,6 +827,7 @@ def build_field(p, k):
         raise FieldError("k must be >= 1")
     if p**k > SIZE_CAP:
         raise FieldError(f"p^k exceeds the size cap 2^62")
+    _require_table_mode(p, k)
     key = (p, k)
     fld = _FIELDS.get(key)
     if fld is None:

@@ -154,30 +154,33 @@ def compose(outer: LinearizedPoly, inner: LinearizedPoly) -> LinearizedPoly:
 
 
 def decompose(target: LinearizedPoly, inner: LinearizedPoly):
-    """The outer F with F(inner(X)) = target, or None if none exists."""
+    """The outer F with F(inner(X)) = target, or None if none exists.  The
+    top term c t^(s+d) left fixes a_d = c / b_s^(p^d); as in the division
+    cores below, it is popped and only inner's lower terms are subtracted."""
     F = target.field
     if F is not inner.field:
         raise LinPolyError("operands over different fields")
     if not inner:
         raise LinPolyError("cannot decompose by the zero polynomial")
+    mul, sub, pw = F.mul, F.sub, F.pow
     s = inner.top_index
-    b_s = inner.coeffs[s]
+    inv_lead = F.inv(inner.coeffs[s])
+    rest = [(j, b) for j, b in inner.coeffs.items() if j != s]
     work = dict(target.coeffs)
     out = {}
     while work:
         t = max(work)
+        c = work.pop(t)
+        if not c:
+            continue
         if t < s:
             return None
         d = t - s
-        # a_d * b_s^(p^d) = work[t]
-        a_d = F.div(work[t], F.pow(b_s, F.p**d))
-        out[d] = a_d
         pd = F.p**d
-        for j, b in inner.coeffs.items():
+        a_d = out[d] = mul(c, pw(inv_lead, pd))
+        for j, b in rest:
             k = d + j
-            work[k] = F.sub(work.get(k, 0), F.mul(a_d, F.pow(b, pd)))
-            if work[k] == 0:
-                del work[k]
+            work[k] = sub(work.get(k, 0), mul(a_d, pw(b, pd)))
     return LinearizedPoly(F, out)
 
 

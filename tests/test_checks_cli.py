@@ -237,6 +237,21 @@ def test_cli_field_config(tmp_path, capsys):
         clear_modulus_overrides()
 
 
+def test_cli_field_config_refuses_an_odd_field_past_the_table_limit(
+        tmp_path, capsys):
+    cfg = tmp_path / "odd.cfg"
+    # F_{3^13} has more than 2^20 elements: it could never be built
+    cfg.write_text("3 13 : 1 2" + " 0" * 11 + " 1\n")
+    try:
+        rc = cli.main(["--check", "lemmino", "--field-config", str(cfg)])
+        assert (3, 13) not in gf._MODULUS_OVERRIDES
+    finally:
+        clear_modulus_overrides()
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == "error: 3^13 > 2^20: odd p is table-only\n"
+
+
 def test_cli_seeded_failure_gives_nonzero_exit(monkeypatch, capsys):
     # mutation-style test: a check whose arithmetic went wrong must fail
     from maxcurves.checks import _Check

@@ -1,11 +1,14 @@
 import json
+import operator
 import random
 from array import array
+from math import gcd
 from pathlib import Path
 
 import pytest
 
-from maxcurves.gf import (COMPACT_LIMIT, FieldError, _canonical_modulus,
+from maxcurves import gf
+from maxcurves.gf import (COMPACT_LIMIT, GF, FieldError, _canonical_modulus,
                           _gf2_clmul, _gf2_rem, _gf2_square, _is_irreducible,
                           _is_primitive_root_x, build_field,
                           clear_modulus_overrides, embed, load_field_config,
@@ -54,6 +57,30 @@ def test_build_field_rejects_bad_input():
         build_field(2, 0)
     with pytest.raises(FieldError):
         build_field(2, 80)  # beyond the size cap
+
+
+@pytest.mark.parametrize("p,k", [(3, 12), (5, 8), (7, 7)])
+def test_odd_fields_up_to_the_table_limit_have_tables(p, k):
+    F = build_field(p, k)
+    assert F.table_mode and len(F.log) == F.order
+    del gf._FIELDS[(p, k)]  # about 10 MB of tables no other test reads
+
+
+@pytest.mark.parametrize("p,k", [(3, 13), (5, 9), (7, 8)])
+def test_odd_fields_past_the_table_limit_are_refused(p, k, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("refused only after a modulus search")
+    # refused before any modulus search or irreducibility test
+    monkeypatch.setattr(gf, "_canonical_modulus", no_search)
+    monkeypatch.setattr(gf, "_is_irreducible", no_search)
+    modulus = (1,) * k + (1,)
+    with pytest.raises(FieldError, match="table-only"):
+        build_field(p, k)
+    with pytest.raises(FieldError, match="table-only"):
+        set_modulus_override(p, k, modulus)
+    with pytest.raises(FieldError, match="table-only"):
+        GF(p, k, modulus)
+    assert (p, k) not in gf._FIELDS and (p, k) not in gf._MODULUS_OVERRIDES
 
 
 def _unpruned_canonical_modulus(p, k):
@@ -178,6 +205,50 @@ def test_field_axioms_random_sample(p, k):
         assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
     for a in range(1, min(n, 200)):
         assert F.mul(a, F.inv(a)) == 1
+
+
+def test_p2_addition_is_xor_bound_at_construction():
+    rng = random.Random(218)
+    try:
+        set_modulus_override(2, 21, IMPRIMITIVE_F2_21)
+        fields = [build_field(2, 18), build_field(2, 54), build_field(2, 21)]
+        assert fields[2].generator != 2
+    finally:
+        clear_modulus_overrides()
+    for F in fields:
+        assert F.add is F.sub is operator.xor and F.neg is operator.pos
+        top = F.order - 1
+        pairs = [(0, 0), (0, top), (top, top), (1, top)] + [
+            (rng.randrange(F.order), rng.randrange(F.order)) for _ in range(300)]
+        for a, b in pairs:
+            assert F.add(a, b) == F.sub(a, b) == a ^ b, (F, a, b)
+            assert F.neg(a) == a
+
+
+def _digitwise(F, a, b, op):
+    """op on the base-p digits of a and b, each result reduced mod p."""
+    p, out, w = F.p, 0, 1
+    for _ in range(F.k):
+        out += op(a % p, b % p) % p * w
+        a, b, w = a // p, b // p, w * p
+    return out
+
+
+def test_odd_addition_is_digitwise_on_every_pair():
+    try:
+        set_modulus_override(3, 2, (1, 0, 1))  # X^2 + 1, imprimitive
+        fields = [build_field(3, 2)]
+        assert fields[0].generator != 3
+    finally:
+        clear_modulus_overrides()
+    fields += [build_field(3, 2), build_field(5, 2)]
+    for F in fields:
+        assert "add" not in vars(F)  # the class's digit-wise methods
+        for a in F.elements():
+            assert F.neg(a) == _digitwise(F, 0, a, operator.sub), (F, a)
+            for b in F.elements():
+                assert F.add(a, b) == _digitwise(F, a, b, operator.add)
+                assert F.sub(a, b) == _digitwise(F, a, b, operator.sub)
 
 
 def _clmul_by_shift_and_add(a, b):
@@ -522,6 +593,71 @@ def test_is_dth_power():
     assert cubes == (F.order - 1) // 3
     with pytest.raises(FieldError):
         F.is_dth_power(0, 3)
+
+
+def _reference_prime_root(F, a, r):
+    """The former r-th root solver: y0 = a^(r^-1 mod u) for |F*| = r^s u,
+    corrected by a search of the Sylow-r subgroup."""
+    n = F.units
+    if n % r != 0:
+        return F.pow(a, pow(r, -1, n))
+    s, u = 0, n
+    while u % r == 0:
+        u //= r
+        s += 1
+    y0 = F.pow(a, pow(r, -1, u))
+    w = F.div(F.pow(y0, r), a)
+    if w == 1:
+        return y0
+    z = F.pow(F.generator, u)  # order r^s
+    w_inv = F.inv(w)
+    c = 1
+    for _ in range(r**s):
+        if F.pow(c, r) == w_inv:
+            return F.mul(y0, c)
+        c = F.mul(c, z)
+    raise AssertionError("not an r-th power")
+
+
+def _reference_nth_root(F, a, d):
+    y = a
+    for r, e in factorize(d):
+        for _ in range(e):
+            y = _reference_prime_root(F, y, r)
+    return y
+
+
+@pytest.mark.parametrize("p,k,ds", [(2, 12, (2, 3, 5, 9, 13, 15, 45)),
+                                    (3, 6, (2, 3, 4, 7, 8, 13, 14))])
+def test_nth_root_is_the_root_of_least_log(p, k, ds):
+    F = build_field(p, k)
+    rng = random.Random(p * 1000 + k)
+    for _ in range(60):
+        x = rng.randrange(1, F.order)
+        for d in ds:
+            a = F.pow(x, d)
+            y = F.nth_root(a, d)
+            assert F.pow(y, d) == a and y == F.power_solutions(d, a)[0]
+            # every root is the reference's times a gcd(d, n)-th root of 1
+            ref = _reference_nth_root(F, a, d)
+            assert F.pow(ref, d) == a
+            g = F.root_of_unity(gcd(d, F.units))
+            roots = [F.mul(ref, F.pow(g, i)) for i in range(gcd(d, F.units))]
+            assert y == min(roots, key=F.log.__getitem__)
+    assert F.nth_root(0, 3) == 0
+
+
+def test_nth_root_raises_for_non_powers_and_without_tables():
+    F = build_field(2, 12)
+    for a in range(1, F.order):
+        if not F.is_dth_power(a, 9):
+            with pytest.raises(FieldError):
+                F.nth_root(a, 9)
+    with pytest.raises(FieldError):
+        F.nth_root(1, 0)
+    big = build_field(2, 54)
+    with pytest.raises(FieldError):
+        big.nth_root(1, 3)  # a cube, but F_{2^54} has no log tables
 
 
 def test_nth_root_inverts_powers():

@@ -213,6 +213,31 @@ def _reference_left_quotient(outer, target):
     return LinearizedPoly(F, out)
 
 
+def _reference_decompose(target, inner):
+    """Top-down right division on LinearizedPoly objects, subtracting every
+    term of `inner` (the leading one included) at every step."""
+    F = target.field
+    s = inner.top_index
+    b_s = inner.coeffs[s]
+    work = dict(target.coeffs)
+    out = {}
+    while work:
+        t = max(work)
+        if t < s:
+            return None
+        d = t - s
+        # a_d * b_s^(p^d) = work[t]
+        a_d = F.div(work[t], F.pow(b_s, F.p**d))
+        out[d] = a_d
+        pd = F.p**d
+        for j, b in inner.coeffs.items():
+            k = d + j
+            work[k] = F.sub(work.get(k, 0), F.mul(a_d, F.pow(b, pd)))
+            if work[k] == 0:
+                del work[k]
+    return LinearizedPoly(F, out)
+
+
 def _sparse_lp(F, top, rng):
     """A seeded linearized polynomial of top index `top`, with gaps."""
     coeffs = {i: rng.randrange(F.order) for i in range(top)
@@ -249,6 +274,32 @@ def test_twisted_core_matches_the_reference(p, k):
         target = _sparse_lp(F, rng.randrange(8), rng)
         assert left_quotient(outer, target) == \
             _reference_left_quotient(outer, target)
+
+
+@pytest.mark.parametrize("p,k", [(2, 6), (2, 12), (3, 4)])
+def test_decompose_matches_the_reference(p, k):
+    F = build_field(p, k)
+    rng = random.Random(1300 + k)
+    nones = 0
+    for _ in range(150):
+        outer = _sparse_lp(F, rng.randrange(6), rng)
+        inner = _sparse_lp(F, rng.randrange(6), rng)
+        target = compose(outer, inner)
+        assert decompose(target, inner) == outer == \
+            _reference_decompose(target, inner)
+        # a nonzero term below inner's top index leaves no outer factor
+        s = inner.top_index
+        if s:
+            low = rng.randrange(s)
+            bumped = target.add(lp(F, {low: rng.randrange(1, F.order)}))
+            assert decompose(bumped, inner) is None
+            assert _reference_decompose(bumped, inner) is None
+        # an arbitrary target: mostly no outer factor, sometimes one
+        other = _sparse_lp(F, rng.randrange(8), rng)
+        got = decompose(other, inner)
+        assert got == _reference_decompose(other, inner)
+        nones += got is None
+    assert nones > 0
 
 
 def _dense(F, deg, rng, sparse):
