@@ -9,20 +9,24 @@ is required.
 The defining modulus is the lexicographically smallest monic primitive
 irreducible polynomial of degree k over F_p, comparing coefficient vectors
 low degree first.  The search skips candidates that fail one of two
-necessary conditions before the full Rabin and primitivity tests: the
-constant term c_0 must make (-1)^k c_0 a primitive root mod p, and the
-candidate must have no root in F_p.  Every primitive irreducible meets
-both, so the modulus is the one the unpruned scan finds.  Construction is
-deterministic and cached: build_field(p, k) always returns the same object
-with the same modulus.  A configuration file may override the modulus for
-a given (p, k); non-irreducible overrides are refused.
+necessary conditions before the full irreducibility (Ben-Or) and
+primitivity tests: the constant term c_0 must make (-1)^k c_0 a primitive
+root mod p, and the candidate must have no root in F_p.  Every primitive
+irreducible meets both, so the modulus is the one the unpruned scan
+finds.  Construction is deterministic and cached: build_field(p, k) always
+returns the same object with the same modulus.  A configuration file may
+override the modulus for a given (p, k); non-irreducible overrides are
+refused.
 
 Two representations are used internally, each with one arithmetic:
   * log/antilog tables when p^k <= TABLE_LIMIT (2^20), for any p -
-    supports fast multiplication, d-th roots and full enumeration; when
-    the generator is X they are filled by a shift register (multiply by
-    X, fold the top digit back through the modulus).  Odd p is table-only:
-    a field or override with p odd and p^k above the limit is refused;
+    supports fast multiplication, d-th roots and full enumeration.  When
+    the generator is X, the antilog table of p = 2 is filled in lanes of
+    one integer, each lane a run of powers of X stepped in parallel
+    (`_gf2_powers_of_x`), and that of odd p by a shift register (multiply
+    by X, fold the top digit back through the modulus).  Odd p is
+    table-only: a field or override with p odd and p^k above the limit is
+    refused;
   * carry-less coefficient masks in characteristic 2 above the limit -
     supports arithmetic in fields like F_{2^54} where enumeration is
     never needed.  A product is one integer product of the operands with
@@ -37,6 +41,7 @@ digit-wise mod p.
 """
 
 import operator
+import sys
 from array import array
 from math import gcd
 
@@ -157,6 +162,49 @@ def _gf2_gcd(a, b):
     return a
 
 
+def _lanes_to_int(lanes):
+    # one array('I') item per lane, in the native layout, so that
+    # int.to_bytes(len(lanes) * itemsize, sys.byteorder) gives the array back
+    return int.from_bytes(lanes.tobytes(), sys.byteorder)
+
+
+def _gf2_powers_of_x(exp, mod, k):
+    """exp[i] = X^i mod `mod` (degree k, 2 <= k <= 20) for i < len(exp) = 2^k.
+
+    Lane j of one integer, an array('I') item wide, starts at X^(j S) for
+    S = 2^(k // 2), and each of the S steps writes every lane to
+    exp[s::S] in one slice assignment, then multiplies every lane by X: all
+    lanes shift left by one, and the modulus folds into the lanes whose
+    bit k is set.  A lane holds at most k + 1 <= 21 bits, so none spills
+    into the next.  The starts come from one lane, [1], by doubling: the
+    new lanes are the old ones times X^(m S), by Horner's rule over the
+    bits of X^(m S).
+    """
+    size = array("I").itemsize
+    stride = 1 << k // 2
+    count = len(exp) // stride
+    ones = _lanes_to_int(array("I", [1]) * count)
+
+    def times_x(v):
+        v <<= 1
+        return v ^ (v >> k & ones) * mod
+
+    starts = array("I", [1])
+    c = _gf2_powmod_x(stride, mod, k)  # X^(m S) for m = len(starts)
+    while len(starts) < count:
+        old, v = _lanes_to_int(starts), 0
+        for bit in bin(c)[2:]:
+            v = times_x(v)
+            if bit == "1":
+                v ^= old
+        starts += array("I", v.to_bytes(len(starts) * size, sys.byteorder))
+        c = _gf2_rem(_gf2_square(c), mod, k)
+    v = _lanes_to_int(starts)
+    for s in range(stride):
+        exp[s::stride] = array("I", v.to_bytes(count * size, sys.byteorder))
+        v = times_x(v)
+
+
 def _poly_trim(t):
     i = len(t)
     while i and t[i - 1] == 0:
@@ -210,7 +258,14 @@ def _poly_gcd(a, b, p):
 
 
 def _is_irreducible(coeffs, p):
-    """coeffs: monic polynomial over F_p, digit tuple low-first, degree k >= 1."""
+    """Ben-Or's test.  coeffs: monic polynomial over F_p, digit tuple
+    low-first, degree k >= 1.
+
+    X^(p^i) - X is the product of the monic irreducibles of degree dividing
+    i, and a reducible f of degree k has an irreducible factor of degree at
+    most k/2, so f is irreducible iff gcd(X^(p^i) - X, f) = 1 for every
+    i <= k/2.  The test stops at the first i that fails.
+    """
     k = len(coeffs) - 1
     if k == 1:
         return True
@@ -218,29 +273,16 @@ def _is_irreducible(coeffs, p):
         return False
     if p == 2:
         mod = sum(c << i for i, c in enumerate(coeffs))
-        prime_steps = sorted({k // r for r in prime_divisors(k)})
         frob = 2  # X
-        powers = {}
-        for i in range(1, k + 1):
+        for _ in range(k // 2):
             frob = _gf2_rem(_gf2_square(frob), mod, k)
-            powers[i] = frob
-        if powers[k] != 2:  # X^(2^k) must equal X
-            return False
-        for s in prime_steps:
-            if _gf2_gcd(powers[s] ^ 2, mod) != 1:
+            if _gf2_gcd(frob ^ 2, mod) != 1:
                 return False
         return True
-    x = (0, 1)
-    frob = x
-    powers = {}
-    for i in range(1, k + 1):
+    x = frob = (0, 1)
+    for _ in range(k // 2):
         frob = _poly_powmod(frob, p, coeffs, p)
-        powers[i] = frob
-    if powers[k] != x:
-        return False
-    for r in prime_divisors(k):
-        g = _poly_gcd(_poly_sub(powers[k // r], x, p), coeffs, p)
-        if len(g) - 1 != 0:
+        if len(_poly_gcd(_poly_sub(frob, x, p), coeffs, p)) > 1:
             return False
     return True
 
@@ -277,8 +319,9 @@ def _canonical_modulus(p, k):
 
     Coefficient vectors (c_0, ..., c_{k-1}) are compared low degree first,
     so candidates are enumerated with c_0 as the most significant digit.
-    Two necessary conditions skip candidates before the Rabin and
-    primitivity tests; every candidate left still goes through both:
+    Two necessary conditions skip candidates before the irreducibility
+    (Ben-Or, `_is_irreducible`) and primitivity tests; every candidate left
+    still goes through both:
       * the norm (-1)^k c_0 of the root X generates F_p^* (Lidl-
         Niederreiter, Thm 3.18), so only those c_0 are tried, in order;
       * a candidate of degree k > 1 has no root in F_p (for p = 2: it has
@@ -397,24 +440,21 @@ class GF:
 
     def _build_tables(self):
         n = self.units
-        if self.order > COMPACT_LIMIT:
-            # 4-byte entries, allocated at full size (never a list converted)
-            exp = array("I", [0]) * n
-            log = array("I", [0]) * self.order
-        else:
-            exp = [0] * n
-            log = [0] * self.order
+        # above COMPACT_LIMIT, 4-byte entries allocated at full size (never a
+        # list converted)
+        zero = array("I", [0]) if self.order > COMPACT_LIMIT else [0]
+        log = zero * self.order
         g = self.generator
         p, k = self.p, self.k
         x = 1
-        if p == 2 and g == 2:
-            mm = self._mod_mask
-            for i in range(n):
-                exp[i] = x
-                log[x] = i
-                x <<= 1
-                if x >> k:
-                    x ^= mm
+        lanes = p == 2 and g == 2
+        # the lane fill writes n + 1 entries: allocated once at that size
+        exp = zero * (n + lanes)
+        if lanes:
+            _gf2_powers_of_x(exp, self._mod_mask, k)
+            x = exp.pop()  # X^n, for the check below
+            for i, v in enumerate(exp):
+                log[v] = i
         elif p == 2:
             # an imprimitive override, or k = 1: x * g as shifts and XORs
             # over the set bits of g; the part above X^k, deg g bits at most,

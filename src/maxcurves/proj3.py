@@ -16,6 +16,8 @@ def normalize(field, coords):
     coords = tuple(coords)
     for c in coords:
         if c:
+            if c == 1:
+                return coords
             inv = field.inv(c)
             return tuple(field.mul(inv, x) for x in coords)
     raise ProjError("the zero vector has no projective class")

@@ -9,11 +9,12 @@ import pytest
 
 from maxcurves import gf
 from maxcurves.gf import (COMPACT_LIMIT, GF, FieldError, _canonical_modulus,
-                          _gf2_clmul, _gf2_rem, _gf2_square, _is_irreducible,
-                          _is_primitive_root_x, build_field,
+                          _gf2_clmul, _gf2_gcd, _gf2_rem, _gf2_square,
+                          _is_irreducible, _is_primitive_root_x, _poly_gcd,
+                          _poly_powmod, _poly_sub, build_field,
                           clear_modulus_overrides, embed, load_field_config,
                           nullspace, set_modulus_override)
-from maxcurves.numbertheory import divisors, factorize
+from maxcurves.numbertheory import divisors, factorize, prime_divisors
 
 random.seed(901)
 
@@ -104,6 +105,134 @@ def test_canonical_moduli_match_golden():
     for key, modulus in golden.items():
         p, k = (int(v) for v in key.split(","))
         assert _canonical_modulus(p, k) == tuple(modulus), key
+
+
+def _reference_is_irreducible(coeffs, p):
+    """Rabin's test: X^(p^k) = X mod f, and gcd(X^(p^(k/r)) - X, f) = 1 for
+    every prime r dividing k, from all k Frobenius powers of X."""
+    k = len(coeffs) - 1
+    if k == 1:
+        return True
+    if coeffs[0] == 0:
+        return False
+    if p == 2:
+        mod = sum(c << i for i, c in enumerate(coeffs))
+        frob, powers = 2, {}
+        for i in range(1, k + 1):
+            frob = _gf2_rem(_gf2_square(frob), mod, k)
+            powers[i] = frob
+        return powers[k] == 2 and all(_gf2_gcd(powers[k // r] ^ 2, mod) == 1
+                                      for r in prime_divisors(k))
+    x = frob = (0, 1)
+    powers = {}
+    for i in range(1, k + 1):
+        frob = _poly_powmod(frob, p, coeffs, p)
+        powers[i] = frob
+    return powers[k] == x and all(
+        len(_poly_gcd(_poly_sub(powers[k // r], x, p), coeffs, p)) == 1
+        for r in prime_divisors(k))
+
+
+def _monic_candidates(p, k):
+    """Every monic polynomial of degree k over F_p with c_0 != 0."""
+    for t in range((p - 1) * p ** (k - 1)):
+        c0, rest = divmod(t, p ** (k - 1))
+        yield ((c0 + 1,) + tuple(rest // p**i % p for i in range(k - 1))
+               + (1,))
+
+
+@pytest.mark.parametrize("p,k", [(2, k) for k in range(1, 15)]
+                         + [(3, k) for k in range(1, 8)]
+                         + [(5, k) for k in range(1, 5)]
+                         + [(7, k) for k in range(1, 4)])
+def test_ben_or_matches_rabin_on_every_candidate(p, k):
+    for f in _monic_candidates(p, k):
+        assert _is_irreducible(f, p) == _reference_is_irreducible(f, p), f
+
+
+def _poly_mul(a, b, p):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    return tuple(prod)
+
+
+def _first_irreducibles(p, d, count):
+    found = (f for f in _monic_candidates(p, d)
+             if _reference_is_irreducible(f, p))
+    return [next(found) for _ in range(count)]
+
+
+@pytest.mark.parametrize("p,k", [(2, 6), (2, 7), (2, 16), (2, 17), (2, 20),
+                                 (3, 6), (3, 7), (3, 10), (5, 4), (5, 5),
+                                 (7, 4), (7, 5)])
+def test_ben_or_refuses_factors_of_degree_half_k(p, k):
+    # Ben-Or's last step, i = k // 2, is the first to see these factors
+    if k % 2:
+        g = _first_irreducibles(p, k // 2, 1)[0]
+        h = _first_irreducibles(p, k // 2 + 1, 1)[0]
+        products = [_poly_mul(g, h, p)]
+    else:
+        g, h = _first_irreducibles(p, k // 2, 2)
+        products = [_poly_mul(g, h, p), _poly_mul(g, g, p)]
+    for f in products:
+        assert len(f) == k + 1 and not _reference_is_irreducible(f, p)
+        assert not _is_irreducible(f, p), f
+        try:
+            with pytest.raises(FieldError, match="not irreducible"):
+                set_modulus_override(p, k, f)
+        finally:
+            clear_modulus_overrides()
+
+
+# override moduli set in test_gf_properties.py, test_checks_cli.py and
+# test_linpoly.py; each is irreducible
+OTHER_TEST_OVERRIDES = [
+    (1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 1), (1,) * 13,
+    (1, 0, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1),
+    (1, 1, 1, 1, 0, 1, 1) + (0,) * 8 + (1,),
+    (1,) + (0,) * 8 + (1,) + (0,) * 8 + (1,),
+]
+
+
+def test_ben_or_on_the_test_overrides():
+    overrides = [(2, f) for f in OTHER_TEST_OVERRIDES]
+    overrides += [(3, (1, 0, 1)), (2, (1, 1, 1, 1, 1)), (2, (1, 1, 0, 0, 1)),
+                  (2, IMPRIMITIVE_F16), (2, IMPRIMITIVE_F2_15),
+                  (2, IMPRIMITIVE_F2_21)]
+    for p, f in overrides:
+        assert _is_irreducible(f, p) and _reference_is_irreducible(f, p), f
+    reducible = (1, 0, 0, 0, 1)  # (x + 1)^4, refused in these tests
+    assert not _is_irreducible(reducible, 2)
+    assert not _reference_is_irreducible(reducible, 2)
+
+
+def _reference_p2_tables(F):
+    """The serial shift register: exp and log of a p = 2 field whose
+    generator is X, one element at a time."""
+    n, k, mod = F.units, F.k, F._mod_mask
+    zero = array("I", [0]) if F.order > COMPACT_LIMIT else [0]
+    exp, log = zero * n, zero * F.order
+    x = 1
+    for i in range(n):
+        exp[i] = x
+        log[x] = i
+        x <<= 1
+        if x >> k:
+            x ^= mod
+    assert x == 1
+    return exp * 2, log
+
+
+@pytest.mark.parametrize("k", range(2, 21))
+def test_p2_lane_tables_match_the_shift_register(k):
+    F = build_field(2, k)
+    assert F.generator == 2  # the element X: the lane fill
+    exp, log = _reference_p2_tables(F)
+    assert type(F.exp) is type(exp) and type(F.log) is type(log)
+    assert F.exp == exp  # both periods
+    assert F.log == log
 
 
 def _assert_tables_follow_generator(F):

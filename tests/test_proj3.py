@@ -19,6 +19,21 @@ def test_normalize_scalar_multiples_collapse():
         assert ProjPoint(F, scaled) == ProjPoint(F, base)
 
 
+class _NoArithmetic:
+    def inv(self, a):
+        raise AssertionError("normalize scaled a normalised tuple")
+
+    def mul(self, a, b):
+        raise AssertionError("normalize scaled a normalised tuple")
+
+
+def test_normalize_keeps_a_normalised_tuple():
+    # a first nonzero entry 1 needs no inverse and no product
+    for coords in ((1, 7, 3), (0, 1, 9), (0, 0, 1), (0, 1, 0, 5)):
+        assert normalize(_NoArithmetic(), coords) is coords
+        assert normalize(_NoArithmetic(), list(coords)) == coords
+
+
 def test_normalize_rejects_zero():
     F = build_field(2, 2)
     with pytest.raises(ProjError):

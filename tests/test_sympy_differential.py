@@ -1,6 +1,8 @@
 """Differential tests against sympy; skipped when sympy is not installed."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +12,14 @@ from sympy.polys.galoistools import (gf_factor, gf_gcdex,  # noqa: E402
                                      gf_irreducible_p, gf_mul, gf_pow_mod,
                                      gf_rem)
 
-from maxcurves.gf import _canonical_modulus, build_field  # noqa: E402
+from maxcurves.gf import (_canonical_modulus, _is_irreducible,  # noqa: E402
+                          build_field)
 from maxcurves.numbertheory import factorize, prime_divisors  # noqa: E402
 from maxcurves.polyroots import roots  # noqa: E402
+
+
+GOLDEN_MODULI = (Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+                 / "moduli.json")
 
 
 def _high_first(low_first):
@@ -49,6 +56,32 @@ def test_canonical_modulus_is_first_primitive_irreducible(p, k):
         if f[-1] and gf_irreducible_p(f, p, ZZ) and _sympy_primitive(f, p):
             break
     assert _high_first(_canonical_modulus(p, k)) == f
+
+
+def _golden_p2_moduli():
+    golden = json.loads(GOLDEN_MODULI.read_text())
+    return {int(key.split(",")[1]): tuple(m) for key, m in golden.items()
+            if key.startswith("2,")}
+
+
+def test_golden_p2_moduli_are_irreducible_for_sympy():
+    moduli = _golden_p2_moduli()
+    assert max(moduli) == 54
+    for k, modulus in moduli.items():
+        assert gf_irreducible_p(_high_first(modulus), 2, ZZ), k
+
+
+def test_is_irreducible_matches_gf_irreducible_p_at_golden_degrees():
+    # per degree: the golden modulus, its reciprocal (also irreducible) and
+    # seeded monic candidates with constant term 1
+    rng = random.Random(13)
+    for k, modulus in sorted(_golden_p2_moduli().items()):
+        cands = [modulus, modulus[::-1]]
+        cands += [(1,) + tuple(rng.randrange(2) for _ in range(k - 1)) + (1,)
+                  for _ in range(8)]
+        for f in cands:
+            assert _is_irreducible(f, 2) == gf_irreducible_p(
+                _high_first(f), 2, ZZ), f
 
 
 def test_factorize_matches_factorint():
