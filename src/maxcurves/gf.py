@@ -16,15 +16,18 @@ irreducible meets both, so the modulus is the one the unpruned scan
 finds.  Construction is deterministic and cached: build_field(p, k) always
 returns the same object with the same modulus.  A configuration file may
 override the modulus for a given (p, k); non-irreducible overrides are
-refused.
+refused.  For odd p the tests run on `polyroots` polynomials over
+F_p = build_field(p, 1), whose own modulus is X + c_0 for the first c_0
+with -c_0 a primitive root, so building F_p needs no F_p.
 
 Two representations are used internally, each with one arithmetic:
   * log/antilog tables when p^k <= TABLE_LIMIT (2^20), for any p -
-    supports fast multiplication, d-th roots and full enumeration.  When
-    the generator is X, the antilog table of p = 2 is filled in lanes of
-    one integer, each lane a run of powers of X stepped in parallel
-    (`_gf2_powers_of_x`), and that of odd p by a shift register (multiply
-    by X, fold the top digit back through the modulus).  Odd p is
+    supports fast multiplication, d-th roots and full enumeration.  The
+    antilog table of p = 2 is filled in lanes of one integer, each lane a
+    run of powers of the generator stepped in parallel (`_gf2_powers`);
+    that of odd p with generator X by a shift register (multiply by X,
+    fold the top digit back through the modulus), and otherwise (an
+    imprimitive override, or a degree-1 field) by products.  Odd p is
     table-only: a field or override with p odd and p^k above the limit is
     refused;
   * carry-less coefficient masks in characteristic 2 above the limit -
@@ -36,17 +39,18 @@ Two representations are used internally, each with one arithmetic:
     field (`_gf2_reduction_tables`); the inverse is the extended
     Euclidean algorithm.
 In characteristic 2, + and - are XOR, bound as the field's `add` and
-`sub` when it is constructed (`neg` is the identity); for odd p they are
-digit-wise mod p.
+`sub` when it is constructed (`neg` is the identity); F_p binds integer
+arithmetic mod p the same way; other odd-p fields add digit-wise mod p.
 """
 
 import operator
 import sys
 from array import array
+from functools import cached_property
 from math import gcd
 
+from . import polyroots
 from .numbertheory import is_prime, prime_divisors
-from .polyroots import one_root
 
 TABLE_LIMIT = 1 << 20
 # Tables of a field with more elements than this are array('I'), below it
@@ -61,11 +65,11 @@ class FieldError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over the prime field F_p
+# polynomials over the prime field F_p
 #
 # For p = 2 a polynomial is an int bitmask (bit i = coefficient of X^i).
-# For general p it is a tuple of digits in [0, p), low degree first, with
-# no trailing zeros.
+# For odd p it is a `polyroots` polynomial over F_p: a tuple of digits in
+# [0, p), low degree first, with no trailing zeros.
 
 
 # A carry-less product as one integer product: spread each bit of an operand
@@ -156,9 +160,7 @@ def _gf2_invmod(a, mod):
 
 def _gf2_gcd(a, b):
     while b:
-        while a.bit_length() >= b.bit_length() and a:
-            a ^= b << (a.bit_length() - b.bit_length())
-        a, b = b, a
+        a, b = b, _gf2_rem(a, b, b.bit_length() - 1)
     return a
 
 
@@ -168,98 +170,52 @@ def _lanes_to_int(lanes):
     return int.from_bytes(lanes.tobytes(), sys.byteorder)
 
 
-def _gf2_powers_of_x(exp, mod, k):
-    """exp[i] = X^i mod `mod` (degree k, 2 <= k <= 20) for i < len(exp) = 2^k.
+def _gf2_powers(exp, g, mod, k):
+    """exp[i] = g^i mod `mod` (degree k <= 20) for i < len(exp) = 2^k, g a
+    nonzero element.
 
-    Lane j of one integer, an array('I') item wide, starts at X^(j S) for
+    Lane j of one integer, an array('I') item wide, starts at g^(j S) for
     S = 2^(k // 2), and each of the S steps writes every lane to
-    exp[s::S] in one slice assignment, then multiplies every lane by X: all
-    lanes shift left by one, and the modulus folds into the lanes whose
-    bit k is set.  A lane holds at most k + 1 <= 21 bits, so none spills
-    into the next.  The starts come from one lane, [1], by doubling: the
-    new lanes are the old ones times X^(m S), by Horner's rule over the
-    bits of X^(m S).
+    exp[s::S] in one slice assignment, then multiplies every lane by g.
+    Multiplying the lanes by an element c is Horner's rule over the bits
+    of c: multiply by X (all lanes shift left by one, and the modulus folds
+    into the lanes whose bit k is set), adding the lanes back on a 1 bit.
+    A lane holds at most k + 1 <= 21 bits, so none spills into the next.
+    The starts come from one lane, [1], by doubling: the new lanes are the
+    old ones times g^(m S), and g^S is g squared k // 2 times.
     """
     size = array("I").itemsize
     stride = 1 << k // 2
     count = len(exp) // stride
     ones = _lanes_to_int(array("I", [1]) * count)
 
-    def times_x(v):
-        v <<= 1
-        return v ^ (v >> k & ones) * mod
+    def times(v, c):
+        w = v  # the leading bit of c
+        for bit in bin(c)[3:]:
+            w <<= 1
+            w ^= (w >> k & ones) * mod
+            if bit == "1":
+                w ^= v
+        return w
 
     starts = array("I", [1])
-    c = _gf2_powmod_x(stride, mod, k)  # X^(m S) for m = len(starts)
-    while len(starts) < count:
-        old, v = _lanes_to_int(starts), 0
-        for bit in bin(c)[2:]:
-            v = times_x(v)
-            if bit == "1":
-                v ^= old
+    c = g
+    for _ in range(k // 2):
+        c = _gf2_rem(_gf2_square(c), mod, k)
+    while len(starts) < count:  # c = g^(m S) for m = len(starts)
+        v = times(_lanes_to_int(starts), c)
         starts += array("I", v.to_bytes(len(starts) * size, sys.byteorder))
         c = _gf2_rem(_gf2_square(c), mod, k)
     v = _lanes_to_int(starts)
     for s in range(stride):
         exp[s::stride] = array("I", v.to_bytes(count * size, sys.byteorder))
-        v = times_x(v)
+        v = times(v, g)
 
 
-def _poly_trim(t):
-    i = len(t)
-    while i and t[i - 1] == 0:
-        i -= 1
-    return tuple(t[:i])
-
-
-def _poly_mulmod(a, b, mod, p):
-    # a, b digit tuples reduced mod `mod` (monic, degree k); coefficients
-    # are reduced mod p once each, when the top-down reduction reads them
-    # and at the end
-    k = len(mod) - 1
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    for d in range(len(prod) - 1, k - 1, -1):
-        c = prod[d] % p
-        if c:
-            for j in range(k):
-                prod[d - k + j] -= c * mod[j]
-    return _poly_trim([c % p for c in prod[:k]])
-
-
-def _poly_powmod(base, e, mod, p):
-    # left to right over the bits of e: no square after the last one
-    r = (1,)
-    for bit in bin(e)[2:]:
-        r = _poly_mulmod(r, r, mod, p)
-        if bit == "1":
-            r = _poly_mulmod(r, base, mod, p)
-    return r
-
-
-def _poly_gcd(a, b, p):
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        # a mod b
-        a = list(a)
-        db, lb = len(b) - 1, b[-1]
-        inv_lb = pow(lb, p - 2, p)
-        for d in range(len(a) - 1, db - 1, -1):
-            c = a[d]
-            if c:
-                f = c * inv_lb % p
-                for j in range(db + 1):
-                    a[d - db + j] = (a[d - db + j] - f * b[j]) % p
-        a, b = b, _poly_trim(a)
-    return a
-
-
-def _is_irreducible(coeffs, p):
+def _is_irreducible(coeffs, p, fp=None):
     """Ben-Or's test.  coeffs: monic polynomial over F_p, digit tuple
-    low-first, degree k >= 1.
+    low-first, degree k >= 1.  For odd p the polynomials are `polyroots`
+    ones over fp = F_p, built here when the caller has not.
 
     X^(p^i) - X is the product of the monic irreducibles of degree dividing
     i, and a reducible f of degree k has an irreducible factor of degree at
@@ -279,37 +235,30 @@ def _is_irreducible(coeffs, p):
             if _gf2_gcd(frob ^ 2, mod) != 1:
                 return False
         return True
+    fp = fp or build_field(p, 1)
     x = frob = (0, 1)
     for _ in range(k // 2):
-        frob = _poly_powmod(frob, p, coeffs, p)
-        if len(_poly_gcd(_poly_sub(frob, x, p), coeffs, p)) > 1:
+        frob = polyroots.pow_mod(fp, frob, p, coeffs)
+        if len(polyroots.gcd_poly(fp, polyroots.sub(fp, frob, x), coeffs)) > 1:
             return False
     return True
 
 
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    for i, bi in enumerate(b):
-        a[i] = (a[i] - bi) % p
-    return _poly_trim(a)
-
-
-def _is_primitive_root_x(coeffs, p):
-    """True if X generates the multiplicative group modulo `coeffs`."""
+def _is_primitive_root_x(coeffs, p, fp=None):
+    """True if X generates the multiplicative group modulo `coeffs`.  For
+    odd p the powers of X are `polyroots` ones over fp = F_p, built here
+    when the caller has not."""
     k = len(coeffs) - 1
     n = p**k - 1
-    if n == 1:
-        return True
     if p == 2:
         mod = sum(c << i for i, c in enumerate(coeffs))
         for r in prime_divisors(n):
             if _gf2_powmod_x(n // r, mod, k) == 1:
                 return False
         return True
-    x = (0, 1)
+    fp = fp or build_field(p, 1)
     for r in prime_divisors(n):
-        if _poly_powmod(x, n // r, coeffs, p) == (1,):
+        if polyroots.pow_mod(fp, (0, 1), n // r, coeffs) == (1,):
             return False
     return True
 
@@ -327,12 +276,18 @@ def _canonical_modulus(p, k):
       * a candidate of degree k > 1 has no root in F_p (for p = 2: it has
         an odd number of nonzero terms, else 1 is a root).
     Both hold for every primitive irreducible, so the result is the same
-    as the unpruned scan's.
+    as the unpruned scan's.  At k = 1 the norm condition is primitivity
+    itself, so the first c_0 that meets it is the modulus, and building
+    F_p needs no F_p.
     """
     sign = (-1) ** k
+    primes = prime_divisors(p - 1)
+    fp = build_field(p, 1) if p != 2 and k > 1 else None
     for c0 in range(1, p):
-        if _order_mod_p(sign * c0, p) != p - 1:
+        if any(pow(sign * c0, (p - 1) // r, p) == 1 for r in primes):
             continue
+        if k == 1:
+            return (c0, 1)
         # t encodes (c_1, ..., c_{k-1}) with c_1 as the most significant
         # digit, so increasing t keeps the canonical lex order
         for t in range(p ** (k - 1)):
@@ -342,9 +297,10 @@ def _canonical_modulus(p, k):
                 digits.append(v % p)
                 v //= p
             coeffs = (c0,) + tuple(reversed(digits)) + (1,)
-            if k > 1 and _has_root_in_prime_field(coeffs, p):
+            if _has_root_in_prime_field(coeffs, p):
                 continue
-            if _is_irreducible(coeffs, p) and _is_primitive_root_x(coeffs, p):
+            if (_is_irreducible(coeffs, p, fp)
+                    and _is_primitive_root_x(coeffs, p, fp)):
                 return coeffs
     raise FieldError("no primitive irreducible found (unreachable)")
 
@@ -377,17 +333,6 @@ def _require_table_mode(p, k):
         raise FieldError(f"{p}^{k} > 2^20: odd p is table-only")
 
 
-def _order_mod_p(a, p):
-    if a % p == 0:
-        return 0
-    o = 1
-    x = a % p
-    while x != 1:
-        x = x * a % p
-        o += 1
-    return o
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -408,6 +353,10 @@ class GF:
         if p == 2:
             self.add = self.sub = operator.xor
             self.neg = operator.pos  # the identity on ints
+        elif k == 1:  # F_p: integers mod p
+            self.add = lambda a, b: (a + b) % p
+            self.sub = lambda a, b: (a - b) % p
+            self.neg = lambda a: -a % p
         # vector mode (p = 2) reduces products through byte tables
         self._red_tables = (None if self.table_mode
                             else _gf2_reduction_tables(self._mod_mask, k))
@@ -425,18 +374,27 @@ class GF:
     # -- construction internals ------------------------------------------
 
     def _find_generator(self, primitive):
-        # X itself when the modulus is primitive (the canonical case);
-        # otherwise scan elements in canonical order.
-        if self.k == 1:
-            return (-self.modulus[0]) % self.p
-        if primitive or _is_primitive_root_x(self.modulus, self.p):
-            return self.p  # the element X
+        # X itself when it generates (the canonical search has proved it
+        # does); otherwise the first generator in canonical order
+        x = -self.modulus[0] % self.p if self.k == 1 else self.p  # X
+        if primitive:
+            return x
         n = self.units
         primes = prime_divisors(n)
-        for cand in range(2, self.order):
-            if all(self._pow_novtable(cand, n // r) != 1 for r in primes):
-                return cand
-        raise FieldError("no generator found")
+
+        def generates(a):
+            return a != 0 and all(self._pow_novtable(a, n // r) != 1
+                                  for r in primes)
+
+        if generates(x):
+            return x
+        return next(filter(generates, range(1, self.order)))
+
+    @cached_property
+    def _fp(self):
+        """F_p, whose polynomials give the odd-p products of
+        `_mul_novtable` when k > 1; resolved once per field."""
+        return build_field(self.p, 1)
 
     def _build_tables(self):
         n = self.units
@@ -447,32 +405,13 @@ class GF:
         g = self.generator
         p, k = self.p, self.k
         x = 1
-        lanes = p == 2 and g == 2
-        # the lane fill writes n + 1 entries: allocated once at that size
-        exp = zero * (n + lanes)
-        if lanes:
-            _gf2_powers_of_x(exp, self._mod_mask, k)
-            x = exp.pop()  # X^n, for the check below
+        # the p = 2 lane fill writes n + 1 entries: allocated once at that size
+        exp = zero * (n + (p == 2))
+        if p == 2:
+            _gf2_powers(exp, g, self._mod_mask, k)
+            x = exp.pop()  # g^n, for the check below
             for i, v in enumerate(exp):
                 log[v] = i
-        elif p == 2:
-            # an imprimitive override, or k = 1: x * g as shifts and XORs
-            # over the set bits of g; the part above X^k, deg g bits at most,
-            # folds back a byte at a time through the reduction tables
-            bits = g.bit_length()
-            shifts = [j for j in range(bits) if g >> j & 1]
-            folds = _gf2_reduction_tables(self._mod_mask, k)[:(bits + 6) // 8]
-            for i in range(n):
-                exp[i] = x
-                log[x] = i
-                y = 0
-                for j in shifts:
-                    y ^= x << j
-                h = y >> k
-                x = y & n
-                for t in folds:
-                    x ^= t[h & 255]
-                    h >>= 8
         elif g == p:
             # x -> x * X as a shift register: with x = t p^(k-1) + low, the
             # digits of low move up one place and the top digit t folds back
@@ -557,12 +496,13 @@ class GF:
             return b if a == 1 else a
         if self.p == 2:
             return self._reduce(_gf2_clmul(a, b))
-        # odd p: digit tuples, which fill an imprimitive override's tables
-        if a == 0 or b == 0:
-            return 0
-        prod = _poly_mulmod(tuple(self.digits(a)), tuple(self.digits(b)),
-                            self.modulus, self.p)
-        return self.from_digits(prod)
+        if self.k == 1:
+            return a * b % self.p
+        # odd p: polynomials over F_p, which fill an imprimitive override's
+        # tables
+        fp = self._fp
+        prod = polyroots.mul(fp, self.digits(a), self.digits(b))
+        return self.from_digits(polyroots.mod(fp, prod, self.modulus))
 
     def _pow_novtable(self, a, e):
         # left to right over the bits of e: no square after the last one
@@ -910,7 +850,7 @@ def _smallest_root_in(src, dst):
     the least of its m conjugates.
     """
     m = src.k
-    root = one_root(dst, tuple(dst.const(c) for c in src.modulus), m)
+    root = polyroots.one_root(dst, tuple(dst.const(c) for c in src.modulus), m)
     best = x = root
     for _ in range(m - 1):
         x = dst.frobenius(x)

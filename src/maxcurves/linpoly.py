@@ -11,6 +11,7 @@ division, with the conventional-associate verdict computed alongside.
 
 from math import gcd
 
+from . import polyroots
 from .gf import build_field, nullspace
 from .numbertheory import is_prime_power
 
@@ -111,15 +112,9 @@ def from_kernel(field, roots) -> LinearizedPoly:
         size //= p
     if size != 1:
         raise LinPolyError("an additive subgroup must have p-power order")
-    # expand prod (X - c)
-    poly = [1]
+    poly = (1,)
     for c in roots:
-        nc = field.neg(c)
-        nxt = [0] * (len(poly) + 1)
-        for i, a in enumerate(poly):
-            nxt[i] = field.add(nxt[i], field.mul(a, nc))
-            nxt[i + 1] = field.add(nxt[i + 1], a)
-        poly = nxt
+        poly = polyroots.mul(field, poly, (field.neg(c), 1))
     coeffs = {}
     for d, c in enumerate(poly):
         if not c:

@@ -65,11 +65,12 @@ def mul(F, a, b):
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
+    f_add, f_mul = F.add, F.mul
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for j, y in enumerate(b, i):
                 if y:
-                    out[i + j] = F.add(out[i + j], F.mul(x, y))
+                    out[j] = f_add(out[j], f_mul(x, y))
     return trim(out)
 
 
@@ -79,14 +80,15 @@ def divmod_poly(F, a, b):
     a = list(a)
     db, lead = len(b) - 1, b[-1]
     inv_lead = 1 if lead == 1 else F.inv(lead)
+    f_sub, f_mul = F.sub, F.mul
     q = [0] * max(0, len(a) - db)
     for d in range(len(a) - 1, db - 1, -1):
         c = a[d]
         if c:
-            f = c if lead == 1 else F.mul(c, inv_lead)
+            f = c if lead == 1 else f_mul(c, inv_lead)
             q[d - db] = f
-            for j in range(db + 1):
-                a[d - db + j] = F.sub(a[d - db + j], F.mul(f, b[j]))
+            for i, y in enumerate(b, d - db):
+                a[i] = f_sub(a[i], f_mul(f, y))
     return trim(q), trim(a)
 
 
@@ -108,13 +110,14 @@ def gcd_poly(F, a, b):
 
 
 def pow_mod(F, base, e, m):
-    r = (1,)
-    b = mod(F, base, m)
-    while e:
-        if e & 1:
+    # left to right over the bits of e: no square after the last one
+    if not e:
+        return (1,)
+    b = r = mod(F, base, m)
+    for bit in bin(e)[3:]:
+        r = mod(F, mul(F, r, r), m)
+        if bit == "1":
             r = mod(F, mul(F, r, b), m)
-        b = mod(F, mul(F, b, b), m)
-        e >>= 1
     return r
 
 

@@ -9,9 +9,9 @@ import pytest
 
 from maxcurves import gf
 from maxcurves.gf import (COMPACT_LIMIT, GF, FieldError, _canonical_modulus,
-                          _gf2_clmul, _gf2_gcd, _gf2_rem, _gf2_square,
-                          _is_irreducible, _is_primitive_root_x, _poly_gcd,
-                          _poly_powmod, _poly_sub, build_field,
+                          _gf2_clmul, _gf2_gcd, _gf2_powers, _gf2_rem,
+                          _gf2_square,
+                          _is_irreducible, _is_primitive_root_x, build_field,
                           clear_modulus_overrides, embed, load_field_config,
                           nullspace, set_modulus_override)
 from maxcurves.numbertheory import divisors, factorize, prime_divisors
@@ -107,6 +107,88 @@ def test_canonical_moduli_match_golden():
         assert _canonical_modulus(p, k) == tuple(modulus), key
 
 
+# Digit-tuple arithmetic over F_p, independent of `polyroots`: a polynomial
+# is a tuple of digits in [0, p), low degree first, with no trailing zeros.
+
+
+def _poly_trim(t):
+    i = len(t)
+    while i and t[i - 1] == 0:
+        i -= 1
+    return tuple(t[:i])
+
+
+def _poly_mulmod(a, b, mod, p):
+    # a, b reduced mod `mod` (monic, degree k); coefficients are reduced
+    # mod p once each, when the top-down reduction reads them and at the end
+    k = len(mod) - 1
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for d in range(len(prod) - 1, k - 1, -1):
+        c = prod[d] % p
+        if c:
+            for j in range(k):
+                prod[d - k + j] -= c * mod[j]
+    return _poly_trim([c % p for c in prod[:k]])
+
+
+def _poly_powmod(base, e, mod, p):
+    r = (1,)
+    for bit in bin(e)[2:]:
+        r = _poly_mulmod(r, r, mod, p)
+        if bit == "1":
+            r = _poly_mulmod(r, base, mod, p)
+    return r
+
+
+def _poly_gcd(a, b, p):
+    a, b = _poly_trim(a), _poly_trim(b)
+    while b:
+        # a mod b
+        a = list(a)
+        db, lb = len(b) - 1, b[-1]
+        inv_lb = pow(lb, p - 2, p)
+        for d in range(len(a) - 1, db - 1, -1):
+            c = a[d]
+            if c:
+                f = c * inv_lb % p
+                for j in range(db + 1):
+                    a[d - db + j] = (a[d - db + j] - f * b[j]) % p
+        a, b = b, _poly_trim(a)
+    return a
+
+
+def _poly_sub(a, b, p):
+    n = max(len(a), len(b))
+    a = list(a) + [0] * (n - len(a))
+    for i, bi in enumerate(b):
+        a[i] = (a[i] - bi) % p
+    return _poly_trim(a)
+
+
+def _bit_loop_gcd(a, b):
+    """gcd over F_2 of bitmask polynomials, one leading bit at a time."""
+    while b:
+        while a.bit_length() >= b.bit_length() and a:
+            a ^= b << (a.bit_length() - b.bit_length())
+        a, b = b, a
+    return a
+
+
+def test_gf2_gcd_matches_the_bit_loop():
+    rng = random.Random(157)
+    pairs = [(0, 0), (0, 1), (1, 0), (5, 0), (0, 5), (6, 3), (3, 6)]
+    for _ in range(3000):
+        a, b = (rng.getrandbits(rng.randrange(1, 40)) for _ in range(2))
+        c = rng.getrandbits(rng.randrange(1, 12))  # a common factor
+        pairs += [(a, b), (_gf2_clmul(a, c), _gf2_clmul(b, c))]
+    for a, b in pairs:
+        assert _gf2_gcd(a, b) == _bit_loop_gcd(a, b), (a, b)
+
+
 def _reference_is_irreducible(coeffs, p):
     """Rabin's test: X^(p^k) = X mod f, and gcd(X^(p^(k/r)) - X, f) = 1 for
     every prime r dividing k, from all k Frobenius powers of X."""
@@ -121,8 +203,9 @@ def _reference_is_irreducible(coeffs, p):
         for i in range(1, k + 1):
             frob = _gf2_rem(_gf2_square(frob), mod, k)
             powers[i] = frob
-        return powers[k] == 2 and all(_gf2_gcd(powers[k // r] ^ 2, mod) == 1
-                                      for r in prime_divisors(k))
+        return powers[k] == 2 and all(
+            _bit_loop_gcd(powers[k // r] ^ 2, mod) == 1
+            for r in prime_divisors(k))
     x = frob = (0, 1)
     powers = {}
     for i in range(1, k + 1):
@@ -280,6 +363,124 @@ def test_p2_tables_under_an_imprimitive_override():
         _assert_tables_follow_generator(F)
     finally:
         clear_modulus_overrides()
+
+
+def _serial_p2_powers(g, mod, k, count):
+    """g^i mod `mod` for i < count, one product at a time, each by shift
+    and add with the modulus folded in at every shift."""
+    out, x = [], 1
+    for _ in range(count):
+        out.append(x)
+        y, h = 0, x
+        for j in range(g.bit_length()):
+            if g >> j & 1:
+                y ^= h
+            h <<= 1
+            if h >> k:
+                h ^= mod
+        x = y
+    return out
+
+
+def _imprimitive_irreducibles(k):
+    for low in range(1, 1 << k, 2):
+        f = tuple(low >> i & 1 for i in range(k)) + (1,)
+        if _reference_is_irreducible(f, 2) and not _is_primitive_root_x(f, 2):
+            yield f
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_p2_lanes_match_a_serial_fill_for_every_imprimitive_modulus(k):
+    # lanes of powers of X, which does not generate here, and of the
+    # generator the field finds
+    moduli = list(_imprimitive_irreducibles(k))
+    assert moduli or k in (2, 3, 5, 7)  # 2^k - 1 prime: every one primitive
+    for f in moduli:
+        mod = sum(c << i for i, c in enumerate(f))
+        F = GF(2, k, f)
+        assert F.generator != 2
+        for g in (2, F.generator):
+            exp = array("I", [0]) * (1 << k)
+            _gf2_powers(exp, g, mod, k)
+            assert list(exp) == _serial_p2_powers(g, mod, k, 1 << k), (f, g)
+        _assert_tables_follow_generator(F)
+
+
+@pytest.mark.parametrize("f", OTHER_TEST_OVERRIDES)
+def test_p2_lanes_match_a_serial_fill_for_the_test_overrides(f):
+    k = len(f) - 1
+    F = GF(2, k, f)
+    n = F.units
+    assert list(F.exp[:n]) == _serial_p2_powers(F.generator, F._mod_mask, k, n)
+    assert F.exp[n:] == F.exp[:n]
+    assert all(F.log[v] == i for i, v in enumerate(F.exp[:n]))
+
+
+def _reference_mul(F, a, b):
+    """a b in F by the digit-tuple products of the Rabin reference."""
+    prod = _poly_mulmod(_poly_trim(F.digits(a)), _poly_trim(F.digits(b)),
+                        F.modulus, F.p)
+    return F.from_digits(prod)
+
+
+@pytest.mark.parametrize("p,f,pairs", [(3, (1, 0, 1), None),
+                                       (3, (1, 0, 1, 1, 1), 400),
+                                       (5, (2, 0, 1), 400)])
+def test_odd_override_products_match_the_digit_tuple_reference(p, f, pairs):
+    # X^2 + 1 over F_3 on every pair; imprimitive overrides of F_(3^4) and
+    # F_(5^2), whose tables come from `polyroots` products, on seeded pairs
+    k = len(f) - 1
+    try:
+        set_modulus_override(p, k, f)
+        F = build_field(p, k)
+    finally:
+        clear_modulus_overrides()
+    assert F.modulus == f and F.generator != p
+    assert not _is_primitive_root_x(f, p)
+    if pairs is None:
+        todo = [(a, b) for a in F.elements() for b in F.elements()]
+    else:
+        rng = random.Random(p * 100 + k)
+        todo = [(rng.randrange(F.order), rng.randrange(F.order))
+                for _ in range(pairs)]
+    for a, b in todo:
+        expected = _reference_mul(F, a, b)
+        assert F.mul(a, b) == F._mul_novtable(a, b) == expected, (a, b)
+        if b:
+            assert _reference_mul(F, b, F.inv(b)) == 1, b
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_degree_1_overrides(p):
+    # F_p under X + c_0 for every c_0: X = -c_0 is the generator when it
+    # is a primitive root mod p, else the least one is; every product,
+    # inverse and power is the integer one mod p
+    canonical = build_field(p, 1)
+    modulus2 = _canonical_modulus(p, 2)  # searched over the canonical F_p
+    primes = prime_divisors(p - 1)
+    roots = [a for a in range(1, p)
+             if all(pow(a, (p - 1) // r, p) != 1 for r in primes)]
+    for c0 in range(p):
+        try:
+            set_modulus_override(p, 1, (c0, 1))
+            F = build_field(p, 1)
+            # the search for F_(p^2) now runs over this F_p
+            assert _canonical_modulus(p, 2) == modulus2
+        finally:
+            clear_modulus_overrides()
+        x = -c0 % p
+        assert F.generator == (x if x in roots else roots[0]), (p, c0)
+        assert (F.exp[:p - 1] == canonical.exp[:p - 1]) == (
+            F.generator == canonical.generator)
+        for a in range(p):
+            assert F.neg(a) == -a % p
+            for b in range(p):
+                assert F.mul(a, b) == a * b % p, (c0, a, b)
+                assert F.add(a, b) == (a + b) % p
+                assert F.sub(a, b) == (a - b) % p
+            if a:
+                assert F.inv(a) * a % p == 1, (c0, a)
+                assert F.pow(a, 3) == pow(a, 3, p) and F.pow(a, -1) == F.inv(a)
 
 
 @pytest.mark.parametrize("p,k", [(2, 14), (2, 15), (7, 6)])

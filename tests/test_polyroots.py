@@ -97,6 +97,21 @@ def test_frobenius_table_matches_pow_mod(p, k):
             assert _frobenius(F, h, table) == pow_mod(F, h, p, g)
 
 
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2)])
+def test_pow_mod_matches_repeated_products(p, k):
+    # every exponent to 40, including 0, against e - 1 products and reductions
+    F = build_field(p, k)
+    rng = random.Random(7 * p + k)
+    for deg in (1, 2, 3, 5):
+        g = _random_poly(F, rng, deg, monic_=rng.random() < 0.5)
+        for _ in range(4):
+            base = _random_poly(F, rng, rng.randrange(deg + 3))
+            expected = (1,)
+            for e in range(41):
+                assert pow_mod(F, base, e, g) == expected, (g, base, e)
+                expected = mod(F, mul(F, expected, base), g)
+
+
 def _splitting_part_by_pow_mod(F, f):
     """Reference: X^|F| by square-and-multiply modulo f."""
     xq = pow_mod(F, (0, 1), F.order, f)
