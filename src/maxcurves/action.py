@@ -10,6 +10,9 @@ whose curve intersection is decided by the tangent/secant classification
 through the polarity (and by enumeration in oracle tests at small q).
 """
 
+from heapq import merge
+from itertools import repeat
+
 from .gf import build_field, embed, nullspace
 from .polyroots import divmod_poly, one_root, roots
 from .proj3 import ProjLine, ProjPoint, line_points, normalize, pole
@@ -152,40 +155,45 @@ def orbits(group: SubgroupSpec, points):
     """Partition of the points into group orbits, in one pass.
 
     The points must be closed under the action (checked on every image).
-    Orbits hold the caller's point objects; each orbit is sorted, and
-    orbits are listed by their least representative, ties between fields
-    broken by field order, then by first appearance.
+    Orbits hold the caller's point objects, the last one given for each
+    field and coordinates; each orbit is sorted, and orbits are listed by
+    their least representative, ties between fields broken by field order,
+    then by first appearance.  The search runs on normalised coordinate
+    tuples, one map {coords: point} per field, with no point built per
+    image.
     """
-    remaining = {P: P for P in points}
+    by_field = {}
+    for P in points:
+        by_field.setdefault(P.field, {})[P.coords] = P
     # seeds by least coordinates, ties by field order and then by first
-    # appearance: two stable sorts, with one key tuple per field
-    field_key = {}
-    for P in remaining:
-        field_key.setdefault(P.field, (P.field.order, len(field_key)))
-    seeds = sorted(remaining, key=lambda P: field_key[P.field])
-    seeds.sort(key=lambda P: P.coords)
+    # appearance: each field's sorted coordinates, merged by field rank
+    fields = sorted(by_field, key=lambda K: K.order)
+    seeds = merge(*(zip(sorted(by_field[K]), repeat(n))
+                    for n, K in enumerate(fields)))
     memo = {}
     out = []
-    for seed in seeds:
+    for seed, n in seeds:
+        K = fields[n]
+        remaining = by_field[K]
         if seed not in remaining:
             continue
-        gens = _transported(seed.field, group.generators, memo)
-        orbit = [remaining.pop(seed)]
-        members = {seed}
-        for P in orbit:  # breadth first: the list grows while it is read
-            for g in gens:
-                Q = g.apply_point(P)
-                if Q in members:
+        applies = [g.apply for g in _transported(K, group.generators, memo)]
+        members = {seed: remaining.pop(seed)}
+        orbit = [seed]
+        for x in orbit:  # breadth first: the list grows while it is read
+            for apply in applies:
+                y = normalize(K, apply(x))
+                if y in members:
                     continue
                 # a finished orbit is closed, so no generator maps a point
                 # outside it into it: an image neither in this orbit nor
                 # remaining is not one of the points
-                Q = remaining.pop(Q, None)
+                Q = remaining.pop(y, None)
                 if Q is None:
                     raise ActionError("points are not closed under the action")
-                members.add(Q)
-                orbit.append(Q)
-        out.append(sorted(orbit, key=lambda p: p.coords))
+                members[y] = Q
+                orbit.append(y)
+        out.append([members[x] for x in sorted(orbit)])
     return out
 
 

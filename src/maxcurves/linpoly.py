@@ -7,6 +7,11 @@ conventional associate  Sum c_i t^i  with ordinary multiplication mirrors
 composition only when the coefficients stay in the prime field, which is
 why divisibility questions here are always decided by explicit twisted
 division, with the conventional-associate verdict computed alongside.
+
+The division cores work on dense coefficient lists indexed by p-power
+index, the coefficients of the associate; `decompose` and `left_quotient`
+convert at their boundary.  The conventional criterion is ordinary
+polynomial division, `polyroots.mod`.
 """
 
 from math import gcd
@@ -149,34 +154,15 @@ def compose(outer: LinearizedPoly, inner: LinearizedPoly) -> LinearizedPoly:
 
 
 def decompose(target: LinearizedPoly, inner: LinearizedPoly):
-    """The outer F with F(inner(X)) = target, or None if none exists.  The
-    top term c t^(s+d) left fixes a_d = c / b_s^(p^d); as in the division
-    cores below, it is popped and only inner's lower terms are subtracted."""
+    """The outer F with F(inner(X)) = target, or None (see `_right_quotient`)."""
     F = target.field
     if F is not inner.field:
         raise LinPolyError("operands over different fields")
     if not inner:
         raise LinPolyError("cannot decompose by the zero polynomial")
-    mul, sub, pw = F.mul, F.sub, F.pow
-    s = inner.top_index
-    inv_lead = F.inv(inner.coeffs[s])
-    rest = [(j, b) for j, b in inner.coeffs.items() if j != s]
-    work = dict(target.coeffs)
-    out = {}
-    while work:
-        t = max(work)
-        c = work.pop(t)
-        if not c:
-            continue
-        if t < s:
-            return None
-        d = t - s
-        pd = F.p**d
-        a_d = out[d] = mul(c, pw(inv_lead, pd))
-        for j, b in rest:
-            k = d + j
-            work[k] = sub(work.get(k, 0), mul(a_d, pw(b, pd)))
-    return LinearizedPoly(F, out)
+    out = _right_quotient(F, p_associate(inner).coeffs,
+                          p_associate(target).coeffs)
+    return None if out is None else LinearizedPoly(F, _nonzero(out))
 
 
 def left_quotient(outer: LinearizedPoly, target: LinearizedPoly):
@@ -186,58 +172,65 @@ def left_quotient(outer: LinearizedPoly, target: LinearizedPoly):
         raise LinPolyError("operands over different fields")
     if not outer:
         raise LinPolyError("cannot divide by the zero polynomial")
-    out = _twisted_quotient(F, outer.coeffs, target.coeffs)
-    return None if out is None else LinearizedPoly(F, out)
+    out = _twisted_quotient(F, p_associate(outer).coeffs,
+                            p_associate(target).coeffs)
+    return None if out is None else LinearizedPoly(F, _nonzero(out))
 
 
 # -- division cores -------------------------------------------------------------
-# Both take {index: coeff} dicts with no zero terms.  Each quotient term
-# cancels the top term left, which is popped, so only the divisor's lower
-# terms are subtracted; a zero they leave is popped when it reaches the top.
+# Both take dense, trimmed coefficient lists indexed by p-power index, so
+# X^(q^3) + X is (1, 0, 0, 0, 0, 0, 1) at q = 4, and return the quotient in
+# the same shape.  The quotient index d walks down from the top; the term
+# it cancels is never read again, so only the divisor's nonzero lower terms
+# are subtracted, and any nonzero term left below the divisor's top index s
+# means there is no quotient.
 
 
 def _twisted_quotient(F, outer, target):
-    """The {d: q_d} with outer(Q(X)) = target, or None.  The top term
-    c t^(s+d) left fixes q_d = (c / a_s)^(p^-s), p^-s = p^(-s mod k)."""
-    mul, sub, pw = F.mul, F.sub, F.pow
-    s = max(outer)
+    """The Q with outer(Q(X)) = target, or None.  The term c t^(s+d) left
+    fixes q_d = (c / a_s)^(p^-s), p^-s = p^(-s mod k), and subtracts
+    a_i q_d^(p^i) t^(i+d) for each nonzero a_i, i < s."""
+    mul, sub, pw, p = F.mul, F.sub, F.pow, F.p
+    s = len(outer) - 1
     inv_lead = F.inv(outer[s])
-    unfrob = F.p ** (-s % F.k)
-    rest = [(i, a, F.p**i) for i, a in outer.items() if i != s]
-    work = dict(target)
-    out = {}
-    while work:
-        t = max(work)
-        c = work.pop(t)
-        if not c:
-            continue
-        if t < s:
-            return None
-        q_d = out[t - s] = pw(mul(c, inv_lead), unfrob)
-        for i, a, pi in rest:
-            j = i + t - s
-            work[j] = sub(work.get(j, 0), mul(a, pw(q_d, pi)))
-    return out
-
-
-def _remainder(F, divisor, dividend):
-    """dividend mod divisor as ordinary polynomials Sum c_i t^i."""
-    mul, sub = F.mul, F.sub
-    s = max(divisor)
-    inv_lead = F.inv(divisor[s])
-    rest = [(i, b) for i, b in divisor.items() if i != s]
-    work = dict(dividend)
-    while work:
-        t = max(work)
-        if t < s:
-            break
-        c = work.pop(t)
+    unfrob = p ** (-s % F.k)
+    a0 = outer[0] if s else 0
+    work = list(target)
+    n = len(work) - s
+    out = [0] * n if n > 0 else []
+    for d in range(n - 1, -1, -1):
+        c = work[s + d]
         if c:
-            f = mul(c, inv_lead)
-            for i, b in rest:
-                j = i + t - s
-                work[j] = sub(work.get(j, 0), mul(f, b))
-    return {j: c for j, c in work.items() if c}
+            q_d = out[d] = pw(mul(c, inv_lead), unfrob)
+            if a0:
+                work[d] = sub(work[d], mul(a0, q_d))
+            for i in range(1, s):
+                a = outer[i]
+                if a:
+                    work[i + d] = sub(work[i + d], mul(a, pw(q_d, p**i)))
+    return None if any(work[:s]) else out
+
+
+def _right_quotient(F, inner, target):
+    """The outer O with O(inner(X)) = target, or None.  The term
+    c t^(s+d) left fixes o_d = c / b_s^(p^d) and subtracts
+    o_d b_j^(p^d) t^(d+j) for each nonzero b_j, j < s."""
+    mul, sub, pw, p = F.mul, F.sub, F.pow, F.p
+    s = len(inner) - 1
+    inv_lead = F.inv(inner[s])
+    work = list(target)
+    n = len(work) - s
+    out = [0] * n if n > 0 else []
+    for d in range(n - 1, -1, -1):
+        c = work[s + d]
+        if c:
+            pd = p**d
+            o_d = out[d] = mul(c, pw(inv_lead, pd))
+            for j in range(s):
+                b = inner[j]
+                if b:
+                    work[d + j] = sub(work[d + j], mul(o_d, pw(b, pd)))
+    return None if any(work[:s]) else out
 
 
 def symbolic_divides(l: LinearizedPoly, m: LinearizedPoly, side: str) -> bool:
@@ -312,8 +305,7 @@ class AssociatePoly:
             raise LinPolyError("divides() is for the conventional associate")
         if not self.coeffs:
             return not other.coeffs
-        return not _remainder(self.field, _nonzero(self.coeffs),
-                              _nonzero(other.coeffs))
+        return not polyroots.mod(self.field, other.coeffs, self.coeffs)
 
 
 def _nonzero(coeffs):
@@ -350,14 +342,15 @@ def quotient_family_scan(field, q):
 
 
 def _family_verdicts(F, q):
-    """(member, composes, divides) in scan order: each member {2e: A, 0: B}
-    (q = p^e) goes through both division cores."""
+    """(member, composes, divides) in scan order: each member, the dense
+    (B, 0, ..., 0, A) of A X^(q^2) + B X, goes through the twisted core and
+    `polyroots.mod`."""
     pe = is_prime_power(q)
     if pe is None or pe[0] != F.p:
         raise LinPolyError("q is not a power of the field characteristic")
-    e2 = 2 * pe[1]
-    target = {3 * pe[1]: 1, 0: 1}
-    mul, neg, pw = F.mul, F.neg, F.pow
+    gap = (0,) * (2 * pe[1] - 1)
+    target = (1,) + (0,) * (3 * pe[1] - 1) + (1,)
+    mul, neg, pw, mod = F.mul, F.neg, F.pow, polyroots.mod
     h = gcd(q * q - q + 1, F.units)
     gk = pw(F.generator, h)  # generates the (q^2-q+1)-th powers
     # the first a per value of a^(q^2-1): scaling a by a (q^2-1)-th root of
@@ -371,6 +364,6 @@ def _family_verdicts(F, q):
         kinv = 1
         for _ in range(F.units // h):
             kinv = mul(kinv, gk)
-            cand = {e2: mul(kinv, a_q2), 0: neg(mul(kinv, a))}
+            cand = (neg(mul(kinv, a)), *gap, mul(kinv, a_q2))
             yield (cand, _twisted_quotient(F, cand, target) is not None,
-                   not _remainder(F, cand, target))
+                   not mod(F, target, cand))

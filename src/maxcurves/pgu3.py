@@ -108,12 +108,13 @@ class Projectivity:
 
     def apply(self, coords):
         """Image of a homogeneous coordinate triple (raw tuple in, raw out)."""
-        F, m = self.field, self.m
+        add, mul = self.field.add, self.field.mul
+        m0, m1, m2, m3, m4, m5, m6, m7, m8 = self.m
         x, y, t = coords
         return (
-            F.add(F.add(F.mul(m[0], x), F.mul(m[1], y)), F.mul(m[2], t)),
-            F.add(F.add(F.mul(m[3], x), F.mul(m[4], y)), F.mul(m[5], t)),
-            F.add(F.add(F.mul(m[6], x), F.mul(m[7], y)), F.mul(m[8], t)),
+            add(add(mul(m0, x), mul(m1, y)), mul(m2, t)),
+            add(add(mul(m3, x), mul(m4, y)), mul(m5, t)),
+            add(add(mul(m6, x), mul(m7, y)), mul(m8, t)),
         )
 
     def apply_point(self, point):

@@ -93,7 +93,27 @@ def divmod_poly(F, a, b):
 
 
 def mod(F, a, b):
-    return divmod_poly(F, a, b)[1]
+    """a mod b for b != 0, with no quotient built.  Each step cancels the
+    top term left, which is then never read again, so only b's nonzero
+    lower terms are subtracted; the remainder is what is left below
+    deg b."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    a = list(a)
+    lead = b[-1]
+    inv_lead = 1 if lead == 1 else F.inv(lead)
+    f_sub, f_mul = F.sub, F.mul
+    for d in range(len(a) - 1, db - 1, -1):
+        c = a[d]
+        if c:
+            f = c if lead == 1 else f_mul(c, inv_lead)
+            s = d - db
+            for i in range(db):
+                y = b[i]
+                if y:
+                    a[s + i] = f_sub(a[s + i], f_mul(f, y))
+    return trim(a[:db])
 
 
 def monic(F, a):
@@ -109,13 +129,38 @@ def gcd_poly(F, a, b):
     return monic(F, a)
 
 
+def _square(F, a):
+    """a * a with about half the products of `mul`: for p = 2 the cross
+    terms cancel in pairs and only the a_i^2 X^(2i) are left; otherwise
+    each cross term a_i a_j (i < j) is taken once and doubled."""
+    if not a:
+        return ()
+    out = [0] * (2 * len(a) - 1)
+    f_mul = F.mul
+    if F.p == 2:
+        for i, x in enumerate(a):
+            if x:
+                out[2 * i] = f_mul(x, x)
+        return trim(out)
+    f_add = F.add
+    for i, x in enumerate(a):
+        if x:
+            out[2 * i] = f_add(out[2 * i], f_mul(x, x))
+            x2 = f_add(x, x)
+            for j in range(i + 1, len(a)):
+                y = a[j]
+                if y:
+                    out[i + j] = f_add(out[i + j], f_mul(x2, y))
+    return trim(out)
+
+
 def pow_mod(F, base, e, m):
     # left to right over the bits of e: no square after the last one
     if not e:
         return (1,)
     b = r = mod(F, base, m)
     for bit in bin(e)[3:]:
-        r = mod(F, mul(F, r, r), m)
+        r = mod(F, _square(F, r), m)
         if bit == "1":
             r = mod(F, mul(F, r, b), m)
     return r

@@ -299,6 +299,31 @@ def test_orbits_match_reference_partition():
     assert len({P.field for P in mixed}) == 3
 
 
+def test_orbits_keep_the_object_given_last_for_a_repeated_point():
+    F = build_field(2, 4)
+    h = generate([make_three_cycle(F, 1, 1)])
+    first = ProjPoint(F, (0, 1, 0))
+    tri = [ProjPoint(F, (1, 0, 0)), first, ProjPoint(F, (0, 0, 1))]
+    # the same field and coordinates again, as a new object and scaled
+    again = ProjPoint(F, (0, 2, 0))
+    assert again == first and again is not first
+    parts = orbits(h, tri + [again])
+    assert len(parts) == 1 and len(parts[0]) == 3
+    assert parts[0][1] is again
+    assert not any(Q is first for Q in parts[0])
+    # with the repeat given first, the original object is the one kept
+    parts = orbits(h, [again] + tri)
+    assert parts[0][1] is first
+    # a mixed input: every repeat maps to its last object, in every orbit
+    group, pts = n3_orbit_cases()[2]
+    copies = [ProjPoint(P.field, P.coords) for P in pts[::7]]
+    parts = orbits(group, pts + copies)
+    assert parts == orbits(group, pts)
+    kept = {id(Q) for orbit in parts for Q in orbit}
+    assert all(id(Q) in kept for Q in copies)
+    assert not any(id(P) in kept for P in pts[::7])
+
+
 def orbit_confirms(group, pts):
     # orbit-stabilizer, as in the alpha-semiregular check
     return all(len(o) == group.order for o in orbits(group, pts))

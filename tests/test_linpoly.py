@@ -7,10 +7,11 @@ from maxcurves import polyroots
 from maxcurves.gf import build_field, clear_modulus_overrides, \
     set_modulus_override
 from maxcurves.linpoly import (AssociatePoly, LinPolyError, LinearizedPoly,
-                               _family_verdicts, _remainder, _twisted_quotient,
-                               compose, decompose, from_kernel,
-                               inverse_associate, left_quotient, p_associate,
-                               quotient_family_scan, symbolic_divides)
+                               _family_verdicts, _right_quotient,
+                               _twisted_quotient, compose, decompose,
+                               from_kernel, inverse_associate, left_quotient,
+                               p_associate, quotient_family_scan,
+                               symbolic_divides)
 
 random.seed(904)
 
@@ -238,12 +239,62 @@ def _reference_decompose(target, inner):
     return LinearizedPoly(F, out)
 
 
+def _dict_twisted_quotient(F, outer, target):
+    """The former twisted core on {index: coeff} dicts with no zero terms:
+    the {d: q_d} with outer(Q(X)) = target, or None."""
+    mul, sub, pw = F.mul, F.sub, F.pow
+    s = max(outer)
+    inv_lead = F.inv(outer[s])
+    unfrob = F.p ** (-s % F.k)
+    rest = [(i, a, F.p**i) for i, a in outer.items() if i != s]
+    work = dict(target)
+    out = {}
+    while work:
+        t = max(work)
+        c = work.pop(t)
+        if not c:
+            continue
+        if t < s:
+            return None
+        q_d = out[t - s] = pw(mul(c, inv_lead), unfrob)
+        for i, a, pi in rest:
+            j = i + t - s
+            work[j] = sub(work.get(j, 0), mul(a, pw(q_d, pi)))
+    return out
+
+
+def _dict_remainder(F, divisor, dividend):
+    """The former conventional core on {index: coeff} dicts with no zero
+    terms: dividend mod divisor as ordinary polynomials."""
+    mul, sub = F.mul, F.sub
+    s = max(divisor)
+    inv_lead = F.inv(divisor[s])
+    rest = [(i, b) for i, b in divisor.items() if i != s]
+    work = dict(dividend)
+    while work:
+        t = max(work)
+        if t < s:
+            break
+        c = work.pop(t)
+        if c:
+            f = mul(c, inv_lead)
+            for i, b in rest:
+                j = i + t - s
+                work[j] = sub(work.get(j, 0), mul(f, b))
+    return {j: c for j, c in work.items() if c}
+
+
 def _sparse_lp(F, top, rng):
     """A seeded linearized polynomial of top index `top`, with gaps."""
     coeffs = {i: rng.randrange(F.order) for i in range(top)
               if rng.random() < 0.5}
     coeffs[top] = rng.randrange(1, F.order)
     return lp(F, coeffs)
+
+
+def _coeffs(lp_):
+    """The dense coefficients the division cores take."""
+    return p_associate(lp_).coeffs
 
 
 @pytest.mark.parametrize("p,k", [(2, 6), (2, 12), (3, 4)])
@@ -254,14 +305,15 @@ def test_twisted_core_recovers_the_right_factor(p, k):
         outer = _sparse_lp(F, rng.randrange(6), rng)
         inner = _sparse_lp(F, rng.randrange(6), rng)
         target = compose(outer, inner)
-        assert _twisted_quotient(F, outer.coeffs, target.coeffs) == inner.coeffs
+        got = _twisted_quotient(F, _coeffs(outer), _coeffs(target))
+        assert tuple(got) == _coeffs(inner)
         assert left_quotient(outer, target) == inner
         # a nonzero term below outer's top index leaves no quotient
         s = outer.top_index
         if s:
             low = rng.randrange(s)
             bumped = target.add(lp(F, {low: rng.randrange(1, F.order)}))
-            assert _twisted_quotient(F, outer.coeffs, bumped.coeffs) is None
+            assert _twisted_quotient(F, _coeffs(outer), _coeffs(bumped)) is None
             assert _reference_left_quotient(outer, bumped) is None
 
 
@@ -274,6 +326,43 @@ def test_twisted_core_matches_the_reference(p, k):
         target = _sparse_lp(F, rng.randrange(8), rng)
         assert left_quotient(outer, target) == \
             _reference_left_quotient(outer, target)
+
+
+def _core_cases(F, rng):
+    """(divisor, target) pairs of LinearizedPoly with gaps: arbitrary, a
+    zero target, a target shorter than the divisor, and exact multiples."""
+    for _ in range(120):
+        div = _sparse_lp(F, rng.randrange(6), rng)
+        yield div, _sparse_lp(F, rng.randrange(9), rng)
+        yield div, lp(F, {})
+        if div.top_index:
+            yield div, _sparse_lp(F, rng.randrange(div.top_index), rng)
+        yield div, compose(div, _sparse_lp(F, rng.randrange(4), rng))
+        yield div, compose(_sparse_lp(F, rng.randrange(4), rng), div)
+
+
+@pytest.mark.parametrize("p,k", [(2, 6), (2, 12), (3, 2), (3, 4)])
+def test_dense_cores_match_the_dict_cores(p, k):
+    F = build_field(p, k)
+    rng = random.Random(1250 + 10 * p + k)
+    nones = exact = 0
+    for div, target in _core_cases(F, rng):
+        got = _twisted_quotient(F, _coeffs(div), _coeffs(target))
+        want = _dict_twisted_quotient(F, div.coeffs, target.coeffs)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert _dict(got) == want
+            assert not got or got[-1]  # trimmed
+        nones += got is None
+        exact += got is not None and bool(target)
+        right = _right_quotient(F, _coeffs(div), _coeffs(target))
+        ref = _reference_decompose(target, div)
+        assert (right is None) == (ref is None)
+        if right is not None:
+            assert _dict(right) == ref.coeffs
+        rem = polyroots.mod(F, _coeffs(target), _coeffs(div))
+        assert _dict(rem) == _dict_remainder(F, div.coeffs, target.coeffs)
+    assert nones and exact
 
 
 @pytest.mark.parametrize("p,k", [(2, 6), (2, 12), (3, 4)])
@@ -321,10 +410,11 @@ def test_conventional_core_remainder_matches_divmod_poly(p, k, sparse):
         b = _dense(F, rng.randrange(6), rng, sparse)
         a = _dense(F, rng.randrange(12), rng, sparse)
         _, rem = polyroots.divmod_poly(F, a, b)
-        assert _remainder(F, _dict(b), _dict(a)) == _dict(rem)
+        assert polyroots.mod(F, a, b) == rem
+        assert _dict_remainder(F, _dict(b), _dict(a)) == _dict(rem)
         # a multiple of b leaves no remainder
         prod = polyroots.mul(F, a, b)
-        assert _remainder(F, _dict(b), _dict(prod)) == {}
+        assert polyroots.mod(F, prod, b) == ()
         assert AssociatePoly(F, b).divides(AssociatePoly(F, prod))
         assert AssociatePoly(F, b).divides(AssociatePoly(F, a)) == (not rem)
 
@@ -384,7 +474,9 @@ def _totals(verdicts):
 def _compare_with_reference(F, q, only=None):
     """The new scan's members and verdicts, checked against the reference at
     every position, or at the positions in `only`."""
-    new = list(_family_verdicts(F, q))
+    # the scan's members are the dense (B, 0, ..., 0, A); the reference's
+    # are {2e: A, 0: B}
+    new = [(_dict(m), c, d) for m, c, d in _family_verdicts(F, q)]
     ref = list(_reference_family(F, q, only))
     assert [m for m, _, _ in new] == [m for m, _, _ in ref]
     for i in (range(len(ref)) if only is None else sorted(only)):

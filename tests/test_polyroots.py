@@ -8,9 +8,9 @@ from maxcurves.checks import _triangolo_construction
 from maxcurves.curves import FermatHermitian
 from maxcurves.gf import _smallest_root_in, build_field, embed
 from maxcurves.pgu3 import make_alpha, make_three_cycle
-from maxcurves.polyroots import (_frobenius, _frobenius_table, _shifts, add,
-                                 divmod_poly, gcd_poly, mod, mul,
-                                 one_root, pow_mod, roots, sub)
+from maxcurves.polyroots import (_frobenius, _frobenius_table, _shifts,
+                                 _square, add, divmod_poly, gcd_poly, mod,
+                                 mul, one_root, pow_mod, roots, sub)
 
 FIELDS = [(2, 8), (2, 12), (3, 4)]
 
@@ -110,6 +110,52 @@ def test_pow_mod_matches_repeated_products(p, k):
             for e in range(41):
                 assert pow_mod(F, base, e, g) == expected, (g, base, e)
                 expected = mod(F, mul(F, expected, base), g)
+
+
+def _divisor(F, rng, deg, kind):
+    """A seeded divisor of degree `deg`: 'monic', 'non-monic', or 'gaps'
+    (non-monic, most lower terms zero)."""
+    b = list(_random_poly(F, rng, deg, monic_=kind == "monic"))
+    if kind == "gaps":
+        b[:deg] = [c if rng.random() < 0.25 else 0 for c in b[:deg]]
+    return tuple(b)
+
+
+MOD_FIELDS = [(3, 2), (2, 6), (2, 54)]
+
+
+@pytest.mark.parametrize("p,k", MOD_FIELDS)
+def test_mod_matches_divmod_poly(p, k):
+    F = build_field(p, k)
+    assert F.table_mode == (k != 54)
+    rng = random.Random(1500 + 100 * p + k)
+    for kind in ("monic", "non-monic", "gaps"):
+        for _ in range(60):
+            b = _divisor(F, rng, rng.randrange(7), kind)
+            # a as long as b or shorter half of the time
+            a = [rng.randrange(F.order) for _ in range(rng.randrange(14))]
+            assert mod(F, a, b) == divmod_poly(F, a, b)[1], (a, b)
+            assert mod(F, mul(F, a, b), b) == ()
+    # shorter than the divisor: a itself, trimmed
+    b = (1, 0, 0, 3 % F.order)
+    assert mod(F, (2 % F.order, 1, 0), b) == (2 % F.order, 1)
+    assert mod(F, (), b) == ()
+    # a constant divisor leaves nothing
+    assert mod(F, (1, 2 % F.order, 1), (3 % F.order or 1,)) == ()
+    with pytest.raises(ZeroDivisionError):
+        mod(F, (1, 1), ())
+
+
+@pytest.mark.parametrize("p,k", [(2, 6), (2, 54), (3, 2), (5, 2), (7, 1)])
+def test_square_matches_mul(p, k):
+    F = build_field(p, k)
+    rng = random.Random(1600 + 100 * p + k)
+    assert _square(F, ()) == ()
+    for _ in range(100):
+        a = [rng.randrange(F.order) for _ in range(rng.randrange(9))]
+        if rng.random() < 0.5:
+            a = [c if rng.random() < 0.3 else 0 for c in a]
+        assert _square(F, a) == mul(F, a, a), a
 
 
 def _splitting_part_by_pow_mod(F, f):
