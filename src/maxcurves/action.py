@@ -289,16 +289,6 @@ def family_census(elements, group: SubgroupSpec, model) -> StabilizerCensus:
     return StabilizerCensus(incidence, census, per_element, partition)
 
 
-def stabilizer_census(gbar: SubgroupSpec, g_normal: SubgroupSpec, model) -> StabilizerCensus:
-    """Census over all nontrivial elements of gbar, with g_normal-orbits.
-
-    g_normal must be normal in gbar (verified by conjugating generators).
-    """
-    if not g_normal.is_normal_in(gbar):
-        raise ActionError("the designated subgroup is not normal")
-    return family_census(gbar.nontrivial(), g_normal, model)
-
-
 # -- restriction to a stabilized line -----------------------------------------
 
 

@@ -607,28 +607,6 @@ class GF:
         t0 = (lc // g) * pow(d // g, -1, step) % step
         return list(self.exp[t0:n:step])
 
-    # -- subfield structure -------------------------------------------------
-
-    def norm(self, e, sub):
-        """Norm of e down to the subfield `sub`; returns an element of sub."""
-        tm = embed(sub, self)
-        m, ratio = sub.k, self.k // sub.k
-        acc = x = e
-        for _ in range(ratio - 1):
-            x = self.frobenius(x, m)
-            acc = self.mul(acc, x)
-        return tm.pullback(acc)
-
-    def trace(self, e, sub):
-        """Trace of e down to the subfield `sub`; returns an element of sub."""
-        tm = embed(sub, self)
-        m, ratio = sub.k, self.k // sub.k
-        acc = x = e
-        for _ in range(ratio - 1):
-            x = self.frobenius(x, m)
-            acc = self.add(acc, x)
-        return tm.pullback(acc)
-
 
 class TowerMap:
     """The canonical embedding of one field into an extension.
@@ -714,14 +692,6 @@ class TowerMap:
                for j in range(self.dst.k)]
         return [src.from_digits(tag[i * m:(i + 1) * m])
                 for i in range(self.degree)]
-
-    def pullback(self, e):
-        """Preimage of e, which must lie in the embedded subfield image."""
-        c = self.coordinates(e)
-        if any(c[1:]):
-            raise FieldError("element is not in the embedded subfield")
-        return c[0]
-
 
 def nullspace(F, rows):
     """A basis of the vectors v over F with rows . v = 0.

@@ -2,22 +2,22 @@
 
 A linearized polynomial over F_{p^m} is  Sum c_i X^(p^i),  stored as a
 sparse map index -> coefficient.  Composition corresponds to the twisted
-multiplication  (a t^i) (b t^j) = a b^(p^i) t^(i+j)  of associates; the
-conventional associate  Sum c_i t^i  with ordinary multiplication mirrors
-composition only when the coefficients stay in the prime field, which is
-why divisibility questions here are always decided by explicit twisted
-division, with the conventional-associate verdict computed alongside.
+multiplication  (a t^i) (b t^j) = a b^(p^i) t^(i+j)  of associates.  The
+conventional associate  Sum c_i t^i  is the dense, trimmed tuple
+`p_associate` returns, a `polyroots` polynomial; ordinary multiplication
+of associates mirrors composition only when the coefficients stay in the
+prime field, which is why divisibility questions here are always decided
+by explicit twisted division, with the conventional-associate verdict
+computed alongside.
 
-The division cores work on dense coefficient lists indexed by p-power
-index, the coefficients of the associate; `decompose` and `left_quotient`
-convert at their boundary.  The conventional criterion is ordinary
-polynomial division, `polyroots.mod`.
+The division cores work on those dense coefficient lists, indexed by
+p-power index; `decompose` converts at its boundary.  The conventional
+criterion is ordinary polynomial division, `polyroots.mod`.
 """
 
 from math import gcd
 
 from . import polyroots
-from .gf import build_field, nullspace
 from .numbertheory import is_prime_power
 
 
@@ -52,92 +52,6 @@ class LinearizedPoly:
     def top_index(self):
         return max(self.coeffs) if self.coeffs else None
 
-    def degree(self):
-        return self.field.p ** self.top_index if self.coeffs else 0
-
-    def evaluate(self, x):
-        F = self.field
-        acc = 0
-        for i, c in self.coeffs.items():
-            acc = F.add(acc, F.mul(c, F.pow(x, F.p**i)))
-        return acc
-
-    def add(self, other):
-        F = self.field
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = F.add(out.get(i, 0), c)
-        return LinearizedPoly(F, out)
-
-    def scale(self, c):
-        F = self.field
-        return LinearizedPoly(F, {i: F.mul(c, v) for i, v in self.coeffs.items()})
-
-    def kernel(self):
-        """All roots inside the owning field, via F_p-linear algebra on a basis."""
-        F = self.field
-        p, k = F.p, F.k
-        basis = [F.pow(F.generator, j) if j else 1 for j in range(k)]
-        cols = [F.digits(self.evaluate(b)) for b in basis]
-        # solve sum_j x_j * cols[j] = 0 over F_p
-        rows = [[cols[j][i] for j in range(k)] for i in range(k)]
-        sols = nullspace(build_field(p, 1), rows)
-        out = set()
-        for vec in _span_fp(sols, p):
-            e = 0
-            for xj, b in zip(vec, basis):
-                if xj:
-                    e = F.add(e, F.mul(F.const(xj), b))
-            out.add(e)
-        return sorted(out)
-
-
-def _span_fp(basis, p):
-    out = [[0] * (len(basis[0]) if basis else 0)]
-    for b in basis:
-        out = [[(x + t * y) % p for x, y in zip(v, b)] for v in out for t in range(p)]
-    return out
-
-
-def from_kernel(field, roots) -> LinearizedPoly:
-    """The monic linearized polynomial whose root set is the given additive
-    subgroup, built by expanding the product of the linear factors."""
-    roots = sorted(set(roots))
-    rs = set(roots)
-    if 0 not in rs:
-        raise LinPolyError("an additive subgroup must contain 0")
-    for a in roots:
-        for b in roots:
-            if field.add(a, b) not in rs:
-                raise LinPolyError("root set is not closed under addition")
-    n = len(roots)
-    p = field.p
-    size = n
-    while size % p == 0:
-        size //= p
-    if size != 1:
-        raise LinPolyError("an additive subgroup must have p-power order")
-    poly = (1,)
-    for c in roots:
-        poly = polyroots.mul(field, poly, (field.neg(c), 1))
-    coeffs = {}
-    for d, c in enumerate(poly):
-        if not c:
-            continue
-        i = 0
-        dd = d
-        while dd > 1 and dd % p == 0:
-            dd //= p
-            i += 1
-        if dd != 1:
-            raise LinPolyError("product is not linearized (kernel not additive?)")
-        coeffs[i] = c
-    lp = LinearizedPoly(field, coeffs)
-    for c in roots:
-        if lp.evaluate(c) != 0:
-            raise LinPolyError("kernel round-trip failed")
-    return lp
-
 
 def compose(outer: LinearizedPoly, inner: LinearizedPoly) -> LinearizedPoly:
     """outer(inner(X)): twisted product of the coefficient maps."""
@@ -160,21 +74,8 @@ def decompose(target: LinearizedPoly, inner: LinearizedPoly):
         raise LinPolyError("operands over different fields")
     if not inner:
         raise LinPolyError("cannot decompose by the zero polynomial")
-    out = _right_quotient(F, p_associate(inner).coeffs,
-                          p_associate(target).coeffs)
-    return None if out is None else LinearizedPoly(F, _nonzero(out))
-
-
-def left_quotient(outer: LinearizedPoly, target: LinearizedPoly):
-    """The Q with outer(Q(X)) = target, or None (see `_twisted_quotient`)."""
-    F = target.field
-    if F is not outer.field:
-        raise LinPolyError("operands over different fields")
-    if not outer:
-        raise LinPolyError("cannot divide by the zero polynomial")
-    out = _twisted_quotient(F, p_associate(outer).coeffs,
-                            p_associate(target).coeffs)
-    return None if out is None else LinearizedPoly(F, _nonzero(out))
+    out = _right_quotient(F, p_associate(inner), p_associate(target))
+    return None if out is None else LinearizedPoly(F, enumerate(out))
 
 
 # -- division cores -------------------------------------------------------------
@@ -233,95 +134,16 @@ def _right_quotient(F, inner, target):
     return None if any(work[:s]) else out
 
 
-def symbolic_divides(l: LinearizedPoly, m: LinearizedPoly, side: str) -> bool:
-    """side 'right': some Q has Q(l(X)) = m (l is the inner factor);
-    side 'left':  some Q has l(Q(X)) = m (l is the outer factor).
-
-    Right-divisibility is cross-checked against kernel containment whenever
-    both kernels split inside the owning field."""
-    if side == "right":
-        verdict = decompose(m, l) is not None
-        kl, km = l.kernel(), m.kernel()
-        if len(kl) == l.degree() and len(km) == m.degree():
-            contained = set(kl) <= set(km)
-            if contained != verdict:
-                raise LinPolyError(
-                    "kernel-containment and twisted division disagree")
-        return verdict
-    if side == "left":
-        return left_quotient(l, m) is not None
-    raise LinPolyError("side must be 'left' or 'right'")
-
-
 # -- p-associates ---------------------------------------------------------------
 
 
-class AssociatePoly:
-    """Ordinary polynomial Sum c_i t^i attached to a linearized polynomial.
-
-    convention 'conventional': ordinary commutative multiplication;
-    convention 'twisted': t a = a^p t, so multiplication mirrors composition.
-    """
-
-    def __init__(self, field, coeffs, convention="conventional"):
-        if convention not in ("conventional", "twisted"):
-            raise LinPolyError("unknown associate convention")
-        self.field = field
-        self.coeffs = tuple(coeffs)
-        while self.coeffs and self.coeffs[-1] == 0:
-            self.coeffs = self.coeffs[:-1]
-        self.convention = convention
-
-    def __eq__(self, other):
-        return (isinstance(other, AssociatePoly) and self.field is other.field
-                and self.coeffs == other.coeffs
-                and self.convention == other.convention)
-
-    def __repr__(self):
-        return f"AssociatePoly({self.coeffs}, {self.convention})"
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __mul__(self, other):
-        F = self.field
-        if self.convention != other.convention:
-            raise LinPolyError("mixed associate conventions")
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            pi = F.p**i
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                bb = F.pow(b, pi) if self.convention == "twisted" else b
-                out[i + j] = F.add(out[i + j], F.mul(a, bb))
-        return AssociatePoly(F, out, self.convention)
-
-    def divides(self, other) -> bool:
-        """Ordinary polynomial divisibility; conventional associates only."""
-        if self.convention != "conventional":
-            raise LinPolyError("divides() is for the conventional associate")
-        if not self.coeffs:
-            return not other.coeffs
-        return not polyroots.mod(self.field, other.coeffs, self.coeffs)
-
-
-def _nonzero(coeffs):
-    return {i: c for i, c in enumerate(coeffs) if c}
-
-
-def p_associate(l: LinearizedPoly, convention="conventional") -> AssociatePoly:
-    n = (l.top_index or 0) + 1 if l else 0
-    coeffs = [0] * n
+def p_associate(l: LinearizedPoly):
+    """The conventional associate Sum c_i t^i of l, as the dense, trimmed
+    coefficient tuple the division cores and `polyroots` take."""
+    coeffs = [0] * (l.top_index + 1 if l else 0)
     for i, c in l.coeffs.items():
         coeffs[i] = c
-    return AssociatePoly(l.field, coeffs, convention)
-
-
-def inverse_associate(a: AssociatePoly) -> LinearizedPoly:
-    return LinearizedPoly(a.field, _nonzero(a.coeffs))
+    return tuple(coeffs)
 
 
 # -- the quotient-equation family scan ------------------------------------------

@@ -266,11 +266,6 @@ def unitarity_scalar(m: Projectivity, model):
     return lam
 
 
-def is_unitary(m: Projectivity, model) -> bool:
-    """True iff m commutes with the model's unitary polarity (mod scalars)."""
-    return unitarity_scalar(m, model) is not None
-
-
 def in_psu(m: Projectivity, model) -> bool:
     """True iff det(m), rescaled so the unitarity scalar is 1, is a cube."""
     lam = unitarity_scalar(m, model)
@@ -296,12 +291,6 @@ class SubgroupSpec:
         self.element_set = set(elements)
         self.order = len(elements)
         self.field = generators[0].field if generators else None
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, g):
-        return g in self.element_set
 
     def __len__(self):
         return self.order

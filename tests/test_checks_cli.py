@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -305,3 +306,14 @@ def test_every_check_passes_under_an_imprimitive_override(name):
             assert gf._FIELDS[(2, k)].modulus == IMPRIMITIVE[k]
     finally:
         clear_modulus_overrides()
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library example\n+```python\n(.*?)```", readme,
+                      re.S).group(1)
+    # each print(...) line ends with a comment holding the line it prints
+    expected = [line.split("#", 1)[1].strip() for line in block.splitlines()
+                if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    assert expected and capsys.readouterr().out.splitlines() == expected

@@ -5,7 +5,8 @@ from maxcurves.curves import (INFINITY, CurveError, FermatHermitian,
                               GarciaStichtenoth, GeneralizedGK,
                               NormTraceHermitian)
 from maxcurves.gf import build_field, embed
-from maxcurves.proj3 import ProjPoint, all_points
+from maxcurves.proj3 import ProjPoint
+from oracles import all_points
 
 
 def brute_force_plane_count(model, field):

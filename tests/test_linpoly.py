@@ -6,12 +6,10 @@ import pytest
 from maxcurves import polyroots
 from maxcurves.gf import build_field, clear_modulus_overrides, \
     set_modulus_override
-from maxcurves.linpoly import (AssociatePoly, LinPolyError, LinearizedPoly,
-                               _family_verdicts, _right_quotient,
-                               _twisted_quotient, compose, decompose,
-                               from_kernel, inverse_associate, left_quotient,
-                               p_associate, quotient_family_scan,
-                               symbolic_divides)
+from maxcurves.linpoly import (LinPolyError, LinearizedPoly, _family_verdicts,
+                               _right_quotient, _twisted_quotient, compose,
+                               decompose, p_associate, quotient_family_scan)
+from oracles import from_kernel, roots_in, span
 
 random.seed(904)
 
@@ -36,29 +34,12 @@ def test_from_kernel_order_four_subgroup_of_f4096():
     u = min(c for c in kernel64 if c not in (0, 1))
     roots = [0, 1, u, F.add(1, u)]
     L = from_kernel(F, roots)
-    assert L.degree() == 4
-    assert all(L.evaluate(c) == 0 for c in roots)
-    assert sorted(L.kernel()) == sorted(roots)
+    assert L.top_index == 2  # degree 4
+    assert roots_in(L) == set(roots)
     # L divides X^64 + X on the right: the kernel construction of the
     # unipotent quotient map
     target = lp(F, {6: 1, 0: 1})
-    assert symbolic_divides(L, target, "right")
-
-
-def test_from_kernel_rejects_non_subgroups():
-    F = build_field(2, 4)
-    with pytest.raises(LinPolyError):
-        from_kernel(F, [0, 1, 2])  # not additively closed
-    with pytest.raises(LinPolyError):
-        from_kernel(F, [1, 2, 3])  # missing 0
-
-
-def test_evaluation_is_additive():
-    F = build_field(2, 6)
-    L = lp(F, {2: F.generator, 1: 3, 0: 7})
-    for _ in range(200):
-        a, b = random.randrange(64), random.randrange(64)
-        assert L.evaluate(F.add(a, b)) == F.add(L.evaluate(a), L.evaluate(b))
+    assert decompose(target, L) is not None
 
 
 def test_compose_noncommutative_twist():
@@ -85,6 +66,9 @@ def test_decompose_failure():
     target = lp(F2, {3: 1, 0: 1})        # X^8 + X
     bad_inner = lp(F2, {2: 1, 0: 1})     # X^4 + X: kernel F_4 not inside F_8
     assert decompose(target, bad_inner) is None
+    # nor is X^8 + X = bad_inner(Q(X)) for any Q
+    assert _twisted_quotient(F2, p_associate(bad_inner),
+                             p_associate(target)) is None
 
 
 def test_decompose_compose_round_trip_random():
@@ -107,45 +91,21 @@ def test_left_quotient_round_trip_random():
         if not outer or not inner:
             continue
         target = compose(outer, inner)
-        got = left_quotient(outer, target)
-        assert got is not None and compose(outer, got) == target
-
-
-def test_symbolic_divides_right():
-    F2 = build_field(2, 1)
-    small = lp(F2, {1: 1, 0: 1})   # X^2 + X
-    big = lp(F2, {3: 1, 0: 1})     # X^8 + X
-    assert symbolic_divides(small, big, "right")
-    assert not symbolic_divides(lp(F2, {2: 1, 0: 1}), big, "left")
-    with pytest.raises(LinPolyError):
-        symbolic_divides(small, big, "sideways")
+        got = _twisted_quotient(F, p_associate(outer), p_associate(target))
+        assert got is not None and compose(outer, lp(F, enumerate(got))) == target
 
 
 def test_associate_round_trip_and_factorization():
     F2 = build_field(2, 1)
     target = lp(F2, {3: 1, 0: 1})
     a = p_associate(target)
-    assert a.coeffs == (1, 0, 0, 1)       # t^3 + 1
-    assert inverse_associate(a) == target
-    lin = AssociatePoly(F2, (1, 1))       # t + 1
-    quad = AssociatePoly(F2, (1, 1, 1))   # t^2 + t + 1
-    assert (lin * quad).coeffs == (1, 0, 0, 1)
-    assert lin.divides(a)
-    assert p_associate(lp(F2, {0: 1})).coeffs == (1,)  # X maps to the unit
-
-
-def test_twisted_associate_mirrors_composition():
-    for (p, k) in ((2, 4), (3, 2)):
-        F = build_field(p, k)
-        n = F.order
-        for _ in range(100):
-            f = lp(F, {i: random.randrange(n) for i in range(3)})
-            g = lp(F, {i: random.randrange(n) for i in range(3)})
-            if not f or not g:
-                continue
-            lhs = p_associate(compose(f, g), "twisted")
-            rhs = p_associate(f, "twisted") * p_associate(g, "twisted")
-            assert lhs.coeffs == rhs.coeffs
+    assert a == (1, 0, 0, 1)              # t^3 + 1
+    assert lp(F2, enumerate(a)) == target
+    lin, quad = (1, 1), (1, 1, 1)         # t + 1, t^2 + t + 1
+    assert polyroots.mul(F2, lin, quad) == a
+    assert not polyroots.mod(F2, a, lin)
+    assert p_associate(lp(F2, {0: 1})) == (1,)  # X maps to the unit
+    assert p_associate(lp(F2, {})) == ()
 
 
 def test_conventional_and_twisted_divisibility_agree_over_prime_fields():
@@ -157,19 +117,36 @@ def test_conventional_and_twisted_divisibility_agree_over_prime_fields():
             if not f or not g or not compose(f, g):
                 continue
             target = compose(f, g)
-            assert symbolic_divides(g, target, "right")
-            assert p_associate(g).divides(p_associate(target))
+            assert decompose(target, g) == f
+            assert not polyroots.mod(F, p_associate(target), p_associate(g))
 
 
-def test_kernel_degree_duality():
-    F = build_field(2, 6)
-    # separable linearized polynomials: |kernel inside a splitting field|
-    # equals the degree; check within F for kernels that split here
-    L = from_kernel(F, [0, 1])
-    assert len(L.kernel()) == L.degree() == 2
-    sub = [c for c in F.elements() if F.add(F.pow(c, 4), c) == 0]
-    L4 = from_kernel(F, sub)
-    assert L4.degree() == 4 and len(L4.kernel()) == 4
+@pytest.mark.parametrize("p,k", [(2, 6), (2, 12), (3, 4)])
+def test_decompose_agrees_with_kernel_containment(p, k):
+    """For l = Prod_{s in S} (X - s), S an additive subgroup of F, and m split
+    in F (roots by evaluation), some O has O(l(X)) = m exactly when S lies
+    in the roots of m: m's remainder on the right by l vanishes on S."""
+    F = build_field(p, k)
+    rng = random.Random(1600 + 10 * p + k)
+    whole = lp(F, {k: 1, 0: F.neg(1)})  # X^|F| - X, whose roots are F
+    verdicts = set()
+    for _ in range(5):
+        basis = [rng.randrange(1, F.order) for _ in range(rng.randrange(1, 3))]
+        kernel = span(F, basis)
+        l = from_kernel(F, kernel)
+        assert roots_in(l) == kernel
+        wider = basis + [rng.randrange(1, F.order)]
+        other = [rng.randrange(1, F.order) for _ in wider]
+        outer = lp(F, {i: rng.randrange(F.order) for i in range(3)})
+        for m in (whole, from_kernel(F, span(F, wider)),
+                  from_kernel(F, span(F, other)), compose(outer, l)):
+            ker_m = roots_in(m)
+            if not m or len(ker_m) != F.p ** m.top_index:
+                continue  # m does not split in F
+            verdict = decompose(m, l) is not None
+            assert verdict == (kernel <= ker_m)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_quotient_family_scan_q4():
@@ -190,8 +167,8 @@ def test_quotient_family_scan_rejects_q_not_a_power_of_p(q):
 
 
 def _reference_left_quotient(outer, target):
-    """Top-down twisted division on LinearizedPoly objects, subtracting
-    every term of `outer` (the leading one included) at every step."""
+    """Top-down twisted division on LinearizedPoly coefficient dicts,
+    subtracting every term of `outer`, the leading one too, at each step."""
     F = target.field
     s = outer.top_index
     a_s = outer.coeffs[s]
@@ -215,8 +192,8 @@ def _reference_left_quotient(outer, target):
 
 
 def _reference_decompose(target, inner):
-    """Top-down right division on LinearizedPoly objects, subtracting every
-    term of `inner` (the leading one included) at every step."""
+    """Top-down right division on LinearizedPoly coefficient dicts,
+    subtracting every term of `inner`, the leading one too, at each step."""
     F = target.field
     s = inner.top_index
     b_s = inner.coeffs[s]
@@ -239,51 +216,6 @@ def _reference_decompose(target, inner):
     return LinearizedPoly(F, out)
 
 
-def _dict_twisted_quotient(F, outer, target):
-    """The former twisted core on {index: coeff} dicts with no zero terms:
-    the {d: q_d} with outer(Q(X)) = target, or None."""
-    mul, sub, pw = F.mul, F.sub, F.pow
-    s = max(outer)
-    inv_lead = F.inv(outer[s])
-    unfrob = F.p ** (-s % F.k)
-    rest = [(i, a, F.p**i) for i, a in outer.items() if i != s]
-    work = dict(target)
-    out = {}
-    while work:
-        t = max(work)
-        c = work.pop(t)
-        if not c:
-            continue
-        if t < s:
-            return None
-        q_d = out[t - s] = pw(mul(c, inv_lead), unfrob)
-        for i, a, pi in rest:
-            j = i + t - s
-            work[j] = sub(work.get(j, 0), mul(a, pw(q_d, pi)))
-    return out
-
-
-def _dict_remainder(F, divisor, dividend):
-    """The former conventional core on {index: coeff} dicts with no zero
-    terms: dividend mod divisor as ordinary polynomials."""
-    mul, sub = F.mul, F.sub
-    s = max(divisor)
-    inv_lead = F.inv(divisor[s])
-    rest = [(i, b) for i, b in divisor.items() if i != s]
-    work = dict(dividend)
-    while work:
-        t = max(work)
-        if t < s:
-            break
-        c = work.pop(t)
-        if c:
-            f = mul(c, inv_lead)
-            for i, b in rest:
-                j = i + t - s
-                work[j] = sub(work.get(j, 0), mul(f, b))
-    return {j: c for j, c in work.items() if c}
-
-
 def _sparse_lp(F, top, rng):
     """A seeded linearized polynomial of top index `top`, with gaps."""
     coeffs = {i: rng.randrange(F.order) for i in range(top)
@@ -293,8 +225,13 @@ def _sparse_lp(F, top, rng):
 
 
 def _coeffs(lp_):
-    """The dense coefficients the division cores take."""
-    return p_associate(lp_).coeffs
+    """The dense coefficients the division cores take; None stays None."""
+    return None if lp_ is None else p_associate(lp_)
+
+
+def _core(got):
+    """A core's quotient as a tuple, to compare with `_coeffs`."""
+    return None if got is None else tuple(got)
 
 
 @pytest.mark.parametrize("p,k", [(2, 6), (2, 12), (3, 4)])
@@ -306,13 +243,13 @@ def test_twisted_core_recovers_the_right_factor(p, k):
         inner = _sparse_lp(F, rng.randrange(6), rng)
         target = compose(outer, inner)
         got = _twisted_quotient(F, _coeffs(outer), _coeffs(target))
-        assert tuple(got) == _coeffs(inner)
-        assert left_quotient(outer, target) == inner
+        assert _core(got) == _coeffs(inner)
         # a nonzero term below outer's top index leaves no quotient
         s = outer.top_index
         if s:
             low = rng.randrange(s)
-            bumped = target.add(lp(F, {low: rng.randrange(1, F.order)}))
+            bumped = lp(F, {**target.coeffs, low: F.add(
+                target.coeffs.get(low, 0), rng.randrange(1, F.order))})
             assert _twisted_quotient(F, _coeffs(outer), _coeffs(bumped)) is None
             assert _reference_left_quotient(outer, bumped) is None
 
@@ -324,8 +261,8 @@ def test_twisted_core_matches_the_reference(p, k):
     for _ in range(200):
         outer = _sparse_lp(F, rng.randrange(5), rng)
         target = _sparse_lp(F, rng.randrange(8), rng)
-        assert left_quotient(outer, target) == \
-            _reference_left_quotient(outer, target)
+        got = _twisted_quotient(F, _coeffs(outer), _coeffs(target))
+        assert _core(got) == _coeffs(_reference_left_quotient(outer, target))
 
 
 def _core_cases(F, rng):
@@ -348,20 +285,11 @@ def test_dense_cores_match_the_dict_cores(p, k):
     nones = exact = 0
     for div, target in _core_cases(F, rng):
         got = _twisted_quotient(F, _coeffs(div), _coeffs(target))
-        want = _dict_twisted_quotient(F, div.coeffs, target.coeffs)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert _dict(got) == want
-            assert not got or got[-1]  # trimmed
+        assert _core(got) == _coeffs(_reference_left_quotient(div, target))
         nones += got is None
         exact += got is not None and bool(target)
         right = _right_quotient(F, _coeffs(div), _coeffs(target))
-        ref = _reference_decompose(target, div)
-        assert (right is None) == (ref is None)
-        if right is not None:
-            assert _dict(right) == ref.coeffs
-        rem = polyroots.mod(F, _coeffs(target), _coeffs(div))
-        assert _dict(rem) == _dict_remainder(F, div.coeffs, target.coeffs)
+        assert _core(right) == _coeffs(_reference_decompose(target, div))
     assert nones and exact
 
 
@@ -380,7 +308,8 @@ def test_decompose_matches_the_reference(p, k):
         s = inner.top_index
         if s:
             low = rng.randrange(s)
-            bumped = target.add(lp(F, {low: rng.randrange(1, F.order)}))
+            bumped = lp(F, {**target.coeffs, low: F.add(
+                target.coeffs.get(low, 0), rng.randrange(1, F.order))})
             assert decompose(bumped, inner) is None
             assert _reference_decompose(bumped, inner) is None
         # an arbitrary target: mostly no outer factor, sometimes one
@@ -397,10 +326,6 @@ def _dense(F, deg, rng, sparse):
     return cs + [rng.randrange(1, F.order)]
 
 
-def _dict(cs):
-    return {i: c for i, c in enumerate(cs) if c}
-
-
 @pytest.mark.parametrize("p,k", [(2, 6), (2, 12), (3, 4)])
 @pytest.mark.parametrize("sparse", [False, True])
 def test_conventional_core_remainder_matches_divmod_poly(p, k, sparse):
@@ -411,12 +336,9 @@ def test_conventional_core_remainder_matches_divmod_poly(p, k, sparse):
         a = _dense(F, rng.randrange(12), rng, sparse)
         _, rem = polyroots.divmod_poly(F, a, b)
         assert polyroots.mod(F, a, b) == rem
-        assert _dict_remainder(F, _dict(b), _dict(a)) == _dict(rem)
         # a multiple of b leaves no remainder
         prod = polyroots.mul(F, a, b)
         assert polyroots.mod(F, prod, b) == ()
-        assert AssociatePoly(F, b).divides(AssociatePoly(F, prod))
-        assert AssociatePoly(F, b).divides(AssociatePoly(F, a)) == (not rem)
 
 
 # -- the family scan against the object-building reference ---------------------
@@ -424,7 +346,7 @@ def test_conventional_core_remainder_matches_divmod_poly(p, k, sparse):
 
 def _reference_family(F, q, only=None):
     """(member, by_composition, by_conventional) in scan order, deciding each
-    member with LinearizedPoly / AssociatePoly objects, the reference twisted
+    member with LinearizedPoly objects, the reference twisted
     division and dense `polyroots.divmod_poly`.  With `only`, a set of
     positions, the verdicts of every other member are None."""
     p, e = F.p, 0
@@ -458,8 +380,8 @@ def _reference_family(F, q, only=None):
                 cand = LinearizedPoly(F, member)
                 by_composition = (
                     _reference_left_quotient(cand, target) is not None)
-                _, rem = polyroots.divmod_poly(F, target_assoc.coeffs,
-                                               p_associate(cand).coeffs)
+                _, rem = polyroots.divmod_poly(F, target_assoc,
+                                               p_associate(cand))
                 by_conventional = not rem
             yield member, by_composition, by_conventional
             pos += 1
@@ -476,7 +398,8 @@ def _compare_with_reference(F, q, only=None):
     every position, or at the positions in `only`."""
     # the scan's members are the dense (B, 0, ..., 0, A); the reference's
     # are {2e: A, 0: B}
-    new = [(_dict(m), c, d) for m, c, d in _family_verdicts(F, q)]
+    new = [({i: x for i, x in enumerate(m) if x}, c, d)
+           for m, c, d in _family_verdicts(F, q)]
     ref = list(_reference_family(F, q, only))
     assert [m for m, _, _ in new] == [m for m, _, _ in ref]
     for i in (range(len(ref)) if only is None else sorted(only)):

@@ -6,8 +6,8 @@ from maxcurves.curves import FermatHermitian, NormTraceHermitian
 from maxcurves.gf import build_field, embed
 from maxcurves.numbertheory import factorize
 from maxcurves.pgu3 import (GroupError, Projectivity, generate, in_psu,
-                            is_unitary, make_alpha, make_alpha_a, make_beta,
-                            make_three_cycle)
+                            make_alpha, make_alpha_a, make_beta,
+                            make_three_cycle, unitarity_scalar)
 
 random.seed(902)
 
@@ -221,7 +221,7 @@ def test_diagonal_unitarity_full_scan_f16():
             for d3 in range(1, 16):
                 m = Projectivity(F, (d1, 0, 0, 0, d2, 0, 0, 0, d3))
                 manual = F.pow(d1, 5) == F.pow(d2, 5) == F.pow(d3, 5)
-                assert is_unitary(m, model) == manual
+                assert (unitarity_scalar(m, model) is not None) == manual
 
 
 def test_transvection_usually_not_unitary_f16():
@@ -230,7 +230,7 @@ def test_transvection_usually_not_unitary_f16():
     failures = 0
     for c in range(1, 16):
         m = Projectivity(F, (1, 0, c, 0, 1, 0, 0, 0, 1))
-        if not is_unitary(m, model):
+        if unitarity_scalar(m, model) is None:
             failures += 1
     assert failures == 15  # Fermat form admits no such transvection
 
@@ -335,4 +335,4 @@ def test_alpha_a_shape():
     m = make_alpha_a(F, a, 64)
     assert m.m == (1, 0, 0, 0, a, 0, 0, 0, 1)  # a^(q^3+1) = a^65 = 1 here
     assert m.order() == 5
-    assert is_unitary(m, NormTraceHermitian(64))
+    assert unitarity_scalar(m, NormTraceHermitian(64)) is not None

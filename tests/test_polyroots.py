@@ -9,7 +9,7 @@ from maxcurves.curves import FermatHermitian
 from maxcurves.gf import _smallest_root_in, build_field, embed
 from maxcurves.pgu3 import make_alpha, make_three_cycle
 from maxcurves.polyroots import (_frobenius, _frobenius_table, _shifts,
-                                 _square, add, divmod_poly, gcd_poly, mod,
+                                 _square, divmod_poly, gcd_poly, mod,
                                  mul, one_root, pow_mod, roots, sub)
 
 FIELDS = [(2, 8), (2, 12), (3, 4)]
@@ -173,7 +173,7 @@ def _split_by_squaring(F, g, s):
             acc = h
             for _ in range(s - 1):
                 h = mod(F, mul(F, h, h), g)
-                acc = add(F, acc, h)
+                acc = sub(F, acc, h)  # + is - in characteristic 2
             d = gcd_poly(F, acc, g)
         else:
             h = pow_mod(F, (c, 1), (F.p**s - 1) // 2, g)
@@ -259,7 +259,7 @@ def _trace_x(F, g, s):
     h = acc = (0, 1)
     for _ in range(s - 1):
         h = mod(F, mul(F, h, h), g)
-        acc = add(F, acc, h)
+        acc = sub(F, acc, h)  # + is - in characteristic 2
     return acc
 
 
