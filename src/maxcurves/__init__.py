@@ -17,7 +17,7 @@ from .action import (fixed_points, is_semiregular, orbits, restrict_to_line,
                      sharply_2_transitive, sylow_census)
 from .ramification import (RamificationLedger, different_degree,
                            expected_delta, i_sigma, ledger_feasibility)
-from .linpoly import LinearizedPoly, compose, decompose, p_associate
+from .linpoly import compose, decompose
 from .catalog import (lemmino_scan, mh_orders, order_excluded, primovalore_scan,
                       psu3_order, quattordici_scan)
 from .checks import run_all, run_check

@@ -49,7 +49,7 @@ class FixedPointSet:
                 n += 1
         return n
 
-    def curve_points(self, enumerate_axis=True):
+    def curve_points(self):
         """The on-curve fixed points as ProjPoints (axis enumerated if needed)."""
         if self.kind == "all":
             raise ActionError("the identity fixes the whole curve")
@@ -58,8 +58,6 @@ class FixedPointSet:
             if self.center is not None and self.center[1]:
                 pts.append(self.center[0])
             if self.axis_curve_count:
-                if not enumerate_axis:
-                    raise ActionError("axis points requested without enumeration")
                 pts.extend(p for p in line_points(self.axis)
                            if self.model.contains(p))
         return pts
@@ -292,43 +290,15 @@ def family_census(elements, group: SubgroupSpec, model) -> StabilizerCensus:
 # -- restriction to a stabilized line -----------------------------------------
 
 
-class Mat2:
-    """A 2x2 projectivity (matrix mod scalars) over a field."""
-
-    __slots__ = ("field", "m")
-
-    def __init__(self, field, entries):
-        m = tuple(entries)
-        if not any(m):
-            raise ActionError("zero 2x2 matrix")
-        m = normalize(field, m)
-        if field.sub(field.mul(m[0], m[3]), field.mul(m[1], m[2])) == 0:
-            raise ActionError("singular 2x2 matrix")
-        self.field = field
-        self.m = m
-
-    def __eq__(self, other):
-        return (isinstance(other, Mat2) and self.field is other.field
-                and self.m == other.m)
-
-    def __hash__(self):
-        return hash((id(self.field), "mat2", self.m))
-
-    def __mul__(self, other):
-        F = self.field
-        a, b = self.m, other.m
-        return Mat2(F, (
-            F.add(F.mul(a[0], b[0]), F.mul(a[1], b[2])),
-            F.add(F.mul(a[0], b[1]), F.mul(a[1], b[3])),
-            F.add(F.mul(a[2], b[0]), F.mul(a[3], b[2])),
-            F.add(F.mul(a[2], b[1]), F.mul(a[3], b[3])),
-        ))
-
-    def is_identity(self):
-        return self.m == (1, 0, 0, 1)
-
-    def __repr__(self):
-        return f"Mat2[{self.m[0:2]}, {self.m[2:4]}]"
+def mul2(F, a, b):
+    """The product of two restrictions (normalised 4-tuples, row-major),
+    normalised."""
+    return normalize(F, (
+        F.add(F.mul(a[0], b[0]), F.mul(a[1], b[2])),
+        F.add(F.mul(a[0], b[1]), F.mul(a[1], b[3])),
+        F.add(F.mul(a[2], b[0]), F.mul(a[3], b[2])),
+        F.add(F.mul(a[2], b[1]), F.mul(a[3], b[3])),
+    ))
 
 
 def line_image(sigma: Projectivity, line: ProjLine) -> ProjLine:
@@ -359,8 +329,10 @@ def _frame_to_infinity(line: ProjLine) -> Projectivity:
     return Projectivity(F, rows[0] + rows[1] + rows[2])
 
 
-def restrict_to_line(sigma: Projectivity, line: ProjLine) -> Mat2:
-    """The action induced on a stabilized line, as a 2x2 matrix mod scalars."""
+def restrict_to_line(sigma: Projectivity, line: ProjLine):
+    """The action induced on a stabilized line: the 2x2 matrix mod scalars,
+    as the normalised row-major 4-tuple.  It is invertible, since the
+    conjugated sigma fixes T = 0 and is itself invertible."""
     if line_image(sigma, line) != line:
         raise ActionError("element does not stabilize the line")
     F = sigma.field
@@ -369,7 +341,7 @@ def restrict_to_line(sigma: Projectivity, line: ProjLine) -> Mat2:
     m = s.m
     if m[6] != 0 or m[7] != 0:
         raise ActionError("conjugated matrix does not fix T = 0 (unreachable)")
-    return Mat2(F, (m[0], m[1], m[3], m[4]))
+    return normalize(F, (m[0], m[1], m[3], m[4]))
 
 
 # -- Sylow analysis ------------------------------------------------------------

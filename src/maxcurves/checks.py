@@ -16,15 +16,15 @@ import json
 import time
 
 from . import polyroots
-from .action import family_census, fixed_points, is_semiregular, orbits, \
-    restrict_to_line, sylow_census, common_fixed_curve_points, sharply_2_transitive
+from .action import family_census, fixed_points, is_semiregular, mul2, \
+    orbits, restrict_to_line, sylow_census, common_fixed_curve_points, \
+    sharply_2_transitive
 from .catalog import (PRIMOVALORE_REMAINDER, lemmino_scan, order_excluded,
                       primovalore_scan, quattordici_scan)
 from .curves import FermatHermitian, GarciaStichtenoth, GeneralizedGK, \
     NormTraceHermitian
 from .gf import TABLE_LIMIT, build_field
-from .linpoly import (LinearizedPoly, compose, decompose, p_associate,
-                      quotient_family_scan)
+from .linpoly import compose, decompose, quotient_family_scan
 from .numbertheory import is_prime_power
 from .pgu3 import CLOSURE_CAP, Projectivity, generate, in_psu, make_alpha, \
     make_alpha_a, make_beta, make_three_cycle
@@ -216,7 +216,7 @@ def _triangolo_construction(n):
     theta = F.root_of_unity(ord_nbar)
     zeta = F.root_of_unity(q + 1)  # not a cube: its order is 3 * ord_nbar
     i = 8 if n == 9 else 2
-    h = make_three_cycle(F, zeta, 1, q=q)
+    h = make_three_cycle(F, zeta, 1, q)
     family = []
     for j in range(1, ord_nbar):
         if j % 3 == 0:
@@ -286,7 +286,7 @@ def _check_eigen_fixed_points(ns):
         model = FermatHermitian(q)
         theta = F.root_of_unity((q + 1) // 3)
         zeta = F.root_of_unity(q + 1)
-        sigma = make_alpha(F, theta, 2) * make_three_cycle(F, zeta, 1, q=q)
+        sigma = make_alpha(F, theta, 2) * make_three_cycle(F, zeta, 1, q)
         fps = fixed_points(sigma, model)
         on_curve = fps.on_curve_count()
         fields = sorted({P.field.k for P, _ in fps.points})
@@ -320,10 +320,11 @@ def _check_phi_homomorphism(q):
     hom_ok = True
     for _ in range(100):
         a, b = rng.choice(els), rng.choice(els)
-        if restrict_to_line(a * b, line) != restrict_to_line(a, line) * restrict_to_line(b, line):
+        if restrict_to_line(a * b, line) != mul2(
+                F, restrict_to_line(a, line), restrict_to_line(b, line)):
             hom_ok = False
             break
-    kernel = sum(1 for g in els if restrict_to_line(g, line).is_identity())
+    kernel = sum(1 for g in els if restrict_to_line(g, line) == (1, 0, 0, 1))
     semi = is_semiregular(G, model)
     conds = {"homomorphism": hom_ok, "injective": kernel == 1,
              "semiregular": semi, "order": G.order == q + 1}
@@ -354,6 +355,7 @@ def _check_lemmino(m_max):
 
 
 def _check_quattordici(m_max):
+    _require(m_max >= 3, "the scan starts at m = 3: m_max >= 3")
     table = quattordici_scan(m_max)
     survivors = {m: s for m, s in table.items() if s}
     conds = {
@@ -471,16 +473,14 @@ def _check_rh_quotient_genus(n):
 
 def _check_linpoly_decompose():
     F2 = build_field(2, 1)
-    target = LinearizedPoly(F2, {3: 1, 0: 1})     # X^8 + X
-    inner = LinearizedPoly(F2, {1: 1, 0: 1})      # X^2 + X
-    outer = decompose(target, inner)
-    expected = LinearizedPoly(F2, {2: 1, 1: 1, 0: 1})  # X^4 + X^2 + X
-    roundtrip = outer is not None and compose(outer, inner) == target
-    a_target = p_associate(target)
-    a_inner = p_associate(inner)
-    quad = (1, 1, 1)                                  # t^2 + t + 1
-    factorization = polyroots.mul(F2, a_inner, quad) == a_target
-    bad = decompose(target, LinearizedPoly(F2, {2: 1, 0: 1}))  # by X^4 + X
+    target = (1, 0, 0, 1)                     # X^8 + X, and t^3 + 1
+    inner = (1, 1)                            # X^2 + X, and t + 1
+    outer = decompose(F2, target, inner)
+    expected = (1, 1, 1)                      # X^4 + X^2 + X
+    roundtrip = outer is not None and compose(F2, outer, inner) == target
+    quad = (1, 1, 1)                          # t^2 + t + 1
+    factorization = polyroots.mul(F2, inner, quad) == target
+    bad = decompose(F2, target, (1, 0, 1))    # by X^4 + X
     conds = {
         "decomposition": outer == expected,
         "roundtrip": roundtrip,
@@ -488,9 +488,9 @@ def _check_linpoly_decompose():
         "non_decomposable_detected": bad is None,
     }
     return _verdict(conds), {
-        "outer_indices": sorted(outer.coeffs) if outer else None,
-        "associate_target": list(a_target),
-        "associate_factors": [list(a_inner), list(quad)],
+        "outer_indices": [i for i, c in enumerate(outer) if c] if outer else None,
+        "associate_target": list(target),
+        "associate_factors": [list(inner), list(quad)],
         "failure_case_returns_none": bad is None,
     }
 
@@ -518,7 +518,7 @@ def _check_sylow_census(q):
     model = NormTraceHermitian(64)
     kernel = [c for c in F.elements() if F.add(F.pow(c, 64), c) == 0]
     u = min(c for c in kernel if c not in (0, 1))
-    gens = [make_beta(F, 1, conj_exp=64), make_beta(F, u, conj_exp=64),
+    gens = [make_beta(F, 1, 64), make_beta(F, u, 64),
             make_alpha_a(F, F.root_of_unity(5), 64)]
     G = generate(gens)
     count, sylows = sylow_census(G, 2)

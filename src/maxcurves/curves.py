@@ -27,28 +27,14 @@ class CurveError(ValueError):
 
 
 class CurveModel:
-    """Common surface: genus(), contains(), count_rational_points()."""
+    """Common surface: genus(), contains() and count_rational_points(), the
+    count over the model's own `field`."""
 
-    def genus(self):
-        raise NotImplementedError
-
-    def maximality_field(self):
-        raise NotImplementedError
-
-    def count_rational_points(self, field=None):
-        raise NotImplementedError
-
-    def contains(self, point):
-        raise NotImplementedError
-
-    def maximality_check(self, field=None):
-        """True iff the count over the (given or canonical) field attains
-        the Hasse-Weil upper bound m^2 + 1 + 2 g m with m = sqrt(|F|)."""
-        F = field or self.maximality_field()
-        m = isqrt(F.order)
-        if m * m != F.order:
-            return False
-        return self.count_rational_points(F) == m * m + 1 + 2 * self.genus() * m
+    def maximality_check(self):
+        """True iff the count over the model's field, of square order,
+        attains the Hasse-Weil upper bound m^2 + 1 + 2 g m, m = sqrt(|F|)."""
+        m = isqrt(self.field.order)
+        return self.count_rational_points() == m * m + 1 + 2 * self.genus() * m
 
     def _check_char(self, F):
         if F.p != self.p:
@@ -72,18 +58,8 @@ class HermitianModel(CurveModel):
     def genus(self):
         return self.q * (self.q - 1) // 2
 
-    def maximality_field(self):
-        return self.field
-
-    def hermitian_gram(self):
-        raise NotImplementedError
-
-    def rational_points(self, field=None):
-        """All points over the (given or model's) field, as ProjPoints."""
-        raise NotImplementedError
-
-    def count_rational_points(self, field=None):
-        return len(self.rational_points(field))
+    def count_rational_points(self):
+        return len(self.rational_points())
 
     def tangent_line_size(self):
         return 1
@@ -111,9 +87,8 @@ class FermatHermitian(HermitianModel):
         acc = F.add(F.add(F.pow(x, e), F.pow(y, e)), F.pow(t, e))
         return acc == 0
 
-    def rational_points(self, field=None):
-        F = field or self.field
-        self._check_char(F)
+    def rational_points(self):
+        F = self.field
         e = self.q + 1
         minus_one = F.neg(1)
         pts = []
@@ -145,9 +120,8 @@ class NormTraceHermitian(HermitianModel):
         rhs = F.add(F.mul(F.pow(x, q), t), F.mul(x, F.pow(t, q)))
         return lhs == rhs
 
-    def rational_points(self, field=None):
-        F = field or self.field
-        self._check_char(F)
+    def rational_points(self):
+        F = self.field
         q = self.q
         pts = []
         for x in F.elements():
@@ -181,9 +155,6 @@ class GeneralizedGK(CurveModel):
         l, n = self.l, self.n
         return (l - 1) * (l ** (n + 1) + l**n - l * l) // 2
 
-    def maximality_field(self):
-        return self.field
-
     def contains(self, point):
         """point: INFINITY, or a (field, x, y, z) tuple of affine coordinates."""
         if point == INFINITY:
@@ -199,9 +170,8 @@ class GeneralizedGK(CurveModel):
         eq2 = F.pow(z, self.z_exp) == F.sub(F.pow(y, l * l), y)
         return eq1 and eq2
 
-    def count_rational_points(self, field=None):
-        F = field or self.field
-        self._check_char(F)
+    def count_rational_points(self):
+        F = self.field
         l = self.l
         image_count = {}
         for x in F.elements():
@@ -239,9 +209,6 @@ class GarciaStichtenoth(CurveModel):
         l = self.l
         return (l - 1) * (l**3 - l) // 2
 
-    def maximality_field(self):
-        return self.field
-
     def contains(self, point):
         if point == INFINITY:
             return True
@@ -255,9 +222,8 @@ class GarciaStichtenoth(CurveModel):
             return x == 0
         return F.pow(y, self.y_exp) == F.sub(F.pow(x, self.l**2), x)
 
-    def count_rational_points(self, field=None):
-        F = field or self.field
-        self._check_char(F)
+    def count_rational_points(self):
+        F = self.field
         e = self.l**2
         cnt = 0
         for x in F.elements():

@@ -212,10 +212,10 @@ def _gf2_powers(exp, g, mod, k):
         v = times(v, g)
 
 
-def _is_irreducible(coeffs, p, fp=None):
+def _is_irreducible(coeffs, p):
     """Ben-Or's test.  coeffs: monic polynomial over F_p, digit tuple
     low-first, degree k >= 1.  For odd p the polynomials are `polyroots`
-    ones over fp = F_p, built here when the caller has not.
+    ones over F_p.
 
     X^(p^i) - X is the product of the monic irreducibles of degree dividing
     i, and a reducible f of degree k has an irreducible factor of degree at
@@ -235,7 +235,7 @@ def _is_irreducible(coeffs, p, fp=None):
             if _gf2_gcd(frob ^ 2, mod) != 1:
                 return False
         return True
-    fp = fp or build_field(p, 1)
+    fp = build_field(p, 1)
     x = frob = (0, 1)
     for _ in range(k // 2):
         frob = polyroots.pow_mod(fp, frob, p, coeffs)
@@ -244,10 +244,9 @@ def _is_irreducible(coeffs, p, fp=None):
     return True
 
 
-def _is_primitive_root_x(coeffs, p, fp=None):
+def _is_primitive_root_x(coeffs, p):
     """True if X generates the multiplicative group modulo `coeffs`.  For
-    odd p the powers of X are `polyroots` ones over fp = F_p, built here
-    when the caller has not."""
+    odd p the powers of X are `polyroots` ones over F_p."""
     k = len(coeffs) - 1
     n = p**k - 1
     if p == 2:
@@ -256,7 +255,7 @@ def _is_primitive_root_x(coeffs, p, fp=None):
             if _gf2_powmod_x(n // r, mod, k) == 1:
                 return False
         return True
-    fp = fp or build_field(p, 1)
+    fp = build_field(p, 1)
     for r in prime_divisors(n):
         if polyroots.pow_mod(fp, (0, 1), n // r, coeffs) == (1,):
             return False
@@ -282,7 +281,6 @@ def _canonical_modulus(p, k):
     """
     sign = (-1) ** k
     primes = prime_divisors(p - 1)
-    fp = build_field(p, 1) if p != 2 and k > 1 else None
     for c0 in range(1, p):
         if any(pow(sign * c0, (p - 1) // r, p) == 1 for r in primes):
             continue
@@ -299,8 +297,8 @@ def _canonical_modulus(p, k):
             coeffs = (c0,) + tuple(reversed(digits)) + (1,)
             if _has_root_in_prime_field(coeffs, p):
                 continue
-            if (_is_irreducible(coeffs, p, fp)
-                    and _is_primitive_root_x(coeffs, p, fp)):
+            if (_is_irreducible(coeffs, p)
+                    and _is_primitive_root_x(coeffs, p)):
                 return coeffs
     raise FieldError("no primitive irreducible found (unreachable)")
 

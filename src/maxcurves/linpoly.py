@@ -1,18 +1,15 @@
-"""Linearized (additive) polynomials and their p-associates.
+"""Linearized (additive) polynomials as dense coefficient tuples.
 
-A linearized polynomial over F_{p^m} is  Sum c_i X^(p^i),  stored as a
-sparse map index -> coefficient.  Composition corresponds to the twisted
-multiplication  (a t^i) (b t^j) = a b^(p^i) t^(i+j)  of associates.  The
-conventional associate  Sum c_i t^i  is the dense, trimmed tuple
-`p_associate` returns, a `polyroots` polynomial; ordinary multiplication
-of associates mirrors composition only when the coefficients stay in the
-prime field, which is why divisibility questions here are always decided
-by explicit twisted division, with the conventional-associate verdict
-computed alongside.
-
-The division cores work on those dense coefficient lists, indexed by
-p-power index; `decompose` converts at its boundary.  The conventional
-criterion is ordinary polynomial division, `polyroots.mod`.
+A linearized polynomial over F_{p^m} is  Sum c_i X^(p^i),  stored as the
+dense, trimmed tuple (c_0, c_1, ...) indexed by p-power index, so X^8 + X
+over F_2 is (1, 0, 0, 1).  The same tuple read as  Sum c_i t^i  is its
+conventional p-associate, a `polyroots` polynomial (Lidl-Niederreiter,
+Finite Fields, 3.4).  Composition corresponds to the twisted
+multiplication  (a t^i) (b t^j) = a b^(p^i) t^(i+j)  of those tuples;
+ordinary multiplication of associates mirrors composition only when the
+coefficients stay in the prime field, which is why divisibility questions
+here are always decided by explicit twisted division, with the
+conventional verdict, `polyroots.mod`, computed alongside.
 """
 
 from math import gcd
@@ -25,57 +22,25 @@ class LinPolyError(ValueError):
     pass
 
 
-class LinearizedPoly:
-    """Sum c_i X^(p^i) over a fixed field; keys with zero values are dropped."""
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = {int(i): c for i, c in dict(coeffs).items() if c}
-
-    def __eq__(self, other):
-        return (isinstance(other, LinearizedPoly) and self.field is other.field
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.field), tuple(sorted(self.coeffs.items()))))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "LinearizedPoly(0)"
-        terms = [f"{c}*X^{self.field.p}^{i}" for i, c in sorted(self.coeffs.items())]
-        return "LinearizedPoly(" + " + ".join(terms) + ")"
-
-    @property
-    def top_index(self):
-        return max(self.coeffs) if self.coeffs else None
+def compose(F, outer, inner):
+    """outer(inner(X)): the twisted product of the coefficient tuples."""
+    out = [0] * (len(outer) + len(inner) - 1 if outer and inner else 0)
+    for i, a in enumerate(outer):
+        if a:
+            pi = F.p**i
+            for j, b in enumerate(inner):
+                if b:
+                    out[i + j] = F.add(out[i + j], F.mul(a, F.pow(b, pi)))
+    return polyroots.trim(out)
 
 
-def compose(outer: LinearizedPoly, inner: LinearizedPoly) -> LinearizedPoly:
-    """outer(inner(X)): twisted product of the coefficient maps."""
-    F = outer.field
-    if F is not inner.field:
-        raise LinPolyError("operands over different fields")
-    out = {}
-    for i, a in outer.coeffs.items():
-        pi = F.p**i
-        for j, b in inner.coeffs.items():
-            k = i + j
-            out[k] = F.add(out.get(k, 0), F.mul(a, F.pow(b, pi)))
-    return LinearizedPoly(F, out)
-
-
-def decompose(target: LinearizedPoly, inner: LinearizedPoly):
-    """The outer F with F(inner(X)) = target, or None (see `_right_quotient`)."""
-    F = target.field
-    if F is not inner.field:
-        raise LinPolyError("operands over different fields")
+def decompose(F, target, inner):
+    """The outer O with O(inner(X)) = target, or None (see `_right_quotient`)."""
+    inner = polyroots.trim(inner)
     if not inner:
         raise LinPolyError("cannot decompose by the zero polynomial")
-    out = _right_quotient(F, p_associate(inner), p_associate(target))
-    return None if out is None else LinearizedPoly(F, enumerate(out))
+    out = _right_quotient(F, inner, polyroots.trim(target))
+    return None if out is None else tuple(out)
 
 
 # -- division cores -------------------------------------------------------------
@@ -132,18 +97,6 @@ def _right_quotient(F, inner, target):
                 if b:
                     work[d + j] = sub(work[d + j], mul(o_d, pw(b, pd)))
     return None if any(work[:s]) else out
-
-
-# -- p-associates ---------------------------------------------------------------
-
-
-def p_associate(l: LinearizedPoly):
-    """The conventional associate Sum c_i t^i of l, as the dense, trimmed
-    coefficient tuple the division cores and `polyroots` take."""
-    coeffs = [0] * (l.top_index + 1 if l else 0)
-    for i, c in l.coeffs.items():
-        coeffs[i] = c
-    return tuple(coeffs)
 
 
 # -- the quotient-equation family scan ------------------------------------------

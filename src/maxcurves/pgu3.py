@@ -9,7 +9,7 @@ iteration.
 
 Subgroup generation is breadth-first product saturation from the identity,
 which is exact and deterministic for the group sizes this package handles
-(a few hundred elements; the default cap is 2 * 10^6).
+(a few hundred elements; the closure stops at CLOSURE_CAP = 2 * 10^6).
 """
 
 from math import lcm, prod
@@ -95,8 +95,7 @@ class Projectivity:
         return Projectivity(F, cof)
 
     def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
+        """self^e for an integer e >= 0, by square and multiply."""
         r = Projectivity.identity(self.field)
         b = self
         while e:
@@ -192,31 +191,23 @@ def make_alpha(field, theta, i):
     return Projectivity(field, (theta, 0, 0, 0, field.pow(theta, i), 0, 0, 0, 1))
 
 
-def make_three_cycle(field, lam, mu, q=None, shape=1):
-    """A weighted 3-cycle on the fundamental points.
-
-    shape=1: rows (0 lam 0 / 0 0 mu / 1 0 0); shape=2 is the other 3-cycle.
-    When q is given, unitarity of the Fermat model demands
+def make_three_cycle(field, lam, mu, q):
+    """The weighted 3-cycle with rows (0 lam 0 / 0 0 mu / 1 0 0) on the
+    fundamental points.  Unitarity of the Fermat model demands
     lam^(q+1) = mu^(q+1) = 1, and violations raise.
     """
     if lam == 0 or mu == 0:
         raise GroupError("weights must be nonzero")
-    if q is not None:
-        if field.pow(lam, q + 1) != 1 or field.pow(mu, q + 1) != 1:
-            raise GroupError("weights must be (q+1)-th roots of unity")
-    if shape == 1:
-        return Projectivity(field, (0, lam, 0, 0, 0, mu, 1, 0, 0))
-    if shape == 2:
-        return Projectivity(field, (0, 0, lam, mu, 0, 0, 0, 1, 0))
-    raise GroupError("shape must be 1 or 2")
+    if field.pow(lam, q + 1) != 1 or field.pow(mu, q + 1) != 1:
+        raise GroupError("weights must be (q+1)-th roots of unity")
+    return Projectivity(field, (0, lam, 0, 0, 0, mu, 1, 0, 0))
 
 
-def make_beta(field, c, conj_exp=None):
-    """(X, Y, T) -> (X + cT, Y, T).  With conj_exp = q^3 the trace-zero
-    condition c^(q^3) + c = 0 is enforced (unitarity for the norm-trace model)."""
-    if conj_exp is not None:
-        if field.add(field.pow(c, conj_exp), c) != 0:
-            raise GroupError("c fails the trace-zero condition")
+def make_beta(field, c, q3):
+    """(X, Y, T) -> (X + cT, Y, T) over F_{q^6}, for c with the trace-zero
+    condition c^(q^3) + c = 0 (unitarity for the norm-trace model)."""
+    if field.add(field.pow(c, q3), c) != 0:
+        raise GroupError("c fails the trace-zero condition")
     return Projectivity(field, (1, 0, c, 0, 1, 0, 0, 0, 1))
 
 
@@ -316,7 +307,7 @@ class SubgroupSpec:
 CLOSURE_CAP = 2_000_000
 
 
-def generate(gens, cap=CLOSURE_CAP) -> SubgroupSpec:
+def generate(gens) -> SubgroupSpec:
     """Closure of the generators under products (breadth-first, deterministic)."""
     gens = list(gens)
     if not gens:
@@ -338,7 +329,8 @@ def generate(gens, cap=CLOSURE_CAP) -> SubgroupSpec:
                     seen.add(y)
                     order_list.append(y)
                     new.append(y)
-                    if len(seen) > cap:
-                        raise GroupError(f"closure exceeded the cap {cap}")
+                    if len(seen) > CLOSURE_CAP:
+                        raise GroupError(
+                            f"closure exceeded the cap {CLOSURE_CAP}")
         frontier = new
     return SubgroupSpec(gens, order_list)

@@ -120,19 +120,13 @@ def gcd_poly(F, a, b):
 
 
 def _square(F, a):
-    """a * a with about half the products of `mul`: for p = 2 the cross
-    terms cancel in pairs and only the a_i^2 X^(2i) are left; otherwise
-    each cross term a_i a_j (i < j) is taken once and doubled."""
+    """a * a with about half the products of `mul`: each cross term
+    a_i a_j (i < j) is taken once and doubled (for p = 2 the doubled
+    term is 0)."""
     if not a:
         return ()
     out = [0] * (2 * len(a) - 1)
-    f_mul = F.mul
-    if F.p == 2:
-        for i, x in enumerate(a):
-            if x:
-                out[2 * i] = f_mul(x, x)
-        return trim(out)
-    f_add = F.add
+    f_mul, f_add = F.mul, F.add
     for i, x in enumerate(a):
         if x:
             out[2 * i] = f_add(out[2 * i], f_mul(x, x))

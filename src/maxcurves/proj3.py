@@ -78,11 +78,9 @@ def pole(line: ProjLine, model) -> ProjPoint:
     return ProjPoint(F, [F.pow(c, model.q) for c in conj_v])
 
 
-def line_points(line: ProjLine, field=None):
+def line_points(line: ProjLine):
     """The |F| + 1 points of PG(2, F) on a line, in canonical order."""
-    F = field or line.field
-    if F is not line.field:
-        raise ProjError("field mismatch")
+    F = line.field
     a, b, c = line.coords
     pts = []
     # chart T = 1: a x + b y + c = 0

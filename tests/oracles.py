@@ -2,7 +2,6 @@
 enumerate or expand directly, and check nothing of their own."""
 
 from maxcurves import polyroots
-from maxcurves.linpoly import LinearizedPoly
 from maxcurves.proj3 import ProjLine, ProjPoint
 
 
@@ -35,12 +34,13 @@ def polar(point, model):
     return ProjLine(F, line)
 
 
-def roots_in(l):
-    """The x in the field of l with Sum c_i x^(p^i) = 0, by evaluation."""
-    F, roots = l.field, set()
+def roots_in(F, l):
+    """The x in F with Sum c_i x^(p^i) = 0 for the coefficient tuple l, by
+    evaluation."""
+    roots = set()
     for x in F.elements():
         acc = 0
-        for i, c in l.coeffs.items():
+        for i, c in enumerate(l):
             acc = F.add(acc, F.mul(c, F.pow(x, F.p**i)))
         if not acc:
             roots.add(x)
@@ -59,10 +59,10 @@ def span(F, basis):
 
 
 def from_kernel(F, roots):
-    """Prod (X - c) over an additive subgroup of F, read as Sum c_i X^(p^i)."""
+    """Prod (X - c) over an additive subgroup of F, read as Sum c_i X^(p^i):
+    the tuple of its coefficients at X, X^p, X^(p^2), ..."""
     poly = (1,)
     for c in roots:
         poly = polyroots.mul(F, poly, (F.neg(c), 1))
     n = len(poly)
-    return LinearizedPoly(F, {i: poly[F.p**i]
-                              for i in range(n.bit_length()) if F.p**i < n})
+    return tuple(poly[F.p**i] for i in range(n.bit_length()) if F.p**i < n)

@@ -174,7 +174,7 @@ def test_criterion_10_property_suites():
     from maxcurves.pgu3 import Projectivity, make_three_cycle
     F16 = h4.field
     G = generate([make_alpha(F16, F16.root_of_unity(5), 2),
-                  make_three_cycle(F16, 1, 1)])
+                  make_three_cycle(F16, 1, 1, q=4)])
     pts = [P for P in all_points(F16) if h4.contains(P)]
     orbit_stab = all(
         len(orbit) * sum(1 for g in G.elements
@@ -201,7 +201,7 @@ def test_criterion_10_property_suites():
         Fq = model.field
         curve_pts = [P for P in all_points(Fq) if model.contains(P)]
         for sigma in (make_alpha(Fq, Fq.root_of_unity(q + 1), 2),
-                      make_three_cycle(Fq, 1, 1)):
+                      make_three_cycle(Fq, 1, 1, q=q)):
             eigen = sorted(P.coords for P in
                            fixed_points(sigma, model).curve_points()
                            if P.field is Fq)

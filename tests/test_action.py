@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from maxcurves.action import (ActionError, Mat2, _fixes, _pivot_forms,
+from maxcurves.action import (ActionError, _fixes, _pivot_forms,
                               common_fixed_curve_points, family_census,
-                              fixed_points, is_semiregular, line_image,
+                              fixed_points, is_semiregular, line_image, mul2,
                               orbits, restrict_to_line, sharply_2_transitive,
                               sylow_census)
 from maxcurves.curves import FermatHermitian, NormTraceHermitian
@@ -151,7 +151,7 @@ def test_fixed_points_match_brute_force_scan(q):
     F = model.field
     elements = [make_alpha(F, F.root_of_unity(q + 1), 1),
                 make_alpha(F, F.root_of_unity(q + 1), 2),
-                make_three_cycle(F, 1, 1)]
+                make_three_cycle(F, 1, 1, q=q)]
     if (q + 1) % 3 == 0 and (q + 1) // 3 > 1:
         elements.append(make_alpha(F, F.root_of_unity((q + 1) // 3), 2))
     # a homology: repeated unit eigenvalue, secant axis
@@ -179,7 +179,7 @@ def test_homology_axis_classification_matches_enumeration():
 def test_beta_fixes_infinite_line_one_curve_point():
     F = build_field(2, 12)
     model = NormTraceHermitian(64)
-    fps = fixed_points(make_beta(F, 1, conj_exp=64), model)
+    fps = fixed_points(make_beta(F, 1, 64), model)
     assert fps.kind == "line"
     assert fps.axis.coords == (0, 0, 1)
     assert fps.axis_curve_count == 1  # tangent at the ideal point
@@ -193,7 +193,7 @@ def test_semiregular_examples():
     assert is_semiregular(G, model)
     F12 = build_field(2, 12)
     nt = NormTraceHermitian(64)
-    withbeta = generate([make_beta(F12, 1, conj_exp=64)])
+    withbeta = generate([make_beta(F12, 1, 64)])
     assert not is_semiregular(withbeta, nt)
     trivial = generate([Projectivity.identity(F)])
     assert is_semiregular(trivial, model)
@@ -211,7 +211,7 @@ def test_semiregularity_forces_count_divisibility():
 
 def test_orbits_of_fundamental_triangle_under_three_cycle():
     F = build_field(2, 4)
-    h = generate([make_three_cycle(F, 1, 1)])
+    h = generate([make_three_cycle(F, 1, 1, q=4)])
     tri = [ProjPoint(F, (1, 0, 0)), ProjPoint(F, (0, 1, 0)),
            ProjPoint(F, (0, 0, 1))]
     parts = orbits(h, tri)
@@ -227,7 +227,7 @@ def test_orbits_singleton_group():
 
 def test_orbits_rejects_unclosed_sets():
     F = build_field(2, 4)
-    h = generate([make_three_cycle(F, 1, 1)])
+    h = generate([make_three_cycle(F, 1, 1, q=4)])
     with pytest.raises(ActionError):
         orbits(h, [ProjPoint(F, (1, 0, 0))])
     with pytest.raises(ActionError):
@@ -285,7 +285,7 @@ def n3_orbit_cases():
     gbar = generate([make_alpha(F, F.root_of_unity(9), 2)])
     census = family_census(family, stab, model).points
     other = GF(2, 6, (1, 0, 0, 1, 0, 0, 1))  # X^6 + X^3 + 1, imprimitive
-    mixed = curve + census + model.rational_points(other)
+    mixed = curve + census + [P for P in all_points(other) if model.contains(P)]
     random.Random(611).shuffle(mixed)
     return [(gbar, curve), (stab, census), (stab, mixed)]
 
@@ -302,7 +302,7 @@ def test_orbits_match_reference_partition():
 
 def test_orbits_keep_the_object_given_last_for_a_repeated_point():
     F = build_field(2, 4)
-    h = generate([make_three_cycle(F, 1, 1)])
+    h = generate([make_three_cycle(F, 1, 1, q=4)])
     first = ProjPoint(F, (0, 1, 0))
     tri = [ProjPoint(F, (1, 0, 0)), first, ProjPoint(F, (0, 0, 1))]
     # the same field and coordinates again, as a new object and scaled
@@ -372,7 +372,7 @@ def test_orbit_stabilizer_identity():
     model = FermatHermitian(4)
     F = model.field
     G = generate([make_alpha(F, F.root_of_unity(5), 2),
-                  make_three_cycle(F, 1, 1)])
+                  make_three_cycle(F, 1, 1, q=4)])
     pts = curve_point_list(model)
     for orbit in orbits(G, pts):
         P = orbit[0]
@@ -434,16 +434,17 @@ def test_mini_census_n3():
 
 
 def test_mini_census_same_for_other_three_cycle_shape():
-    # the two 3-cycle shapes act as the two possible cycles on the
-    # fundamental triangle; the census data is identical for either
+    # make_three_cycle's shape and the other weighted 3-cycle act as the two
+    # possible cycles on the fundamental triangle; the census data is
+    # identical for either
     q = 8
     F = build_field(2, 6)
     model = FermatHermitian(q)
     theta = F.root_of_unity(3)
     zeta = F.root_of_unity(9)
     results = []
-    for shape in (1, 2):
-        h = make_three_cycle(F, zeta, 1, q=q, shape=shape)
+    for h in (make_three_cycle(F, zeta, 1, q=q),
+              Projectivity(F, (0, 0, zeta, 1, 0, 0, 0, 1, 0))):
         family = []
         for j in (1, 2):
             s = make_alpha(F, F.pow(theta, j), 2) * h
@@ -553,11 +554,11 @@ def test_restrict_to_line_basics():
     F = build_field(2, 10)
     line = ProjLine(F, (0, 0, 1))
     ident = Projectivity.identity(F)
-    assert restrict_to_line(ident, line).is_identity()
+    assert restrict_to_line(ident, line) == (1, 0, 0, 1)
     theta = F.root_of_unity(11)
     a = make_alpha(F, theta, 2)
-    r = restrict_to_line(a, line)
-    assert r == Mat2(F, (theta, 0, 0, F.pow(theta, 2)))
+    # diag(theta, theta^2) mod scalars, normalised
+    assert restrict_to_line(a, line) == (1, 0, 0, theta)
 
 
 def test_restrict_to_line_homomorphism_random_pairs():
@@ -567,13 +568,13 @@ def test_restrict_to_line_homomorphism_random_pairs():
     els = G.elements
     for _ in range(100):
         a, b = random.choice(els), random.choice(els)
-        assert restrict_to_line(a * b, line) == \
-            restrict_to_line(a, line) * restrict_to_line(b, line)
+        assert restrict_to_line(a * b, line) == mul2(
+            F, restrict_to_line(a, line), restrict_to_line(b, line))
 
 
 def test_restrict_to_line_requires_stabilization():
     F = build_field(2, 10)
-    h = make_three_cycle(F, 1, 1)
+    h = make_three_cycle(F, 1, 1, q=32)
     line = ProjLine(F, (0, 0, 1))
     assert line_image(h, line) != line
     with pytest.raises(ActionError):
@@ -586,15 +587,16 @@ def test_restrict_to_general_line_via_frame_change():
     a = make_alpha(F, F.root_of_unity(5), 2)
     r = restrict_to_line(a, line)
     b = make_alpha(F, F.root_of_unity(5), 3)
-    assert restrict_to_line(a * b, line) == r * restrict_to_line(b, line)
+    assert restrict_to_line(a * b, line) == mul2(
+        F, r, restrict_to_line(b, line))
 
 
 def order20_group():
     F = build_field(2, 12)
     kernel = [c for c in F.elements() if F.add(F.pow(c, 64), c) == 0]
     u = min(c for c in kernel if c not in (0, 1))
-    return F, generate([make_beta(F, 1, conj_exp=64),
-                        make_beta(F, u, conj_exp=64),
+    return F, generate([make_beta(F, 1, 64),
+                        make_beta(F, u, 64),
                         make_alpha_a(F, F.root_of_unity(5), 64)])
 
 

@@ -150,13 +150,6 @@ def test_gs_count_against_pair_scan():
     assert affine + 1 == 113
 
 
-def test_gs_wrong_field_is_not_maximal():
-    curve = GarciaStichtenoth(3)
-    F9 = build_field(3, 2)
-    assert not curve.maximality_check(F9)
-    assert curve.count_rational_points(F9) == 10  # x^9 - x vanishes on F_9
-
-
 def test_wrong_characteristic_rejected():
     curve = FermatHermitian(4)
     with pytest.raises(CurveError):

@@ -6,26 +6,30 @@ import pytest
 from maxcurves import polyroots
 from maxcurves.gf import build_field, clear_modulus_overrides, \
     set_modulus_override
-from maxcurves.linpoly import (LinPolyError, LinearizedPoly, _family_verdicts,
-                               _right_quotient, _twisted_quotient, compose,
-                               decompose, p_associate, quotient_family_scan)
+from maxcurves.linpoly import (LinPolyError, _family_verdicts, _right_quotient,
+                               _twisted_quotient, compose, decompose,
+                               quotient_family_scan)
 from oracles import from_kernel, roots_in, span
 
 random.seed(904)
 
 
-def lp(field, coeffs):
-    return LinearizedPoly(field, coeffs)
+def lp(coeffs):
+    """The dense, trimmed tuple of a {p-power index: coefficient} map."""
+    out = [0] * (max(coeffs, default=-1) + 1)
+    for i, c in coeffs.items():
+        out[i] = c
+    return polyroots.trim(out)
 
 
 def test_from_kernel_trivial():
     F = build_field(2, 4)
-    assert from_kernel(F, [0]) == lp(F, {0: 1})  # X itself
+    assert from_kernel(F, [0]) == (1,)  # X itself
 
 
 def test_from_kernel_two_elements():
     F2 = build_field(2, 1)
-    assert from_kernel(F2, [0, 1]) == lp(F2, {1: 1, 0: 1})  # X^2 + X
+    assert from_kernel(F2, [0, 1]) == (1, 1)  # X^2 + X
 
 
 def test_from_kernel_order_four_subgroup_of_f4096():
@@ -34,91 +38,88 @@ def test_from_kernel_order_four_subgroup_of_f4096():
     u = min(c for c in kernel64 if c not in (0, 1))
     roots = [0, 1, u, F.add(1, u)]
     L = from_kernel(F, roots)
-    assert L.top_index == 2  # degree 4
-    assert roots_in(L) == set(roots)
+    assert len(L) == 3  # degree 4
+    assert roots_in(F, L) == set(roots)
     # L divides X^64 + X on the right: the kernel construction of the
     # unipotent quotient map
-    target = lp(F, {6: 1, 0: 1})
-    assert decompose(target, L) is not None
+    assert decompose(F, lp({6: 1, 0: 1}), L) is not None
 
 
 def test_compose_noncommutative_twist():
     F = build_field(2, 4)
     c = F.generator
-    scalar = lp(F, {0: c})
-    frob = lp(F, {1: 1})
-    assert compose(scalar, frob) == lp(F, {1: c})
-    assert compose(frob, scalar) == lp(F, {1: F.pow(c, 2)})
-    assert compose(scalar, frob) != compose(frob, scalar)
+    scalar, frob = (c,), (0, 1)
+    assert compose(F, scalar, frob) == (0, c)
+    assert compose(F, frob, scalar) == (0, F.pow(c, 2))
 
 
 def test_decompose_toy():
     F2 = build_field(2, 1)
-    target = lp(F2, {3: 1, 0: 1})        # X^8 + X
-    inner = lp(F2, {1: 1, 0: 1})         # X^2 + X
-    outer = decompose(target, inner)
-    assert outer == lp(F2, {2: 1, 1: 1, 0: 1})   # X^4 + X^2 + X
-    assert compose(outer, inner) == target
+    target = (1, 0, 0, 1)                # X^8 + X
+    inner = (1, 1)                       # X^2 + X
+    outer = decompose(F2, target, inner)
+    assert outer == (1, 1, 1)            # X^4 + X^2 + X
+    assert compose(F2, outer, inner) == target
+    # untrimmed inputs are trimmed; the zero divisor is refused
+    assert decompose(F2, target + (0,), inner + (0, 0)) == outer
+    with pytest.raises(LinPolyError, match="zero polynomial"):
+        decompose(F2, target, (0, 0))
 
 
 def test_decompose_failure():
     F2 = build_field(2, 1)
-    target = lp(F2, {3: 1, 0: 1})        # X^8 + X
-    bad_inner = lp(F2, {2: 1, 0: 1})     # X^4 + X: kernel F_4 not inside F_8
-    assert decompose(target, bad_inner) is None
+    target = (1, 0, 0, 1)                # X^8 + X
+    bad_inner = (1, 0, 1)                # X^4 + X: kernel F_4 not inside F_8
+    assert decompose(F2, target, bad_inner) is None
     # nor is X^8 + X = bad_inner(Q(X)) for any Q
-    assert _twisted_quotient(F2, p_associate(bad_inner),
-                             p_associate(target)) is None
+    assert _twisted_quotient(F2, bad_inner, target) is None
 
 
 def test_decompose_compose_round_trip_random():
     F = build_field(2, 6)
     for _ in range(50):
-        outer = lp(F, {i: random.randrange(64) for i in range(3)})
-        inner = lp(F, {i: random.randrange(64) for i in range(2)})
+        outer = lp({i: random.randrange(64) for i in range(3)})
+        inner = lp({i: random.randrange(64) for i in range(2)})
         if not outer or not inner:
             continue
-        target = compose(outer, inner)
-        got = decompose(target, inner)
+        target = compose(F, outer, inner)
+        got = decompose(F, target, inner)
         assert got == outer
 
 
 def test_left_quotient_round_trip_random():
     F = build_field(3, 4)
     for _ in range(50):
-        outer = lp(F, {i: random.randrange(81) for i in range(2)})
-        inner = lp(F, {i: random.randrange(81) for i in range(2)})
+        outer = lp({i: random.randrange(81) for i in range(2)})
+        inner = lp({i: random.randrange(81) for i in range(2)})
         if not outer or not inner:
             continue
-        target = compose(outer, inner)
-        got = _twisted_quotient(F, p_associate(outer), p_associate(target))
-        assert got is not None and compose(outer, lp(F, enumerate(got))) == target
+        target = compose(F, outer, inner)
+        got = _twisted_quotient(F, outer, target)
+        assert got is not None and compose(F, outer, tuple(got)) == target
 
 
 def test_associate_round_trip_and_factorization():
     F2 = build_field(2, 1)
-    target = lp(F2, {3: 1, 0: 1})
-    a = p_associate(target)
-    assert a == (1, 0, 0, 1)              # t^3 + 1
-    assert lp(F2, enumerate(a)) == target
+    a = (1, 0, 0, 1)                      # X^8 + X, and t^3 + 1
     lin, quad = (1, 1), (1, 1, 1)         # t + 1, t^2 + t + 1
     assert polyroots.mul(F2, lin, quad) == a
     assert not polyroots.mod(F2, a, lin)
-    assert p_associate(lp(F2, {0: 1})) == (1,)  # X maps to the unit
-    assert p_associate(lp(F2, {})) == ()
+    # over the prime field the associate factors compose back to a
+    assert compose(F2, quad, lin) == compose(F2, lin, quad) == a
 
 
 def test_conventional_and_twisted_divisibility_agree_over_prime_fields():
     for p in (2, 3):
         F = build_field(p, 1)
         for _ in range(100):
-            f = lp(F, {i: random.randrange(p) for i in range(3)})
-            g = lp(F, {i: random.randrange(p) for i in range(2)})
-            if not f or not g or not compose(f, g):
+            f = lp({i: random.randrange(p) for i in range(3)})
+            g = lp({i: random.randrange(p) for i in range(2)})
+            if not f or not g or not compose(F, f, g):
                 continue
-            target = compose(f, g)
-            assert decompose(target, g) == f
-            assert not polyroots.mod(F, p_associate(target), p_associate(g))
+            target = compose(F, f, g)
+            assert decompose(F, target, g) == f
+            assert not polyroots.mod(F, target, g)
 
 
 @pytest.mark.parametrize("p,k", [(2, 6), (2, 12), (3, 4)])
@@ -128,22 +129,22 @@ def test_decompose_agrees_with_kernel_containment(p, k):
     in the roots of m: m's remainder on the right by l vanishes on S."""
     F = build_field(p, k)
     rng = random.Random(1600 + 10 * p + k)
-    whole = lp(F, {k: 1, 0: F.neg(1)})  # X^|F| - X, whose roots are F
+    whole = lp({k: 1, 0: F.neg(1)})  # X^|F| - X, whose roots are F
     verdicts = set()
     for _ in range(5):
         basis = [rng.randrange(1, F.order) for _ in range(rng.randrange(1, 3))]
         kernel = span(F, basis)
         l = from_kernel(F, kernel)
-        assert roots_in(l) == kernel
+        assert roots_in(F, l) == kernel
         wider = basis + [rng.randrange(1, F.order)]
         other = [rng.randrange(1, F.order) for _ in wider]
-        outer = lp(F, {i: rng.randrange(F.order) for i in range(3)})
+        outer = lp({i: rng.randrange(F.order) for i in range(3)})
         for m in (whole, from_kernel(F, span(F, wider)),
-                  from_kernel(F, span(F, other)), compose(outer, l)):
-            ker_m = roots_in(m)
-            if not m or len(ker_m) != F.p ** m.top_index:
+                  from_kernel(F, span(F, other)), compose(F, outer, l)):
+            ker_m = roots_in(F, m)
+            if not m or len(ker_m) != F.p ** (len(m) - 1):
                 continue  # m does not split in F
-            verdict = decompose(m, l) is not None
+            verdict = decompose(F, m, l) is not None
             assert verdict == (kernel <= ker_m)
             verdicts.add(verdict)
     assert verdicts == {True, False}
@@ -166,13 +167,12 @@ def test_quotient_family_scan_rejects_q_not_a_power_of_p(q):
 # -- the division cores against independent references ---------------------------
 
 
-def _reference_left_quotient(outer, target):
-    """Top-down twisted division on LinearizedPoly coefficient dicts,
-    subtracting every term of `outer`, the leading one too, at each step."""
-    F = target.field
-    s = outer.top_index
-    a_s = outer.coeffs[s]
-    work = dict(target.coeffs)
+def _reference_left_quotient(F, outer, target):
+    """Top-down twisted division on {index: coefficient} dicts, subtracting
+    every term of `outer`, the leading one too, at each step."""
+    s = max(outer)
+    a_s = outer[s]
+    work = dict(target)
     out = {}
     while work:
         t = max(work)
@@ -183,21 +183,20 @@ def _reference_left_quotient(outer, target):
         rhs = F.div(work[t], a_s)
         q_d = F.frobenius(rhs, (F.k - s % F.k) % F.k) if s % F.k else rhs
         out[d] = q_d
-        for i, a in outer.coeffs.items():
+        for i, a in outer.items():
             k = i + d
             work[k] = F.sub(work.get(k, 0), F.mul(a, F.pow(q_d, F.p**i)))
             if work[k] == 0:
                 del work[k]
-    return LinearizedPoly(F, out)
+    return out
 
 
-def _reference_decompose(target, inner):
-    """Top-down right division on LinearizedPoly coefficient dicts,
-    subtracting every term of `inner`, the leading one too, at each step."""
-    F = target.field
-    s = inner.top_index
-    b_s = inner.coeffs[s]
-    work = dict(target.coeffs)
+def _reference_decompose(F, target, inner):
+    """Top-down right division on {index: coefficient} dicts, subtracting
+    every term of `inner`, the leading one too, at each step."""
+    s = max(inner)
+    b_s = inner[s]
+    work = dict(target)
     out = {}
     while work:
         t = max(work)
@@ -208,12 +207,27 @@ def _reference_decompose(target, inner):
         a_d = F.div(work[t], F.pow(b_s, F.p**d))
         out[d] = a_d
         pd = F.p**d
-        for j, b in inner.coeffs.items():
+        for j, b in inner.items():
             k = d + j
             work[k] = F.sub(work.get(k, 0), F.mul(a_d, F.pow(b, pd)))
             if work[k] == 0:
                 del work[k]
-    return LinearizedPoly(F, out)
+    return out
+
+
+def _terms(l):
+    """The {index: coefficient} dict of a coefficient tuple."""
+    return {i: c for i, c in enumerate(l) if c}
+
+
+def _coeffs(terms):
+    """A reference's dict as a tuple; None stays None."""
+    return None if terms is None else lp(terms)
+
+
+def _core(got):
+    """A core's quotient as a tuple, to compare with `_coeffs`."""
+    return None if got is None else tuple(got)
 
 
 def _sparse_lp(F, top, rng):
@@ -221,17 +235,15 @@ def _sparse_lp(F, top, rng):
     coeffs = {i: rng.randrange(F.order) for i in range(top)
               if rng.random() < 0.5}
     coeffs[top] = rng.randrange(1, F.order)
-    return lp(F, coeffs)
+    return lp(coeffs)
 
 
-def _coeffs(lp_):
-    """The dense coefficients the division cores take; None stays None."""
-    return None if lp_ is None else p_associate(lp_)
-
-
-def _core(got):
-    """A core's quotient as a tuple, to compare with `_coeffs`."""
-    return None if got is None else tuple(got)
+def _bumped(F, l, top, rng):
+    """l with a nonzero amount added at a seeded index below `top`."""
+    out = list(l)
+    low = rng.randrange(top)
+    out[low] = F.add(out[low], rng.randrange(1, F.order))
+    return tuple(out)
 
 
 @pytest.mark.parametrize("p,k", [(2, 6), (2, 12), (3, 4)])
@@ -241,17 +253,15 @@ def test_twisted_core_recovers_the_right_factor(p, k):
     for _ in range(150):
         outer = _sparse_lp(F, rng.randrange(6), rng)
         inner = _sparse_lp(F, rng.randrange(6), rng)
-        target = compose(outer, inner)
-        got = _twisted_quotient(F, _coeffs(outer), _coeffs(target))
-        assert _core(got) == _coeffs(inner)
+        target = compose(F, outer, inner)
+        assert _core(_twisted_quotient(F, outer, target)) == inner
         # a nonzero term below outer's top index leaves no quotient
-        s = outer.top_index
+        s = len(outer) - 1
         if s:
-            low = rng.randrange(s)
-            bumped = lp(F, {**target.coeffs, low: F.add(
-                target.coeffs.get(low, 0), rng.randrange(1, F.order))})
-            assert _twisted_quotient(F, _coeffs(outer), _coeffs(bumped)) is None
-            assert _reference_left_quotient(outer, bumped) is None
+            bumped = _bumped(F, target, s, rng)
+            assert _twisted_quotient(F, outer, bumped) is None
+            assert _reference_left_quotient(
+                F, _terms(outer), _terms(bumped)) is None
 
 
 @pytest.mark.parametrize("p,k", [(2, 6), (2, 12), (3, 4)])
@@ -261,21 +271,22 @@ def test_twisted_core_matches_the_reference(p, k):
     for _ in range(200):
         outer = _sparse_lp(F, rng.randrange(5), rng)
         target = _sparse_lp(F, rng.randrange(8), rng)
-        got = _twisted_quotient(F, _coeffs(outer), _coeffs(target))
-        assert _core(got) == _coeffs(_reference_left_quotient(outer, target))
+        got = _twisted_quotient(F, outer, target)
+        assert _core(got) == _coeffs(
+            _reference_left_quotient(F, _terms(outer), _terms(target)))
 
 
 def _core_cases(F, rng):
-    """(divisor, target) pairs of LinearizedPoly with gaps: arbitrary, a
-    zero target, a target shorter than the divisor, and exact multiples."""
+    """(divisor, target) tuple pairs with gaps: arbitrary, a zero target, a
+    target shorter than the divisor, and exact multiples."""
     for _ in range(120):
         div = _sparse_lp(F, rng.randrange(6), rng)
         yield div, _sparse_lp(F, rng.randrange(9), rng)
-        yield div, lp(F, {})
-        if div.top_index:
-            yield div, _sparse_lp(F, rng.randrange(div.top_index), rng)
-        yield div, compose(div, _sparse_lp(F, rng.randrange(4), rng))
-        yield div, compose(_sparse_lp(F, rng.randrange(4), rng), div)
+        yield div, ()
+        if len(div) > 1:
+            yield div, _sparse_lp(F, rng.randrange(len(div) - 1), rng)
+        yield div, compose(F, div, _sparse_lp(F, rng.randrange(4), rng))
+        yield div, compose(F, _sparse_lp(F, rng.randrange(4), rng), div)
 
 
 @pytest.mark.parametrize("p,k", [(2, 6), (2, 12), (3, 2), (3, 4)])
@@ -284,12 +295,14 @@ def test_dense_cores_match_the_dict_cores(p, k):
     rng = random.Random(1250 + 10 * p + k)
     nones = exact = 0
     for div, target in _core_cases(F, rng):
-        got = _twisted_quotient(F, _coeffs(div), _coeffs(target))
-        assert _core(got) == _coeffs(_reference_left_quotient(div, target))
+        got = _twisted_quotient(F, div, target)
+        assert _core(got) == _coeffs(
+            _reference_left_quotient(F, _terms(div), _terms(target)))
         nones += got is None
         exact += got is not None and bool(target)
-        right = _right_quotient(F, _coeffs(div), _coeffs(target))
-        assert _core(right) == _coeffs(_reference_decompose(target, div))
+        right = _right_quotient(F, div, target)
+        assert _core(right) == _coeffs(
+            _reference_decompose(F, _terms(target), _terms(div)))
     assert nones and exact
 
 
@@ -301,59 +314,37 @@ def test_decompose_matches_the_reference(p, k):
     for _ in range(150):
         outer = _sparse_lp(F, rng.randrange(6), rng)
         inner = _sparse_lp(F, rng.randrange(6), rng)
-        target = compose(outer, inner)
-        assert decompose(target, inner) == outer == \
-            _reference_decompose(target, inner)
+        target = compose(F, outer, inner)
+        assert decompose(F, target, inner) == outer == _coeffs(
+            _reference_decompose(F, _terms(target), _terms(inner)))
         # a nonzero term below inner's top index leaves no outer factor
-        s = inner.top_index
+        s = len(inner) - 1
         if s:
-            low = rng.randrange(s)
-            bumped = lp(F, {**target.coeffs, low: F.add(
-                target.coeffs.get(low, 0), rng.randrange(1, F.order))})
-            assert decompose(bumped, inner) is None
-            assert _reference_decompose(bumped, inner) is None
+            bumped = _bumped(F, target, s, rng)
+            assert decompose(F, bumped, inner) is None
+            assert _reference_decompose(
+                F, _terms(bumped), _terms(inner)) is None
         # an arbitrary target: mostly no outer factor, sometimes one
         other = _sparse_lp(F, rng.randrange(8), rng)
-        got = decompose(other, inner)
-        assert got == _reference_decompose(other, inner)
+        got = decompose(F, other, inner)
+        assert got == _coeffs(
+            _reference_decompose(F, _terms(other), _terms(inner)))
         nones += got is None
     assert nones > 0
 
 
-def _dense(F, deg, rng, sparse):
-    cs = [rng.randrange(F.order) if not sparse or rng.random() < 0.3 else 0
-          for _ in range(deg)]
-    return cs + [rng.randrange(1, F.order)]
-
-
-@pytest.mark.parametrize("p,k", [(2, 6), (2, 12), (3, 4)])
-@pytest.mark.parametrize("sparse", [False, True])
-def test_conventional_core_remainder_matches_divmod_poly(p, k, sparse):
-    F = build_field(p, k)
-    rng = random.Random(1300 + 10 * k + sparse)
-    for _ in range(150):
-        b = _dense(F, rng.randrange(6), rng, sparse)
-        a = _dense(F, rng.randrange(12), rng, sparse)
-        _, rem = polyroots.divmod_poly(F, a, b)
-        assert polyroots.mod(F, a, b) == rem
-        # a multiple of b leaves no remainder
-        prod = polyroots.mul(F, a, b)
-        assert polyroots.mod(F, prod, b) == ()
-
-
-# -- the family scan against the object-building reference ---------------------
+# -- the family scan against the dict-based reference -------------------------
 
 
 def _reference_family(F, q, only=None):
     """(member, by_composition, by_conventional) in scan order, deciding each
-    member with LinearizedPoly objects, the reference twisted
+    member, a {index: coefficient} dict, with the reference twisted
     division and dense `polyroots.divmod_poly`.  With `only`, a set of
     positions, the verdicts of every other member are None."""
     p, e = F.p, 0
     while p**e < q:
         e += 1
-    target = LinearizedPoly(F, {3 * e: 1, 0: 1})
-    target_assoc = p_associate(target)
+    target = {3 * e: 1, 0: 1}
     n = F.units
     m13 = q * q - q + 1
     gk = F.pow(F.generator, gcd(m13, n))
@@ -377,11 +368,9 @@ def _reference_family(F, q, only=None):
             member = {2 * e: A, 0: B}
             by_composition = by_conventional = None
             if only is None or pos in only:
-                cand = LinearizedPoly(F, member)
                 by_composition = (
-                    _reference_left_quotient(cand, target) is not None)
-                _, rem = polyroots.divmod_poly(F, target_assoc,
-                                               p_associate(cand))
+                    _reference_left_quotient(F, member, target) is not None)
+                _, rem = polyroots.divmod_poly(F, lp(target), lp(member))
                 by_conventional = not rem
             yield member, by_composition, by_conventional
             pos += 1
@@ -398,8 +387,7 @@ def _compare_with_reference(F, q, only=None):
     every position, or at the positions in `only`."""
     # the scan's members are the dense (B, 0, ..., 0, A); the reference's
     # are {2e: A, 0: B}
-    new = [({i: x for i, x in enumerate(m) if x}, c, d)
-           for m, c, d in _family_verdicts(F, q)]
+    new = [(_terms(m), c, d) for m, c, d in _family_verdicts(F, q)]
     ref = list(_reference_family(F, q, only))
     assert [m for m, _, _ in new] == [m for m, _, _ in ref]
     for i in (range(len(ref)) if only is None else sorted(only)):

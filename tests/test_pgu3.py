@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from maxcurves import pgu3
 from maxcurves.curves import FermatHermitian, NormTraceHermitian
 from maxcurves.gf import build_field, embed
 from maxcurves.numbertheory import factorize
@@ -57,7 +58,7 @@ def test_inverse_and_order():
     a = make_alpha(F, theta, 2)
     assert (a * a.inverse()).is_identity()
     assert a.order() == 11
-    h = make_three_cycle(F, 1, 1)
+    h = make_three_cycle(F, 1, 1, q=32)
     assert h.order() == 3  # h^3 is scalar
 
 
@@ -170,7 +171,7 @@ def test_order_of_primitive_quadratic_companion_plus_one(p, k):
 
 def test_three_cycle_permutes_fundamental_points():
     F = build_field(2, 4)
-    h = make_three_cycle(F, 1, 1)
+    h = make_three_cycle(F, 1, 1, q=4)
     e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     from maxcurves.proj3 import ProjPoint
     p = ProjPoint(F, e1)
@@ -203,12 +204,12 @@ def test_make_beta_additivity():
     F = build_field(2, 12)
     kernel = [c for c in F.elements() if F.add(F.pow(c, 64), c) == 0]
     c1, c2 = kernel[1], kernel[2]
-    b1, b2 = make_beta(F, c1, conj_exp=64), make_beta(F, c2, conj_exp=64)
-    assert b1 * b2 == make_beta(F, F.add(c1, c2), conj_exp=64)
-    assert make_beta(F, 0).is_identity()
+    b1, b2 = make_beta(F, c1, 64), make_beta(F, c2, 64)
+    assert b1 * b2 == make_beta(F, F.add(c1, c2), 64)
+    assert make_beta(F, 0, 64).is_identity()
     assert (b1 * b1).is_identity()  # c + c = 0 in characteristic 2
     with pytest.raises(GroupError):
-        make_beta(F, F.generator, conj_exp=64)  # fails the trace-zero condition
+        make_beta(F, F.generator, 64)  # fails the trace-zero condition
 
 
 def test_diagonal_unitarity_full_scan_f16():
@@ -261,7 +262,7 @@ def test_when_three_does_not_divide_every_unitary_is_psu():
     model = FermatHermitian(4)
     F = model.field
     zeta = F.root_of_unity(5)
-    G = generate([make_alpha(F, zeta, 2), make_three_cycle(F, 1, 1)])
+    G = generate([make_alpha(F, zeta, 2), make_three_cycle(F, 1, 1, q=4)])
     assert all(in_psu(g, model) for g in G.elements)
 
 
@@ -277,7 +278,7 @@ def test_generate_alpha_with_three_cycle_at_q32():
     # monomial group over the 11th roots: order 3 * 11^2 = 363
     F = build_field(2, 10)
     theta = F.root_of_unity(11)
-    G = generate([make_alpha(F, theta, 2), make_three_cycle(F, 1, 1)])
+    G = generate([make_alpha(F, theta, 2), make_three_cycle(F, 1, 1, q=32)])
     assert G.order == 363
 
 
@@ -285,7 +286,7 @@ def test_generate_semidirect_closures_where_normalization_holds():
     # ord(theta) = 3 with i = 2: i^2 - i + 1 = 3 = 0 mod 3
     F64 = build_field(2, 6)
     t3 = F64.root_of_unity(3)
-    G = generate([make_alpha(F64, t3, 2), make_three_cycle(F64, 1, 1)])
+    G = generate([make_alpha(F64, t3, 2), make_three_cycle(F64, 1, 1, q=8)])
     assert G.order == 9
     # ord(xi) = 57 with i = 8: i^2 - i + 1 = 57 = 0 mod 57
     F218 = build_field(2, 18)
@@ -296,10 +297,11 @@ def test_generate_semidirect_closures_where_normalization_holds():
     assert G2.order == 3 * 57  # |<alpha, h>| = 3 ord(theta) when h normalizes
 
 
-def test_generate_cap():
+def test_generate_cap(monkeypatch):
     F = build_field(2, 10)
-    with pytest.raises(GroupError):
-        generate([make_alpha(F, F.root_of_unity(33), 1)], cap=10)
+    monkeypatch.setattr(pgu3, "CLOSURE_CAP", 10)
+    with pytest.raises(GroupError, match="cap 10"):
+        generate([make_alpha(F, F.root_of_unity(33), 1)])
 
 
 def test_subgroup_order_divides_pgu_order():
@@ -307,7 +309,7 @@ def test_subgroup_order_divides_pgu_order():
     q = 32
     theta = F.root_of_unity(11)
     for gens in ([make_alpha(F, theta, 2)],
-                 [make_alpha(F, theta, 2), make_three_cycle(F, 1, 1)],
+                 [make_alpha(F, theta, 2), make_three_cycle(F, 1, 1, q=q)],
                  [make_three_cycle(F, F.root_of_unity(33), 1, q=q)]):
         G = generate(gens)
         assert pgu3_order(q) % G.order == 0

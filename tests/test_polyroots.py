@@ -121,7 +121,7 @@ def _divisor(F, rng, deg, kind):
     return tuple(b)
 
 
-MOD_FIELDS = [(3, 2), (2, 6), (2, 54)]
+MOD_FIELDS = [(3, 2), (3, 4), (2, 6), (2, 12), (2, 54)]
 
 
 @pytest.mark.parametrize("p,k", MOD_FIELDS)

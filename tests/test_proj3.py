@@ -100,8 +100,3 @@ def test_line_at_infinity_curve_intersections():
     assert sum(1 for P in pts if fermat.contains(P)) == 5
     assert sum(1 for P in pts if ntrace.contains(P)) == 1  # only (1, 0, 0)
 
-
-def test_incidence_requires_matching_fields():
-    F4, F16 = build_field(2, 2), build_field(2, 4)
-    with pytest.raises(ProjError):
-        line_points(ProjLine(F16, (0, 0, 1)), F4)

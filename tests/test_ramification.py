@@ -11,7 +11,7 @@ from oracles import all_points
 def test_involution_contribution_on_h64():
     F = build_field(2, 12)
     model = NormTraceHermitian(64)
-    beta = make_beta(F, 1, conj_exp=64)
+    beta = make_beta(F, 1, 64)
     value, tag = i_sigma(beta, model)
     assert (value, tag) == (66, "wild-order-2")
 
