@@ -15,7 +15,7 @@ conventional verdict, `polyroots.mod`, computed alongside.
 from math import gcd
 
 from . import polyroots
-from .numbertheory import is_prime_power
+from .numbertheory import _in_two, is_prime_power
 
 
 class LinPolyError(ValueError):
@@ -107,34 +107,54 @@ def quotient_family_scan(field, q):
     (a nonzero, k a (q^2-q+1)-th power) for left-divisibility into
     X^(q^3) + X, under both the composition criterion and the conventional
     p-associate criterion.  Returns (families_tested, divisible_count,
-    criteria_disagreements)."""
+    criteria_disagreements).
+
+    The representatives a are split in two and the upper half is scanned
+    in a forked child (`numbertheory._in_two`); the counts and any error
+    are the serial ones."""
+    reps = _family_reps(field, q)
+    half = len(reps) // 2
+    lower, upper = _in_two(_family_counts, (field, q, reps[:half]),
+                           (field, q, reps[half:]))
+    return tuple(x + y for x, y in zip(lower, upper))
+
+
+def _family_counts(F, q, reps):
+    """(tested, divisible, disagreements) over the members of these a."""
     tested = divisible = disagreements = 0
-    for _, composes, divides in _family_verdicts(field, q):
+    for _, composes, divides in _family_verdicts(F, q, reps):
         tested += 1
         divisible += composes
         disagreements += (composes and not divides) or (divides and not composes)
     return tested, divisible, disagreements
 
 
-def _family_verdicts(F, q):
-    """(member, composes, divides) in scan order: each member, the dense
-    (B, 0, ..., 0, A) of A X^(q^2) + B X, goes through the twisted core and
-    `polyroots.mod`."""
+def _family_reps(F, q):
+    """The a of the scan, in scan order: the first a per value of
+    a^(q^2-1).  Scaling a by a (q^2-1)-th root of unity rescales (A, B) by
+    a unit that the k-subgroup already covers."""
     pe = is_prime_power(q)
     if pe is None or pe[0] != F.p:
         raise LinPolyError("q is not a power of the field characteristic")
-    gap = (0,) * (2 * pe[1] - 1)
-    target = (1,) + (0,) * (3 * pe[1] - 1) + (1,)
-    mul, neg, pw, mod = F.mul, F.neg, F.pow, polyroots.mod
-    h = gcd(q * q - q + 1, F.units)
-    gk = pw(F.generator, h)  # generates the (q^2-q+1)-th powers
-    # the first a per value of a^(q^2-1): scaling a by a (q^2-1)-th root of
-    # unity rescales (A, B) by a unit that the k-subgroup already covers
+    pw = F.pow
     reps = {}
     for j in range(F.units):
         a = pw(F.generator, j)
         reps.setdefault(pw(a, q * q - 1), a)
-    for a in reps.values():
+    return list(reps.values())
+
+
+def _family_verdicts(F, q, reps):
+    """(member, composes, divides) in scan order over the given a: each
+    member, the dense (B, 0, ..., 0, A) of A X^(q^2) + B X, goes through
+    the twisted core and `polyroots.mod`."""
+    e = is_prime_power(q)[1]
+    gap = (0,) * (2 * e - 1)
+    target = (1,) + (0,) * (3 * e - 1) + (1,)
+    mul, neg, pw, mod = F.mul, F.neg, F.pow, polyroots.mod
+    h = gcd(q * q - q + 1, F.units)
+    gk = pw(F.generator, h)  # generates the (q^2-q+1)-th powers
+    for a in reps:
         a_q2 = pw(a, q * q)
         kinv = 1
         for _ in range(F.units // h):

@@ -1,10 +1,14 @@
-"""Exact integer helpers: primality, factorization, divisors.
+"""Exact integer helpers: primality, factorization, divisors, and the
+two-process split of the exhaustive scans.
 
 Everything here is deterministic.  Miller-Rabin uses a fixed witness set
 that is provably correct for all n < 3.3 * 10^24, far beyond any integer
 this package factors (group orders up to ~2^64).
 """
 
+import marshal
+import os
+import signal
 from functools import lru_cache
 from math import gcd
 
@@ -114,3 +118,52 @@ def is_prime_power(n: int):
     if len(f) != 1:
         return None
     return f[0]
+
+
+def _in_two(fn, first, second):
+    """[fn(*first), fn(*second)], with fn(*second) computed in a forked
+    child while this process computes fn(*first).
+
+    The child sends its result (ints, bools, lists and tuples) back through
+    a pipe with `marshal` and always leaves by `os._exit`, so it flushes no
+    inherited stdio buffer and runs no exit handler.  The child is always
+    reaped, and killed first if fn(*first) raises.  If the child fails in
+    any way, this process computes fn(*second) itself, so results and
+    exceptions are those of the serial calls, the first call's error
+    first.  Without `os.fork` (or if the fork fails) both calls run here.
+    """
+    if not hasattr(os, "fork"):
+        return [fn(*first), fn(*second)]
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return [fn(*first), fn(*second)]
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            data = memoryview(marshal.dumps(fn(*second)))
+            while data:
+                data = data[os.write(w, data):]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        with open(r, "rb") as pipe:
+            lower = fn(*first)
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status == 0:
+        try:
+            return [lower, marshal.loads(data)]
+        except (EOFError, ValueError):  # a short or garbled result
+            pass
+    return [lower, fn(*second)]

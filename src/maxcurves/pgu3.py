@@ -96,6 +96,8 @@ class Projectivity:
 
     def __pow__(self, e):
         """self^e for an integer e >= 0, by square and multiply."""
+        if e < 0:
+            raise GroupError(f"negative exponent {e}: only e >= 0 is supported")
         r = Projectivity.identity(self.field)
         b = self
         while e:

@@ -82,6 +82,11 @@ def test_quattordici_unique_survivor():
 def test_primovalore_scan():
     hits = primovalore_scan(2000)
     assert hits == [1, 2, 3, 10]
+    # the scan splits at q_max // 2: 2000 puts the hit q = 10 well inside
+    # the lower half, 20 and 21 at its top, 19 at the bottom of the upper
+    # half, 11 inside it and 10 at its top
+    for q_max in (10, 11, 19, 20, 21):
+        assert primovalore_scan(q_max) == [1, 2, 3, 10], q_max
     assert (2128 * 10 - 1568) % 112 == 0
     assert (2128 * 4 - 1568) % 22 != 0
     assert 2128 * 10 - 1568 == 112 * 176

@@ -6,9 +6,9 @@ import pytest
 from maxcurves import polyroots
 from maxcurves.gf import build_field, clear_modulus_overrides, \
     set_modulus_override
-from maxcurves.linpoly import (LinPolyError, _family_verdicts, _right_quotient,
-                               _twisted_quotient, compose, decompose,
-                               quotient_family_scan)
+from maxcurves.linpoly import (LinPolyError, _family_reps, _family_verdicts,
+                               _right_quotient, _twisted_quotient, compose,
+                               decompose, quotient_family_scan)
 from oracles import from_kernel, roots_in, span
 
 random.seed(904)
@@ -387,7 +387,8 @@ def _compare_with_reference(F, q, only=None):
     every position, or at the positions in `only`."""
     # the scan's members are the dense (B, 0, ..., 0, A); the reference's
     # are {2e: A, 0: B}
-    new = [(_terms(m), c, d) for m, c, d in _family_verdicts(F, q)]
+    new = [(_terms(m), c, d)
+           for m, c, d in _family_verdicts(F, q, _family_reps(F, q))]
     ref = list(_reference_family(F, q, only))
     assert [m for m, _, _ in new] == [m for m, _, _ in ref]
     for i in (range(len(ref)) if only is None else sorted(only)):
@@ -406,8 +407,11 @@ def test_family_scan_counts_both_kinds_of_disagreement(monkeypatch):
     # the family has no divisible member, so feed the count every pattern
     import maxcurves.linpoly as linpoly
     pattern = [(True, True), (True, False), (False, True), (False, False)]
+    # one "representative" per verdict pair, so each half of the scan counts
+    # six of the twelve: (6, 4, 3) in this process, (6, 2, 3) in the child
+    monkeypatch.setattr(linpoly, "_family_reps", lambda F, q: pattern * 3)
     monkeypatch.setattr(linpoly, "_family_verdicts",
-                        lambda F, q: (({}, c, d) for c, d in pattern * 3))
+                        lambda F, q, reps: (({}, c, d) for c, d in reps))
     assert quotient_family_scan(None, 4) == (12, 6, 6)
 
 

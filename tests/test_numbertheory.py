@@ -1,6 +1,13 @@
+import os
 import random
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
-from maxcurves.numbertheory import (divisors, factorize, is_prime,
+import pytest
+
+from maxcurves.numbertheory import (_in_two, divisors, factorize, is_prime,
                                     is_prime_power)
 
 random.seed(900)
@@ -45,3 +52,89 @@ def test_is_prime_power():
     assert is_prime_power(729) == (3, 6)
     assert is_prime_power(1) is None
     assert is_prime_power(12) is None
+
+
+# -- the two-process split of the scans -----------------------------------------
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _bounded_range(lo, hi):
+    if hi > 100:
+        raise ValueError(f"hi = {hi} is past the bound")
+    return list(range(lo, hi))
+
+
+def test_in_two_equals_the_serial_calls():
+    for fn, first, second in [(divisors, (360,), (2**10 * 3**5,)),
+                              (factorize, (2**54 - 1,), (10**12 + 39,)),
+                              # a result larger than a pipe's buffer
+                              (list, (range(10),), (range(10**5),))]:
+        assert _in_two(fn, first, second) == [fn(*first), fn(*second)]
+    _no_child_left()
+
+
+def test_in_two_raises_the_serial_error_of_the_upper_half():
+    with pytest.raises(ValueError, match="^hi = 200 is past the bound$"):
+        _in_two(_bounded_range, (0, 10), (10, 200))
+    _no_child_left()
+
+
+def test_in_two_raises_the_lower_half_error_first():
+    with pytest.raises(ValueError, match="^hi = 150 is past the bound$"):
+        _in_two(_bounded_range, (0, 150), (150, 300))
+    _no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["exit 3", "killed"])
+def test_in_two_recomputes_the_half_of_a_failed_child(failure):
+    parent = os.getpid()
+
+    def half(lo, hi):
+        if os.getpid() != parent:
+            if failure == "exit 3":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return list(range(lo, hi))
+
+    assert _in_two(half, (0, 5), (5, 9)) == [[0, 1, 2, 3, 4], [5, 6, 7, 8]]
+    _no_child_left()
+
+
+def test_in_two_runs_both_halves_here_without_fork(monkeypatch):
+    parent = os.getpid()
+
+    def half(lo, hi):
+        assert os.getpid() == parent
+        return list(range(lo, hi))
+
+    monkeypatch.delattr(os, "fork")
+    assert _in_two(half, (0, 2), (2, 4)) == [[0, 1], [2, 3]]
+
+
+def test_in_two_runs_both_halves_here_if_the_fork_fails(monkeypatch):
+    def no_fork():
+        raise BlockingIOError("no process left")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _in_two(_bounded_range, (0, 2), (2, 4)) == [[0, 1], [2, 3]]
+
+
+def test_the_forked_scan_writes_no_inherited_output_twice():
+    # stdout to a pipe is block-buffered, so the line is still unflushed
+    # when primovalore_scan forks; a child that flushed it would print it
+    # a second time
+    code = ("import sys\n"
+            "sys.stdout.write('before the scan\\n')\n"
+            "from maxcurves.catalog import primovalore_scan\n"
+            "assert primovalore_scan(10**4) == [1, 2, 3, 10]\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True, timeout=120)
+    assert done.stdout == "before the scan\n"

@@ -62,6 +62,17 @@ def test_inverse_and_order():
     assert h.order() == 3  # h^3 is scalar
 
 
+def test_negative_power_raises_before_any_product(monkeypatch):
+    F = build_field(2, 4)
+    a = make_alpha(F, F.generator, 1)
+    assert (a ** 0).is_identity() and a ** 1 == a and a ** 3 == a * a * a
+    # no product may run: the former loop never ended for e < 0
+    monkeypatch.setattr(Projectivity, "__mul__", None)
+    for e in (-1, -2, -15):
+        with pytest.raises(GroupError, match="negative exponent"):
+            a ** e
+
+
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2)])
 def test_order_is_least_scalar_power(p, k):
     F = build_field(p, k)
