@@ -13,8 +13,8 @@ from .curves import (FermatHermitian, GarciaStichtenoth, GeneralizedGK,
 from .proj3 import ProjLine, ProjPoint, line_points, normalize
 from .pgu3 import (Projectivity, SubgroupSpec, generate, in_psu, make_alpha,
                    make_alpha_a, make_beta, make_three_cycle)
-from .action import (fixed_points, is_semiregular, orbits, restrict_to_line,
-                     sharply_2_transitive, sylow_census)
+from .action import (fixed_points, is_semiregular, orbits,
+                     restrict_to_infinity, sharply_2_transitive, sylow_census)
 from .ramification import (RamificationLedger, different_degree,
                            expected_delta, i_sigma, ledger_feasibility)
 from .linpoly import compose, decompose

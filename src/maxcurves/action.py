@@ -8,6 +8,9 @@ conjugates.  One-dimensional eigenspaces give isolated fixed points;
 two-dimensional ones give a pointwise-fixed line (homology or elation),
 whose curve intersection is decided by the tangent/secant classification
 through the polarity (and by enumeration in oracle tests at small q).
+
+The restriction behind the homomorphism into PGL(2, q^2) is taken on the
+line T = 0 only, the line the diagonal groups stabilise.
 """
 
 from heapq import merge
@@ -74,8 +77,7 @@ def _cross(F, a, b):
 def _axis_curve_count(axis, model):
     """|axis intersect curve| by the tangent/secant classification (the
     oracle tests compare this against enumeration at small q)."""
-    P = pole(axis, model)
-    return model.tangent_line_size() if model.contains(P) else model.secant_line_size()
+    return 1 if model.contains(pole(axis, model)) else model.q + 1
 
 
 def fixed_points(sigma: Projectivity, model) -> FixedPointSet:
@@ -287,7 +289,7 @@ def family_census(elements, group: SubgroupSpec, model) -> StabilizerCensus:
     return StabilizerCensus(incidence, census, per_element, partition)
 
 
-# -- restriction to a stabilized line -----------------------------------------
+# -- restriction to the stabilized line T = 0 ---------------------------------
 
 
 def mul2(F, a, b):
@@ -301,47 +303,14 @@ def mul2(F, a, b):
     ))
 
 
-def line_image(sigma: Projectivity, line: ProjLine) -> ProjLine:
-    """The image line: coordinates transform by the inverse matrix."""
-    F = sigma.field
-    inv = sigma.inverse().m
-    l = line.coords
-    out = []
-    for i in range(3):
-        acc = 0
-        for j in range(3):
-            acc = F.add(acc, F.mul(l[j], inv[3 * j + i]))
-        out.append(acc)
-    return ProjLine(F, out)
-
-
-def _frame_to_infinity(line: ProjLine) -> Projectivity:
-    """A change of frame carrying the line to T = 0 (third row = line coords)."""
-    F = line.field
-    j = next(i for i, c in enumerate(line.coords) if c)
-    rows = []
-    for i in range(3):
-        if i != j:
-            e = [0, 0, 0]
-            e[i] = 1
-            rows.append(tuple(e))
-    rows.append(line.coords)
-    return Projectivity(F, rows[0] + rows[1] + rows[2])
-
-
-def restrict_to_line(sigma: Projectivity, line: ProjLine):
-    """The action induced on a stabilized line: the 2x2 matrix mod scalars,
-    as the normalised row-major 4-tuple.  It is invertible, since the
-    conjugated sigma fixes T = 0 and is itself invertible."""
-    if line_image(sigma, line) != line:
-        raise ActionError("element does not stabilize the line")
-    F = sigma.field
-    g = _frame_to_infinity(line)
-    s = g * sigma * g.inverse()
-    m = s.m
+def restrict_to_infinity(sigma: Projectivity):
+    """The action induced on the line T = 0, which sigma must stabilise:
+    the 2x2 matrix mod scalars, as the normalised row-major 4-tuple.  It is
+    invertible, since det sigma = m[8] times its determinant."""
+    m = sigma.m
     if m[6] != 0 or m[7] != 0:
-        raise ActionError("conjugated matrix does not fix T = 0 (unreachable)")
-    return normalize(F, (m[0], m[1], m[3], m[4]))
+        raise ActionError("element does not stabilize the line T = 0")
+    return normalize(sigma.field, (m[0], m[1], m[3], m[4]))
 
 
 # -- Sylow analysis ------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Order catalogs for the case analyses: maximal subgroups of PSU(3, q) and
 the pure-integer divisibility scans.
 
-Catalog entries are data, not derivations: each carries an order formula
-evaluated at the given q together with the applicability condition that
-produced it.  The scans use arbitrary-precision integers throughout
-(q^9 (q^9 + 1)(q^6 - 1) overflows fixed-width arithmetic long before the
-scan bound of 10^6).
+Catalog entries are data, not derivations: a case label, an order formula
+evaluated at the given q and a structure note, listed only where the
+case's applicability condition holds at q.  The scans use
+arbitrary-precision integers throughout (q^9 (q^9 + 1)(q^6 - 1) overflows
+fixed-width arithmetic long before the scan bound of 10^6).
 """
 
 from math import gcd
@@ -20,12 +20,10 @@ class CatalogError(ValueError):
 class CatalogEntry:
     """One subgroup class: case label, concrete order, structure note."""
 
-    def __init__(self, label, order, structure, source, params=None):
+    def __init__(self, label, order, structure):
         self.label = label
         self.order = order
         self.structure = structure
-        self.source = source
-        self.params = dict(params or {})
 
     def __repr__(self):
         return f"CatalogEntry({self.label}: {self.structure}, order {self.order})"
@@ -60,61 +58,52 @@ def mh_orders(q: int):
     d = gcd(q + 1, 3)
     entries = [
         CatalogEntry("i", q**3 * (q * q - 1) // d,
-                     "stabilizer of a rational curve point", "psu3-maximal"),
+                     "stabilizer of a rational curve point"),
         CatalogEntry("ii", q * (q - 1) * (q + 1) ** 2 // d,
-                     "stabilizer of a point off the curve and its polar line",
-                     "psu3-maximal"),
+                     "stabilizer of a point off the curve and its polar line"),
         CatalogEntry("iii", 6 * (q + 1) ** 2 // d,
-                     "stabilizer of a self-polar triangle", "psu3-maximal"),
+                     "stabilizer of a self-polar triangle"),
         CatalogEntry("iv", 3 * (q * q - q + 1) // d,
-                     "normalizer of a cyclic Singer group", "psu3-maximal"),
+                     "normalizer of a cyclic Singer group"),
     ]
     if p > 2:
         entries.append(CatalogEntry("v", pgl2_order(q),
-                                    "PGL(2,q) preserving a conic", "psu3-maximal"))
+                                    "PGL(2,q) preserving a conic"))
         for m in divisors(k):
             if m < k and (k // m) % 2 == 1:
                 entries.append(CatalogEntry(
                     "vi", psu3_order(p**m),
-                    f"subfield unitary group, subfield degree {m}",
-                    "psu3-maximal", {"m": m}))
+                    f"subfield unitary group, subfield degree {m}"))
                 if (k // m) % 3 == 0 and (q + 1) % 3 == 0:
                     entries.append(CatalogEntry(
                         "vii", 3 * psu3_order(p**m),
-                        f"index-3 extension of a subfield unitary group, degree {m}",
-                        "psu3-maximal", {"m": m}))
+                        f"index-3 extension of a subfield unitary group, degree {m}"))
         if (q + 1) % 9 == 0:
-            entries.append(CatalogEntry("viii", 216, "Hessian group", "psu3-maximal"))
+            entries.append(CatalogEntry("viii", 216, "Hessian group"))
         if (q + 1) % 3 == 0:
-            entries.append(CatalogEntry("viii", 72, "Hessian group", "psu3-maximal"))
-            entries.append(CatalogEntry("viii", 36, "Hessian group", "psu3-maximal"))
+            entries.append(CatalogEntry("viii", 72, "Hessian group"))
+            entries.append(CatalogEntry("viii", 36, "Hessian group"))
         if p == 7 or not _is_square_in_fq(-7, p, k):
-            entries.append(CatalogEntry("ix", 168, "PSL(2,7)", "psu3-maximal"))
+            entries.append(CatalogEntry("ix", 168, "PSL(2,7)"))
         if (p == 3 and k % 2 == 0) or (
                 _is_square_in_fq(5, p, k) and (q - 1) % 3 != 0):
-            entries.append(CatalogEntry("x", 360, "alternating group A6",
-                                        "psu3-maximal"))
+            entries.append(CatalogEntry("x", 360, "alternating group A6"))
         if p == 5 and k % 2 == 1:
-            entries.append(CatalogEntry("xi", 720, "symmetric group S6",
-                                        "psu3-maximal"))
-            entries.append(CatalogEntry("xii", 2520, "alternating group A7",
-                                        "psu3-maximal"))
+            entries.append(CatalogEntry("xi", 720, "symmetric group S6"))
+            entries.append(CatalogEntry("xii", 2520, "alternating group A7"))
     else:
         for m in divisors(k):
             if m < k and is_prime(k // m) and (k // m) % 2 == 1:
                 entries.append(CatalogEntry(
                     "xiii", psu3_order(2**m),
-                    f"subfield unitary group, subfield degree {m}",
-                    "psu3-maximal", {"m": m}))
+                    f"subfield unitary group, subfield degree {m}"))
         if k % 3 == 0 and (k // 3) % 2 == 1:
             m = k // 3
             entries.append(CatalogEntry(
                 "xiv", 3 * psu3_order(2**m),
-                f"index-3 extension of a subfield unitary group, degree {m}",
-                "psu3-maximal", {"m": m}))
+                f"index-3 extension of a subfield unitary group, degree {m}"))
         if k == 1:
-            entries.append(CatalogEntry("xv", 36, "a group of order 36",
-                                        "psu3-maximal"))
+            entries.append(CatalogEntry("xv", 36, "a group of order 36"))
     return entries
 
 

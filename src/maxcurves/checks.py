@@ -17,7 +17,7 @@ import time
 
 from . import polyroots
 from .action import family_census, fixed_points, is_semiregular, mul2, \
-    orbits, restrict_to_line, sylow_census, common_fixed_curve_points, \
+    orbits, restrict_to_infinity, sylow_census, common_fixed_curve_points, \
     sharply_2_transitive
 from .catalog import (PRIMOVALORE_REMAINDER, lemmino_scan, order_excluded,
                       primovalore_scan, quattordici_scan)
@@ -28,7 +28,6 @@ from .linpoly import compose, decompose, quotient_family_scan
 from .numbertheory import is_prime_power
 from .pgu3 import CLOSURE_CAP, Projectivity, generate, in_psu, make_alpha, \
     make_alpha_a, make_beta, make_three_cycle
-from .proj3 import ProjLine
 from .ramification import different_degree, expected_delta, ledger_feasibility, \
     wild_contribution
 
@@ -312,7 +311,6 @@ def _check_phi_homomorphism(q):
              f"{CLOSURE_CAP}")
     F = build_field(2, 2 * pk[1])
     model = FermatHermitian(q)
-    line = ProjLine(F, (0, 0, 1))
     zeta = F.root_of_unity(q + 1)
     G = generate([make_alpha(F, zeta, 2)])
     rng = random.Random(20240)
@@ -320,11 +318,11 @@ def _check_phi_homomorphism(q):
     hom_ok = True
     for _ in range(100):
         a, b = rng.choice(els), rng.choice(els)
-        if restrict_to_line(a * b, line) != mul2(
-                F, restrict_to_line(a, line), restrict_to_line(b, line)):
+        if restrict_to_infinity(a * b) != mul2(
+                F, restrict_to_infinity(a), restrict_to_infinity(b)):
             hom_ok = False
             break
-    kernel = sum(1 for g in els if restrict_to_line(g, line) == (1, 0, 0, 1))
+    kernel = sum(1 for g in els if restrict_to_infinity(g) == (1, 0, 0, 1))
     semi = is_semiregular(G, model)
     conds = {"homomorphism": hom_ok, "injective": kernel == 1,
              "semiregular": semi, "order": G.order == q + 1}
@@ -550,7 +548,7 @@ class _Check:
     def __init__(self, func, claim, params):
         self.func = func
         self.claim = claim
-        self.params = params  # {name: (parser, default)}
+        self.params = params  # {name: default}
 
 
 def _int_list(text):
@@ -564,74 +562,74 @@ REGISTRY = {
         _check_hermitian_count,
         "the Hermitian curve has exactly q^3 + 1 rational points over F_{q^2} "
         "and attains the Hasse-Weil bound, for q in {2, 3, 4, 8}",
-        {"qs": (_int_list, (2, 3, 4, 8))}),
+        {"qs": (2, 3, 4, 8)}),
     "gk-congruence": _Check(
         _check_gk_congruence,
         "the generalized GK curve over F_{2^(2n)} has 4q^2 - 4q + 1 rational "
         "points (q = 2^n), a count divisible by 3",
-        {"ns": (_int_list, (5, 7))}),
+        {"ns": (5, 7)}),
     "gs-congruence": _Check(
         _check_gs_congruence,
         "the Garcia-Stichtenoth curve over F_{q^6} has q^7 - q^5 + q^4 + 1 "
         "rational points, congruent to q^2 + 1 and not to 2 modulo q^3 + 1",
-        {"qs": (_int_list, (2, 3, 4))}),
+        {"qs": (2, 3, 4)}),
     "alpha-semiregular": _Check(
         _check_alpha_semiregular,
         "the diagonal group of order (q+1)/3 acts semiregularly on the "
         "Hermitian curve, and so does its index-3 diagonal overgroup",
-        {"ns": (_int_list, (5,))}),
+        {"ns": (5,)}),
     "triangolo-census": _Check(
         _check_triangolo_census,
         "each weighted 3-cycle in the non-cube determinant family has exactly "
         "3 fixed points on the Hermitian curve; the incidence count is "
         "4(q+1)/3 over 2(q+1)/3 points forming 2 orbits of the diagonal "
         "stabilizer, incompatible with a quotient count divisible by 3",
-        {"n": (int, 9)}),
+        {"n": 9}),
     "eigen-fixed-points": _Check(
         _check_eigen_fixed_points,
         "a unitary weighted 3-cycle with non-cube determinant has exactly 3 "
         "fixed points, all on the curve, with coordinates in the cubic "
         "extension of F_{q^2}",
-        {"ns": (_int_list, (5, 7, 9))}),
+        {"ns": (5, 7, 9)}),
     "phi-homomorphism": _Check(
         _check_phi_homomorphism,
         "restriction to a stabilized line is a group homomorphism into "
         "PGL(2, q^2), injective on a semiregular line stabilizer",
-        {"q": (int, 32)}),
+        {"q": 32}),
     "primovalore": _Check(
         _check_primovalore,
         "q^2 + q + 2 divides q^9 (q^9 + 1)(q^6 - 1) only for q in "
         "{1, 2, 3, 10}, by direct divisibility and by the linear remainder "
         "2128 q - 1568",
-        {"q_max": (int, 10**6)}),
+        {"q_max": 10**6}),
     "lemmino": _Check(
         _check_lemmino,
         "the three impossibility facts excluding subfield unitary groups "
         "hold for all odd primes p' and odd m in range",
-        {"m_max": (int, 20)}),
+        {"m_max": 20}),
     "quattordici": _Check(
         _check_quattordici,
         "among the tripled subfield-catalog orders, only the Singer "
         "normalizer case at m = 3 survives the Lagrange test, via "
         "(2^m + 1) | 9",
-        {"m_max": (int, 20)}),
+        {"m_max": 20}),
     "secondovalore-catalog": _Check(
         _check_secondovalore_catalog,
         "a group of order q^2 + q + 1 is excluded from every maximal "
         "subgroup class except the point and line stabilizers (and the "
         "conic case in odd characteristic), under multipliers 1 and 3",
-        {"qs": (_int_list, (4, 5))}),
+        {"qs": (4, 5)}),
     "delta-ledger": _Check(
         _check_delta_ledger,
         "the different degree equals 470 (q = 4) and 7758 (q = 8); the "
         "forced wild sums are 350 and 4734; no admissible assignment of "
         "tame contributions completes either ledger",
-        {"qs": (_int_list, (4, 8))}),
+        {"qs": (4, 8)}),
     "rh-quotient-genus": _Check(
         _check_rh_quotient_genus,
         "a semiregular tame diagonal group of order (q+1)/3 on the Hermitian "
         "curve gives different degree 0 and quotient genus (3q-4)/2",
-        {"n": (int, 5)}),
+        {"n": 5}),
     "linpoly-decompose": _Check(
         _check_linpoly_decompose,
         "X^8 + X decomposes through X^2 + X with outer factor "
@@ -642,13 +640,13 @@ REGISTRY = {
         "no member of the binomial family A X^(q^2) + B X (A, B from the "
         "quotient-equation constraints) divides X^(q^3) + X, under both the "
         "composition and conventional-associate criteria",
-        {"q": (int, 4)}),
+        {"q": 4}),
     "sylow-census": _Check(
         _check_sylow_census,
         "the order-20 group built from trace-zero translations and a "
         "diagonal of order 5 has a unique (normal) Sylow 2-subgroup whose "
         "curve fixed point is the ideal point, a single orbit",
-        {"q": (int, 4)}),
+        {"q": 4}),
 }
 
 
@@ -658,11 +656,12 @@ def run_check(name, params=None) -> CheckReport:
         raise UnknownCheck(f"unknown check {name!r}; known: {', '.join(sorted(REGISTRY))}")
     spec = REGISTRY[name]
     # the body gets every parameter: the parsed value, else the default
-    kwargs = {k: default for k, (_, default) in spec.params.items()}
+    kwargs = dict(spec.params)
     for key, raw in (params or {}).items():
         if key not in spec.params:
             raise CheckError(f"check {name!r} takes no parameter {key!r}")
-        parser, _ = spec.params[key]
+        # a tuple default takes a comma-separated list, any other an integer
+        parser = _int_list if isinstance(spec.params[key], tuple) else int
         try:
             kwargs[key] = parser(raw)
         except ValueError:

@@ -66,7 +66,7 @@ def main(argv=None) -> int:
     if args.list:
         from .checks import REGISTRY
         for name, spec in REGISTRY.items():
-            defaults = {k: (list(v[1]) if isinstance(v[1], tuple) else v[1])
+            defaults = {k: (list(v) if isinstance(v, tuple) else v)
                         for k, v in spec.params.items()}
             print(f"{name}: {spec.claim}  [defaults: {defaults}]")
         return 0

@@ -61,12 +61,6 @@ class HermitianModel(CurveModel):
     def count_rational_points(self):
         return len(self.rational_points())
 
-    def tangent_line_size(self):
-        return 1
-
-    def secant_line_size(self):
-        return self.q + 1
-
 
 class FermatHermitian(HermitianModel):
     """X^(q+1) + Y^(q+1) + T^(q+1) = 0 over F_{q^2}."""

@@ -800,10 +800,7 @@ def embed(src: GF, dst: GF) -> TowerMap:
     cached = src._embed_cache.get(dst)
     if cached is not None:
         return cached
-    if src.k == 1:
-        tm = TowerMap(src, dst, dst.const(src.generator))
-    else:
-        tm = TowerMap(src, dst, _smallest_root_in(src, dst))
+    tm = TowerMap(src, dst, _smallest_root_in(src, dst))
     src._embed_cache[dst] = tm
     return tm
 

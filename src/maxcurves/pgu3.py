@@ -283,7 +283,6 @@ class SubgroupSpec:
         self.elements = list(elements)  # BFS order, identity first
         self.element_set = set(elements)
         self.order = len(elements)
-        self.field = generators[0].field if generators else None
 
     def __len__(self):
         return self.order

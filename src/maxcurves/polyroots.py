@@ -253,17 +253,7 @@ def roots(F, f):
     if not f:
         raise ValueError("zero polynomial")
     found = []
-    # strip powers of X
-    v = 0
-    while v < len(f) and f[v] == 0:
-        v += 1
-    if v:
-        found.append(0)
-        f = f[v:]
     if len(f) > 1:
-        g = _splitting_part(F, monic(F, f))
-        out = []
-        if len(g) - 1 >= 1:
-            _split_equal_degree(F, g, out)
-        found.extend(out)
+        # gcd(f, X^|F| - X) keeps the factor X once when f(0) = 0
+        _split_equal_degree(F, _splitting_part(F, monic(F, f)), found)
     return sorted(found)

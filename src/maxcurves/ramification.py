@@ -21,11 +21,7 @@ class UnsupportedRamification(ValueError):
 
 
 class RamificationLedger:
-    def __init__(self, model, group, records, delta, top_genus,
-                 quotient_genus, consistent):
-        self.model = model
-        self.group = group
-        self.records = records          # [(element, order, tag, value)]
+    def __init__(self, delta, top_genus, quotient_genus, consistent):
         self.delta = delta
         self.top_genus = top_genus
         self.quotient_genus = quotient_genus
@@ -42,27 +38,19 @@ def wild_contribution(order, model):
 
 
 def i_sigma(sigma, model):
-    """(value, tag) for one nontrivial automorphism of a Hermitian model."""
+    """i(sigma) for one nontrivial automorphism of a Hermitian model."""
     if sigma.is_identity():
         raise UnsupportedRamification("i(sigma) is defined for nontrivial elements")
     order = sigma.order()
     if order % model.p == 0:
-        return wild_contribution(order, model), f"wild-order-{order}"
-    fps = fixed_points(sigma, model)
-    if fps.kind == "line":
-        return fps.on_curve_count(), "tame-homology"
-    return fps.on_curve_count(), "tame-isolated"
+        return wild_contribution(order, model)
+    return fixed_points(sigma, model).on_curve_count()
 
 
 def different_degree(group, model) -> RamificationLedger:
-    """Full ledger for a subgroup: every i(sigma), their sum, and the
-    quotient genus when Riemann-Hurwitz admits an integer solution."""
-    records = []
-    delta = 0
-    for s in group.nontrivial():
-        value, tag = i_sigma(s, model)
-        records.append((s, s.order(), tag, value))
-        delta += value
+    """Ledger for a subgroup: the sum of every i(sigma), and the quotient
+    genus when Riemann-Hurwitz admits an integer solution."""
+    delta = sum(i_sigma(s, model) for s in group.nontrivial())
     g_top = model.genus()
     n = group.order
     quotient_genus = None
@@ -70,8 +58,7 @@ def different_degree(group, model) -> RamificationLedger:
     consistent = numerator % (2 * n) == 0 and numerator // (2 * n) + 1 >= 0
     if consistent:
         quotient_genus = numerator // (2 * n) + 1
-    return RamificationLedger(model, group, records, delta, g_top,
-                              quotient_genus, consistent)
+    return RamificationLedger(delta, g_top, quotient_genus, consistent)
 
 
 def expected_delta(g_top: int, g_quot: int, n: int) -> int:

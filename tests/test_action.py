@@ -4,15 +4,15 @@ import pytest
 
 from maxcurves.action import (ActionError, _fixes, _pivot_forms,
                               common_fixed_curve_points, family_census,
-                              fixed_points, is_semiregular, line_image, mul2,
-                              orbits, restrict_to_line, sharply_2_transitive,
+                              fixed_points, is_semiregular, mul2, orbits,
+                              restrict_to_infinity, sharply_2_transitive,
                               sylow_census)
 from maxcurves.curves import FermatHermitian, NormTraceHermitian
 from maxcurves.gf import GF, build_field, embed
 from maxcurves.pgu3 import (GroupError, Projectivity, generate, make_alpha,
                             make_alpha_a, make_beta, make_three_cycle)
 from maxcurves.polyroots import divmod_poly, roots
-from maxcurves.proj3 import ProjLine, ProjPoint
+from maxcurves.proj3 import ProjPoint
 from oracles import all_points
 
 random.seed(903)
@@ -245,10 +245,10 @@ def reference_orbits(group, points):
     out = []
     for _, (field, pts) in sorted(by_field.items(),
                                   key=lambda kv: kv[1][0].order):
-        if group.field is field:
+        if group.generators[0].field is field:
             gens = list(group.generators)
         else:
-            tm = embed(group.field, field)
+            tm = embed(group.generators[0].field, field)
             gens = [g.transport(tm) for g in group.generators]
         for P in pts:
             for g in gens:
@@ -552,43 +552,30 @@ def test_eigenvalues_match_roots_on_the_n3_census_family():
 
 def test_restrict_to_line_basics():
     F = build_field(2, 10)
-    line = ProjLine(F, (0, 0, 1))
     ident = Projectivity.identity(F)
-    assert restrict_to_line(ident, line) == (1, 0, 0, 1)
+    assert restrict_to_infinity(ident) == (1, 0, 0, 1)
     theta = F.root_of_unity(11)
     a = make_alpha(F, theta, 2)
     # diag(theta, theta^2) mod scalars, normalised
-    assert restrict_to_line(a, line) == (1, 0, 0, theta)
+    assert restrict_to_infinity(a) == (1, 0, 0, theta)
 
 
 def test_restrict_to_line_homomorphism_random_pairs():
     F = build_field(2, 10)
-    line = ProjLine(F, (0, 0, 1))
     G = generate([make_alpha(F, F.root_of_unity(33), 2)])
     els = G.elements
     for _ in range(100):
         a, b = random.choice(els), random.choice(els)
-        assert restrict_to_line(a * b, line) == mul2(
-            F, restrict_to_line(a, line), restrict_to_line(b, line))
+        assert restrict_to_infinity(a * b) == mul2(
+            F, restrict_to_infinity(a), restrict_to_infinity(b))
 
 
 def test_restrict_to_line_requires_stabilization():
     F = build_field(2, 10)
     h = make_three_cycle(F, 1, 1, q=32)
-    line = ProjLine(F, (0, 0, 1))
-    assert line_image(h, line) != line
+    assert h.m[6:8] != (0, 0)  # T = 0 is not stabilised
     with pytest.raises(ActionError):
-        restrict_to_line(h, line)
-
-
-def test_restrict_to_general_line_via_frame_change():
-    F = build_field(2, 4)
-    line = ProjLine(F, (1, 0, 0))  # X = 0, stabilized by diagonals
-    a = make_alpha(F, F.root_of_unity(5), 2)
-    r = restrict_to_line(a, line)
-    b = make_alpha(F, F.root_of_unity(5), 3)
-    assert restrict_to_line(a * b, line) == mul2(
-        F, r, restrict_to_line(b, line))
+        restrict_to_infinity(h)
 
 
 def order20_group():

@@ -214,10 +214,14 @@ def test_cli_out_file(tmp_path, capsys):
 
 
 def test_cli_list(capsys):
+    # one line per check in registry order, with its claim and defaults:
+    # the --all stream runs every check at its defaults, so the golden
+    # records hold all three
     assert cli.main(["--list"]) == 0
-    out = capsys.readouterr().out
-    for name in EXPECTED_NAMES:
-        assert name in out
+    golden = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    assert capsys.readouterr().out == "".join(
+        f"{r['name']}: {r['claim']}  [defaults: {r['params']}]\n"
+        for r in golden)
 
 
 def test_cli_field_config(tmp_path, capsys):

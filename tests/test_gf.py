@@ -741,15 +741,27 @@ def test_embed_is_ring_homomorphism(src_k, dst_k):
     assert dst.pow(x, src.order) == x
 
 
-def test_embed_image_is_root_of_source_modulus():
-    # (6, 18) in table mode, the others into vector-mode fields
+def _embedding_pairs():
+    # (6, 18) in table mode, the next three into vector-mode fields, and
+    # F_3 under the degree-1 override X (whose generator 2 is not its root
+    # X = 0) into F_9
     for src_k, dst_k in ((6, 18), (10, 30), (14, 42), (18, 54)):
-        src, dst = build_field(2, src_k), build_field(2, dst_k)
+        yield build_field(2, src_k), build_field(2, dst_k)
+    try:
+        set_modulus_override(3, 1, (0, 1))
+        yield build_field(3, 1), build_field(3, 2)
+    finally:
+        clear_modulus_overrides()
+
+
+def test_embed_image_is_root_of_source_modulus():
+    for src, dst in _embedding_pairs():
         tm = embed(src, dst)
         acc = 0
         for i, c in enumerate(src.modulus):
             if c:
-                acc = dst.add(acc, dst.pow(tm.gen_image, i))
+                acc = dst.add(acc, dst.mul(dst.const(c),
+                                           dst.pow(tm.gen_image, i)))
         assert acc == 0
         # smallest root: the roots are the m conjugates of the chosen one
         conj = tm.gen_image

@@ -1,5 +1,6 @@
 import pytest
 
+from maxcurves.action import fixed_points
 from maxcurves.curves import FermatHermitian, GeneralizedGK, NormTraceHermitian
 from maxcurves.gf import build_field, embed
 from maxcurves.pgu3 import Projectivity, generate, make_alpha, make_beta
@@ -12,8 +13,7 @@ def test_involution_contribution_on_h64():
     F = build_field(2, 12)
     model = NormTraceHermitian(64)
     beta = make_beta(F, 1, 64)
-    value, tag = i_sigma(beta, model)
-    assert (value, tag) == (66, "wild-order-2")
+    assert i_sigma(beta, model) == 66
 
 
 def test_order_four_contribution():
@@ -24,21 +24,22 @@ def test_order_four_contribution():
     m = Projectivity(F, (1, 1, b, 0, 1, 1, 0, 0, 1))
     from maxcurves.pgu3 import unitarity_scalar
     assert unitarity_scalar(m, model) is not None and m.order() == 4
-    assert i_sigma(m, model) == (2, "wild-order-4")
+    assert i_sigma(m, model) == 2
 
 
 def test_tame_contribution_zero_off_curve():
     F = build_field(2, 10)
     model = FermatHermitian(32)
     a = make_alpha(F, F.root_of_unity(11), 2)
-    assert i_sigma(a, model) == (0, "tame-isolated")
+    assert i_sigma(a, model) == 0
 
 
 def test_tame_homology_contribution():
     model = FermatHermitian(4)
     F = model.field
     sigma = Projectivity(F, (1, 0, 0, 0, F.root_of_unity(5), 0, 0, 0, 1))
-    assert i_sigma(sigma, model) == (5, "tame-homology")  # Q + 1 on a secant
+    assert fixed_points(sigma, model).kind == "line"
+    assert i_sigma(sigma, model) == 5  # Q + 1 on a secant
 
 
 def test_unsupported_wild_orders_error():
