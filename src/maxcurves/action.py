@@ -17,6 +17,7 @@ from heapq import merge
 from itertools import repeat
 
 from .gf import build_field, embed, nullspace
+from .numbertheory import _in_two
 from .polyroots import divmod_poly, one_root, roots
 from .proj3 import ProjLine, ProjPoint, line_points, normalize, pole
 from .pgu3 import Projectivity, SubgroupSpec, generate
@@ -215,16 +216,27 @@ class StabilizerCensus:
         """Independent recount of |I|: sum over census points of the number
         of the given nontrivial elements fixing them.  Each pair is decided
         in the element's own field (`_pivot_forms`), with the entries as
-        they are and no product in the point's field."""
+        they are and no product in the point's field.  The points are
+        recounted in two halves, the upper one in a forked child
+        (`numbertheory._in_two`); the count and any error are the serial
+        ones."""
         by_field = {}
         for g in elements:
             by_field.setdefault(g.field, []).append(g.m)
-        count = 0
-        for P in self.points:
-            for E, ms in by_field.items():
-                forms = _pivot_forms(P, embed(E, P.field))
-                count += sum(1 for m in ms if _fixes(E, m, forms))
-        return count
+        half = len(self.points) // 2
+        return sum(_in_two(_fixing_pairs, (self.points[:half], by_field),
+                           (self.points[half:], by_field)))
+
+
+def _fixing_pairs(points, by_field):
+    """The number of (point, element) pairs with the element fixing the
+    point, for element entries grouped by field ({field: [m]})."""
+    count = 0
+    for P in points:
+        for E, ms in by_field.items():
+            forms = _pivot_forms(P, embed(E, P.field))
+            count += sum(1 for m in ms if _fixes(E, m, forms))
+    return count
 
 
 def _pivot_forms(P, tm):
@@ -269,24 +281,44 @@ def _fixes(F, m, forms):
 
 def family_census(elements, group: SubgroupSpec, model) -> StabilizerCensus:
     """Census of the on-curve fixed points of an explicit element family,
-    with the census set partitioned into orbits of `group`."""
+    with the census set partitioned into orbits of `group`.
+
+    The identity is skipped.  The fixed points of the two halves of the
+    rest are found in two processes, the upper half in a forked child
+    (`numbertheory._in_two`); the counts, the points (over the same field
+    objects), their order, the orbits and any error are the serial ones."""
+    elements = [s for s in elements if not s.is_identity()]
+    half = len(elements) // 2
+    lower, upper = _in_two(_curve_points_of, (elements[:half], model),
+                           (elements[half:], model))
+    # a point lies over the model's field or over an extension of it,
+    # which build_field shares; each field is looked up once
+    F = model.field
+    fields = {F.k: F}
     incidence = 0
     per_element = []
     census = []
     seen = set()
-    for s in elements:
-        if s.is_identity():
-            continue
-        fps = fixed_points(s, model)
-        pts = fps.curve_points()
-        incidence += len(pts)
-        per_element.append((s, len(pts)))
-        for P in pts:
+    for s, found in zip(elements, lower + upper):
+        incidence += len(found)
+        per_element.append((s, len(found)))
+        for k, coords in found:
+            K = fields.get(k)
+            if K is None:
+                K = fields[k] = build_field(F.p, k)
+            P = ProjPoint(K, coords)
             if P not in seen:
                 seen.add(P)
                 census.append(P)
     partition = orbits(group, census) if census else []
     return StabilizerCensus(incidence, census, per_element, partition)
+
+
+def _curve_points_of(elements, model):
+    """For each element, its on-curve fixed points as (field degree,
+    coordinates) pairs, in `curve_points` order."""
+    return [[(P.field.k, P.coords) for P in fixed_points(s, model).curve_points()]
+            for s in elements]
 
 
 # -- restriction to the stabilized line T = 0 ---------------------------------

@@ -551,10 +551,21 @@ class _Check:
         self.params = params  # {name: default}
 
 
-def _int_list(text):
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
-    return tuple(int(t) for t in str(text).split(","))
+def _int(value):
+    """An int (not a bool) or the text of one; else ValueError, so that a
+    library caller's 20.9 or True is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def _int_list(value):
+    """A list or tuple of `_int` values, their comma-separated text, or one."""
+    if isinstance(value, str):
+        value = value.split(",")
+    elif not isinstance(value, (list, tuple)):
+        value = [value]
+    return tuple(_int(v) for v in value)
 
 
 REGISTRY = {
@@ -661,7 +672,7 @@ def run_check(name, params=None) -> CheckReport:
         if key not in spec.params:
             raise CheckError(f"check {name!r} takes no parameter {key!r}")
         # a tuple default takes a comma-separated list, any other an integer
-        parser = _int_list if isinstance(spec.params[key], tuple) else int
+        parser = _int_list if isinstance(spec.params[key], tuple) else _int
         try:
             kwargs[key] = parser(raw)
         except ValueError:

@@ -1,5 +1,5 @@
 """Exact integer helpers: primality, factorization, divisors, and the
-two-process split of the exhaustive scans.
+two-process split of the exhaustive scans and census loops.
 
 Everything here is deterministic.  Miller-Rabin uses a fixed witness set
 that is provably correct for all n < 3.3 * 10^24, far beyond any integer
@@ -122,7 +122,9 @@ def is_prime_power(n: int):
 
 def _in_two(fn, first, second):
     """[fn(*first), fn(*second)], with fn(*second) computed in a forked
-    child while this process computes fn(*first).
+    child while this process computes fn(*first).  The split both scans
+    (`catalog.primovalore_scan`, `linpoly.quotient_family_scan`) and both
+    census loops (`action.family_census`, `pointwise_incidence`) use.
 
     The child sends its result (ints, bools, lists and tuples) back through
     a pipe with `marshal` and always leaves by `os._exit`, so it flushes no

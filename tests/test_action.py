@@ -1,6 +1,9 @@
+import os
 import random
 
 import pytest
+
+from maxcurves import numbertheory
 
 from maxcurves.action import (ActionError, _fixes, _pivot_forms,
                               common_fixed_curve_points, family_census,
@@ -473,6 +476,53 @@ def test_census_double_count_against_brute_force_n3():
     by_points = census.pointwise_incidence(family)
     by_elements = sum(c for _, c in census.per_element)
     assert by_points == by_elements == census.incidence
+
+
+def _split_census_cases():
+    """{name: (family, group, model)}: census inputs whose halves differ in
+    size, that start with the identity, or come as a generator; `family`
+    makes the elements anew on each call."""
+    from maxcurves.checks import _triangolo_construction
+    _, F, model, family, _ = _triangolo_construction(3)
+    trivial = generate([Projectivity.identity(F)])
+    # four homologies diag(1, z, 1): their axes' points lie over F_16 itself
+    model4 = FermatHermitian(4)
+    F4 = model4.field
+    homologies = generate([Projectivity(F4, (1, 0, 0, 0, F4.root_of_unity(5),
+                                             0, 0, 0, 1))])
+    return {
+        "odd": (lambda: family[:3], trivial, model),
+        "one": (lambda: family[:1], trivial, model),
+        "identity": (lambda: [Projectivity.identity(F)] + family,
+                     generate(family[:1]), model),
+        "generator": (homologies.nontrivial, homologies, model4),
+    }
+
+
+def _census_and_recount(family, group, model):
+    census = family_census(family(), group, model)
+    for P in census.points:
+        assert P.field is build_field(P.field.p, P.field.k)
+    return (census.incidence,
+            [(s.m, c) for s, c in census.per_element],
+            [(P.field, P.coords) for P in census.points],
+            [[(P.field, P.coords) for P in o] for o in census.orbit_partition],
+            census.pointwise_incidence(list(family())))
+
+
+@pytest.mark.parametrize("case", ["odd", "one", "identity", "generator"])
+def test_split_census_equals_the_census_without_fork(case, monkeypatch):
+    # the fixed-point census and the recount each run in two halves, the
+    # upper one in a forked child; without os.fork both run here, serially
+    family, group, model = _split_census_cases()[case]
+    forked = _census_and_recount(family, group, model)
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.delattr(numbertheory.os, "fork")
+    assert _census_and_recount(family, group, model) == forked
+    assert forked[0] == sum(c for _, c in forked[1]) > 0
+    # the identity fixes every census point; the census skips it
+    assert forked[4] == forked[0] + len(forked[2]) * (case == "identity")
 
 
 def _pair_decisions(points, family):

@@ -66,6 +66,30 @@ def test_run_check_unknown_param():
         run_check("lemmino", {"bogus": "1"})
 
 
+@pytest.mark.parametrize("name,params", [
+    ("lemmino", {"m_max": 20.9}),
+    ("lemmino", {"m_max": True}),
+    ("lemmino", {"m_max": None}),
+    ("lemmino", {"m_max": "20.9"}),
+    ("hermitian-count", {"qs": [2.9, 3]}),
+    ("hermitian-count", {"qs": (2, False)}),
+    ("hermitian-count", {"qs": 2.0}),
+    ("hermitian-count", {"qs": "2,x"}),
+])
+def test_run_check_refuses_a_non_integer_value(name, params):
+    # a library caller's float or bool is refused, not truncated
+    with pytest.raises(CheckError, match="^bad value "):
+        run_check(name, params)
+
+
+def test_run_check_takes_ints_and_their_text():
+    for value in (2, "2", [2], (2,)):
+        report = run_check("hermitian-count", {"qs": value})
+        assert report.verdict == "pass" and report.params == {"qs": [2]}
+    assert run_check("lemmino", {"m_max": 20}).params == \
+        run_check("lemmino", {"m_max": "20"}).params == {"m_max": 20}
+
+
 def test_run_check_unsupported_parameters():
     report = run_check("delta-ledger", {"qs": "16"})
     assert report.verdict == "unsupported"
