@@ -397,8 +397,6 @@ def common_fixed_curve_points(subgroup: SubgroupSpec, model):
     for s in subgroup.nontrivial():
         pts = set(fixed_points(s, model).curve_points())
         common = pts if common is None else (common & pts)
-        if not common:
-            return []
     return sorted(common or [], key=lambda P: P.coords)
 
 
@@ -411,10 +409,8 @@ def sharply_2_transitive(group: SubgroupSpec, orbit) -> bool:
     orbit = list(orbit)
     n = len(orbit)
     orbits(group, orbit)  # raises ActionError unless the orbit is closed
-    if n == 1 and group.order == 1:
-        return True
     if group.order != n * (n - 1):
-        return False
+        return n == 1 and group.order == 1
     for P in orbit:
         for Q in orbit:
             if P == Q:

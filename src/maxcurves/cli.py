@@ -2,13 +2,16 @@
 
 Output is one JSON object per report line (schema 1), or a table with
 --format table.  Exit codes: 0 all pass, 1 any fail or error, 2 usage
-error, 3 an explicitly requested check reported 'unsupported'.
+error, 3 an explicitly requested check reported 'unsupported', 4 standard
+output was closed before every report was written to it (as in
+`maxcurves --all | head -1`).
 
 Reports are byte-identical across runs: the millis field is emitted as 0
 unless --timing is given.
 """
 
 import argparse
+import os
 import sys
 
 from .checks import CheckError, UnknownCheck, run_all, run_check, summarize
@@ -16,6 +19,7 @@ from .gf import FieldError, load_field_config
 
 USAGE_EXIT = 2
 UNSUPPORTED_EXIT = 3
+CLOSED_STDOUT_EXIT = 4
 
 
 def _build_parser():
@@ -115,19 +119,22 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 
-    _emit(reports, args.format, args.timing, sys.stdout)
     if args.out:
         with open(args.out, "w") as fh:
             _emit(reports, args.format, args.timing, fh)
-
     counts = summarize(reports)
-    if args.format == "table":
-        print(f"summary: {counts['pass']} pass, {counts['fail']} fail, "
-              f"{counts['unsupported']} unsupported, {counts['error']} error")
+    try:
+        _emit(reports, args.format, args.timing, sys.stdout)
+        if args.format == "table":
+            print(f"summary: {counts['pass']} pass, {counts['fail']} fail, "
+                  f"{counts['unsupported']} unsupported, "
+                  f"{counts['error']} error")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to os.devnull, so
+        # the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT_EXIT
     if args.check and counts["unsupported"]:
         return UNSUPPORTED_EXIT
     return 0 if counts["pass"] == len(reports) else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

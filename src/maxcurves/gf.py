@@ -225,8 +225,6 @@ def _is_irreducible(coeffs, p):
     k = len(coeffs) - 1
     if k == 1:
         return True
-    if coeffs[0] == 0:
-        return False
     if p == 2:
         mod = sum(c << i for i, c in enumerate(coeffs))
         frob = 2  # X
@@ -240,7 +238,7 @@ def _is_irreducible(coeffs, p):
     for _ in range(k // 2):
         frob = polyroots.pow_mod(fp, frob, p, coeffs)
         if len(polyroots.gcd_poly(fp, polyroots.sub(fp, frob, x), coeffs)) > 1:
-            return False
+            return False  # f has a factor of degree dividing i
     return True
 
 
@@ -258,7 +256,7 @@ def _is_primitive_root_x(coeffs, p):
     fp = build_field(p, 1)
     for r in prime_divisors(n):
         if polyroots.pow_mod(fp, (0, 1), n // r, coeffs) == (1,):
-            return False
+            return False  # the order of X divides n / r
     return True
 
 
@@ -375,8 +373,6 @@ class GF:
         # X itself when it generates (the canonical search has proved it
         # does); otherwise the first generator in canonical order
         x = -self.modulus[0] % self.p if self.k == 1 else self.p  # X
-        if primitive:
-            return x
         n = self.units
         primes = prime_divisors(n)
 
@@ -384,7 +380,7 @@ class GF:
             return a != 0 and all(self._pow_novtable(a, n // r) != 1
                                   for r in primes)
 
-        if generates(x):
+        if primitive or generates(x):
             return x
         return next(filter(generates, range(1, self.order)))
 
@@ -641,20 +637,17 @@ class TowerMap:
         return self.apply(e)
 
     def _unit_coordinates(self):
-        """The tag of each unit vector p^b of dst, b < dst.k: the columns of
-        the inverse of the matrix whose columns are the digits of the
-        F_p-basis tm(X^j) theta^i of dst (tag digit i * src.k + j)."""
+        """The tag of each unit bit 2^b of dst, b < dst.k: the columns of
+        the inverse of the matrix whose columns are the bits of the
+        F_2-basis tm(X^j) theta^i of dst (tag bit i * src.k + j).
+        Characteristic 2 only (the census fields)."""
         dst, n = self.dst, self.dst.k
+        if dst.p != 2:
+            raise FieldError("coordinates are read in characteristic 2 only")
         basis, t = [], 1
         for _ in range(self.degree):
             basis += [dst.mul(w, t) for w in self._gen_powers]
             t = dst.mul(t, dst.generator)
-        if dst.p != 2:
-            # the kernel of [M | I] over F_p: (-M^-1 e_b, e_b) for each b
-            rows = [[dst.digits(v)[r] for v in basis]
-                    + [int(r == c) for c in range(n)] for r in range(n)]
-            return [[-x for x in v[:n]]
-                    for v in nullspace(build_field(dst.p, 1), rows)]
         # Gauss-Jordan on (image, tag) bitmask rows: no other row keeps the
         # pivot bit of a row, so at the end each image is its pivot alone
         rows = {}
@@ -672,24 +665,19 @@ class TowerMap:
 
     def coordinates(self, e):
         """The r = [dst : src] elements c_i of src with
-        e = Sum tm(c_i) theta^i, read through `_unit_coordinates`."""
+        e = Sum tm(c_i) theta^i, read through `_unit_coordinates`, so
+        characteristic 2 only."""
         units = self._units
         if units is None:
             units = self._units = self._unit_coordinates()
-        src, m = self.src, self.src.k
-        if self.dst.p == 2:
-            tag = b = 0
-            while e:
-                if e & 1:
-                    tag ^= units[b]
-                e >>= 1
-                b += 1
-            return [tag >> (i * m) & src.units for i in range(self.degree)]
-        digits = self.dst.digits(e)
-        tag = [sum(d * u[j] for d, u in zip(digits, units))
-               for j in range(self.dst.k)]
-        return [src.from_digits(tag[i * m:(i + 1) * m])
-                for i in range(self.degree)]
+        tag = b = 0
+        while e:
+            if e & 1:
+                tag ^= units[b]
+            e >>= 1
+            b += 1
+        m = self.src.k
+        return [tag >> (i * m) & self.src.units for i in range(self.degree)]
 
 def nullspace(F, rows):
     """A basis of the vectors v over F with rows . v = 0.

@@ -46,21 +46,21 @@ def decompose(F, target, inner):
 # -- division cores -------------------------------------------------------------
 # Both take dense, trimmed coefficient lists indexed by p-power index, so
 # X^(q^3) + X is (1, 0, 0, 0, 0, 0, 1) at q = 4, and return the quotient in
-# the same shape.  The quotient index d walks down from the top; the term
-# it cancels is never read again, so only the divisor's nonzero lower terms
-# are subtracted, and any nonzero term left below the divisor's top index s
-# means there is no quotient.
+# the same shape; the left core takes its divisor as the binomial that the
+# family scan divides by.  The quotient index d walks down from the top;
+# the term it cancels is never read again, so only the divisor's nonzero
+# lower terms are subtracted, and any nonzero term left below the divisor's
+# top index s means there is no quotient.
 
 
-def _twisted_quotient(F, outer, target):
-    """The Q with outer(Q(X)) = target, or None.  The term c t^(s+d) left
-    fixes q_d = (c / a_s)^(p^-s), p^-s = p^(-s mod k), and subtracts
-    a_i q_d^(p^i) t^(i+d) for each nonzero a_i, i < s."""
-    mul, sub, pw, p = F.mul, F.sub, F.pow, F.p
-    s = len(outer) - 1
-    inv_lead = F.inv(outer[s])
-    unfrob = p ** (-s % F.k)
-    a0 = outer[0] if s else 0
+def _twisted_quotient(F, a0, a_s, s, target):
+    """The Q with L(Q(X)) = target for the binomial
+    L = a_s X^(p^s) + a0 X (s >= 1, a_s nonzero), or None.  The term
+    c t^(s+d) left fixes q_d = (c / a_s)^(p^-s), p^-s = p^(-s mod k), and
+    subtracts a0 q_d t^d."""
+    mul, sub, pw = F.mul, F.sub, F.pow
+    inv_lead = F.inv(a_s)
+    unfrob = F.p ** (-s % F.k)
     work = list(target)
     n = len(work) - s
     out = [0] * n if n > 0 else []
@@ -70,10 +70,6 @@ def _twisted_quotient(F, outer, target):
             q_d = out[d] = pw(mul(c, inv_lead), unfrob)
             if a0:
                 work[d] = sub(work[d], mul(a0, q_d))
-            for i in range(1, s):
-                a = outer[i]
-                if a:
-                    work[i + d] = sub(work[i + d], mul(a, pw(q_d, p**i)))
     return None if any(work[:s]) else out
 
 
@@ -159,6 +155,7 @@ def _family_verdicts(F, q, reps):
         kinv = 1
         for _ in range(F.units // h):
             kinv = mul(kinv, gk)
-            cand = (neg(mul(kinv, a)), *gap, mul(kinv, a_q2))
-            yield (cand, _twisted_quotient(F, cand, target) is not None,
+            B, A = neg(mul(kinv, a)), mul(kinv, a_q2)
+            cand = (B, *gap, A)
+            yield (cand, _twisted_quotient(F, B, A, 2 * e, target) is not None,
                    not mod(F, target, cand))

@@ -18,7 +18,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n < 3.3e24."""
     if n < 2:
-        return False
+        return False  # 0, 1 and negative n
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
@@ -41,9 +41,8 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    # Brent's cycle variant; n must be odd composite, not a prime power edge case.
-    if n % 2 == 0:
-        return 2
+    # Brent's cycle variant; n is odd and composite (`factorize` divides
+    # out 2 first)
     seed = 1
     while True:
         seed += 1
@@ -79,10 +78,10 @@ def factorize(n: int) -> tuple:
         return ()
     out = {}
     stack = [n]
+    # every m pushed is > 1: m // p for a composite m with a trial divisor
+    # p, or a proper factor from Pollard's rho
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
@@ -112,8 +111,6 @@ def divisors(n: int) -> list:
 
 def is_prime_power(n: int):
     """Return (p, k) with n = p^k, or None."""
-    if n < 2:
-        return None
     f = factorize(n)
     if len(f) != 1:
         return None
@@ -136,6 +133,11 @@ def _in_two(fn, first, second):
     """
     if not hasattr(os, "fork"):
         return [fn(*first), fn(*second)]
+    return _forked_in_two(fn, first, second)
+
+
+def _forked_in_two(fn, first, second):
+    """`_in_two` where `os.fork` exists."""
     r, w = os.pipe()
     try:
         pid = os.fork()

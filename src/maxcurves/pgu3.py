@@ -247,15 +247,11 @@ def unitarity_scalar(m: Projectivity, model):
             for t in range(3):
                 acc = F.add(acc, F.mul(conj[3 * t + i], HM[t][j]))
             h = H[i][j]
-            if h == 0:
-                if acc != 0:
-                    return None
-            else:
-                ratio = F.div(acc, h)
-                if lam is None:
-                    lam = ratio
-                elif ratio != lam:
-                    return None
+            if h and lam is None:
+                lam = F.div(acc, h)
+            # B = lambda H entrywise, so B is 0 where H is 0
+            if acc != (F.mul(lam, h) if h else 0):
+                return None
     return lam
 
 
@@ -295,14 +291,9 @@ class SubgroupSpec:
 
     def is_normal_in(self, other):
         """Conjugation test of this subgroup's generators by the other's elements."""
-        if not self.is_subgroup_of(other):
-            return False
-        for g in other.elements:
-            gi = g.inverse()
-            for h in self.generators:
-                if g * h * gi not in self.element_set:
-                    return False
-        return True
+        return self.is_subgroup_of(other) and all(
+            g * h * g.inverse() in self.element_set
+            for g in other.elements for h in self.generators)
 
 
 CLOSURE_CAP = 2_000_000

@@ -52,8 +52,6 @@ def scale(F, a, c):
 
 
 def mul(F, a, b):
-    if not a or not b:
-        return ()
     out = [0] * (len(a) + len(b) - 1)
     f_add, f_mul = F.add, F.mul
     for i, x in enumerate(a):
@@ -123,8 +121,6 @@ def _square(F, a):
     """a * a with about half the products of `mul`: each cross term
     a_i a_j (i < j) is taken once and doubled (for p = 2 the doubled
     term is 0)."""
-    if not a:
-        return ()
     out = [0] * (2 * len(a) - 1)
     f_mul, f_add = F.mul, F.add
     for i, x in enumerate(a):

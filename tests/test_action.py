@@ -120,7 +120,7 @@ def _check_pivot_decisions(F, K, gs, points):
     return seen
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (2, 4), (3, 2)])
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 4)])
 def test_pivot_fixes_point_matches_cross_products(p, k):
     F = build_field(p, k)
     gs = _pivot_test_elements(F, random.Random(p * 100 + k))

@@ -22,6 +22,19 @@ def lp(coeffs):
     return polyroots.trim(out)
 
 
+def _left(F, outer, target):
+    """The twisted core for a binomial outer (a_0, 0, ..., 0, a_s), s >= 1,
+    given as its coefficient tuple."""
+    assert len(outer) > 1 and not any(outer[1:-1])
+    return _twisted_quotient(F, outer[0], outer[-1], len(outer) - 1, target)
+
+
+def _binomial(F, rng):
+    """A seeded binomial a_s X^(p^s) + a_0 X, s in 1..5, a_s nonzero."""
+    return lp({0: rng.randrange(F.order), rng.randrange(1, 6):
+               rng.randrange(1, F.order)})
+
+
 def test_from_kernel_trivial():
     F = build_field(2, 4)
     assert from_kernel(F, [0]) == (1,)  # X itself
@@ -72,7 +85,7 @@ def test_decompose_failure():
     bad_inner = (1, 0, 1)                # X^4 + X: kernel F_4 not inside F_8
     assert decompose(F2, target, bad_inner) is None
     # nor is X^8 + X = bad_inner(Q(X)) for any Q
-    assert _twisted_quotient(F2, bad_inner, target) is None
+    assert _left(F2, bad_inner, target) is None
 
 
 def test_decompose_compose_round_trip_random():
@@ -90,12 +103,12 @@ def test_decompose_compose_round_trip_random():
 def test_left_quotient_round_trip_random():
     F = build_field(3, 4)
     for _ in range(50):
-        outer = lp({i: random.randrange(81) for i in range(2)})
+        outer = _binomial(F, random)
         inner = lp({i: random.randrange(81) for i in range(2)})
-        if not outer or not inner:
+        if not inner:
             continue
         target = compose(F, outer, inner)
-        got = _twisted_quotient(F, outer, target)
+        got = _left(F, outer, target)
         assert got is not None and compose(F, outer, tuple(got)) == target
 
 
@@ -251,17 +264,15 @@ def test_twisted_core_recovers_the_right_factor(p, k):
     F = build_field(p, k)
     rng = random.Random(1100 + k)
     for _ in range(150):
-        outer = _sparse_lp(F, rng.randrange(6), rng)
+        outer = _binomial(F, rng)
         inner = _sparse_lp(F, rng.randrange(6), rng)
         target = compose(F, outer, inner)
-        assert _core(_twisted_quotient(F, outer, target)) == inner
+        assert _core(_left(F, outer, target)) == inner
         # a nonzero term below outer's top index leaves no quotient
-        s = len(outer) - 1
-        if s:
-            bumped = _bumped(F, target, s, rng)
-            assert _twisted_quotient(F, outer, bumped) is None
-            assert _reference_left_quotient(
-                F, _terms(outer), _terms(bumped)) is None
+        bumped = _bumped(F, target, len(outer) - 1, rng)
+        assert _left(F, outer, bumped) is None
+        assert _reference_left_quotient(
+            F, _terms(outer), _terms(bumped)) is None
 
 
 @pytest.mark.parametrize("p,k", [(2, 6), (2, 12), (3, 4)])
@@ -269,18 +280,23 @@ def test_twisted_core_matches_the_reference(p, k):
     F = build_field(p, k)
     rng = random.Random(1200 + k)
     for _ in range(200):
-        outer = _sparse_lp(F, rng.randrange(5), rng)
+        outer = _binomial(F, rng)
         target = _sparse_lp(F, rng.randrange(8), rng)
-        got = _twisted_quotient(F, outer, target)
+        got = _left(F, outer, target)
         assert _core(got) == _coeffs(
             _reference_left_quotient(F, _terms(outer), _terms(target)))
 
 
-def _core_cases(F, rng):
-    """(divisor, target) tuple pairs with gaps: arbitrary, a zero target, a
-    target shorter than the divisor, and exact multiples."""
+def _sparse_divisor(F, rng):
+    return _sparse_lp(F, rng.randrange(6), rng)
+
+
+def _core_cases(F, rng, divisor):
+    """(divisor, target) tuple pairs with gaps, the divisor from
+    divisor(F, rng): arbitrary, a zero target, a target shorter than the
+    divisor, and exact multiples."""
     for _ in range(120):
-        div = _sparse_lp(F, rng.randrange(6), rng)
+        div = divisor(F, rng)
         yield div, _sparse_lp(F, rng.randrange(9), rng)
         yield div, ()
         if len(div) > 1:
@@ -294,15 +310,20 @@ def test_dense_cores_match_the_dict_cores(p, k):
     F = build_field(p, k)
     rng = random.Random(1250 + 10 * p + k)
     nones = exact = 0
-    for div, target in _core_cases(F, rng):
-        got = _twisted_quotient(F, div, target)
+    for div, target in _core_cases(F, rng, _binomial):
+        got = _left(F, div, target)
         assert _core(got) == _coeffs(
             _reference_left_quotient(F, _terms(div), _terms(target)))
         nones += got is None
         exact += got is not None and bool(target)
+    assert nones and exact
+    nones = exact = 0
+    for div, target in _core_cases(F, rng, _sparse_divisor):
         right = _right_quotient(F, div, target)
         assert _core(right) == _coeffs(
             _reference_decompose(F, _terms(target), _terms(div)))
+        nones += right is None
+        exact += right is not None and bool(target)
     assert nones and exact
 
 
