@@ -4,10 +4,13 @@ Fixed points come from eigen-analysis, never from curve enumeration: the
 roots of the characteristic polynomial (degree 3) are found over the base
 field; the irreducible rest has one root found in the quadratic or cubic
 extension where its roots live, and the others are its Frobenius
-conjugates.  One-dimensional eigenspaces give isolated fixed points;
-two-dimensional ones give a pointwise-fixed line (homology or elation),
-whose curve intersection is decided by the tangent/secant classification
-through the polarity (and by enumeration in oracle tests at small q).
+conjugates.  Each eigenspace is read off the rows of M - lam I through
+cross products (`proj3._cross`), with no elimination: a one-dimensional
+one is an isolated fixed point; a two-dimensional one is a pointwise-fixed
+line (homology or elation), whose curve intersection is decided by the
+tangent/secant classification through the polarity (and by enumeration in
+oracle tests at small q).  The identity, which fixes every point, is
+refused.
 
 The restriction behind the homomorphism into PGL(2, q^2) is taken on the
 line T = 0 only, the line the diagonal groups stabilise.
@@ -16,10 +19,10 @@ line T = 0 only, the line the diagonal groups stabilise.
 from heapq import merge
 from itertools import repeat
 
-from .gf import build_field, embed, nullspace
+from .gf import build_field, embed
 from .numbertheory import _in_two
 from .polyroots import divmod_poly, one_root, roots
-from .proj3 import ProjLine, ProjPoint, line_points, normalize, pole
+from .proj3 import ProjLine, ProjPoint, _cross, line_points, normalize, pole
 from .pgu3 import Projectivity, SubgroupSpec, generate
 
 
@@ -28,66 +31,47 @@ class ActionError(ValueError):
 
 
 class FixedPointSet:
-    """Fixed points of one projectivity: kind 'all', 'points', or 'line'.
+    """Fixed points of one nonidentity projectivity: the isolated fixed
+    points, each tagged on-curve, and for a homology or an elation the
+    pointwise-fixed axis.  A homology's center is one of the points."""
 
-    kind 'points': up to three isolated fixed points, each tagged on-curve.
-    kind 'line': a pointwise-fixed axis plus, for a homology, its center.
-    """
-
-    def __init__(self, kind, points=(), axis=None, center=None,
-                 axis_curve_count=None, model=None):
-        self.kind = kind
+    def __init__(self, points, axis, model):
         self.points = list(points)  # [(ProjPoint, on_curve)]
         self.axis = axis
-        self.center = center        # (ProjPoint, on_curve) or None
-        self.axis_curve_count = axis_curve_count
         self.model = model
+        # |axis intersect curve| by the tangent/secant classification (the
+        # oracle tests compare this against enumeration at small q)
+        self.axis_curve_count = 0 if axis is None else (
+            1 if model.contains(pole(axis, model)) else model.q + 1)
+
+    @property
+    def kind(self):
+        return "points" if self.axis is None else "line"
 
     def on_curve_count(self):
-        if self.kind == "all":
-            raise ActionError("the identity fixes the whole curve")
-        n = sum(1 for _, on in self.points if on)
-        if self.kind == "line":
-            n += self.axis_curve_count
-            if self.center is not None and self.center[1]:
-                n += 1
-        return n
+        return sum(1 for _, on in self.points if on) + self.axis_curve_count
 
     def curve_points(self):
         """The on-curve fixed points as ProjPoints (axis enumerated if needed)."""
-        if self.kind == "all":
-            raise ActionError("the identity fixes the whole curve")
         pts = [p for p, on in self.points if on]
-        if self.kind == "line":
-            if self.center is not None and self.center[1]:
-                pts.append(self.center[0])
-            if self.axis_curve_count:
-                pts.extend(p for p in line_points(self.axis)
-                           if self.model.contains(p))
+        if self.axis_curve_count:
+            pts.extend(p for p in line_points(self.axis)
+                       if self.model.contains(p))
         return pts
 
 
-def _cross(F, a, b):
-    return (
-        F.sub(F.mul(a[1], b[2]), F.mul(a[2], b[1])),
-        F.sub(F.mul(a[2], b[0]), F.mul(a[0], b[2])),
-        F.sub(F.mul(a[0], b[1]), F.mul(a[1], b[0])),
-    )
-
-
-def _axis_curve_count(axis, model):
-    """|axis intersect curve| by the tangent/secant classification (the
-    oracle tests compare this against enumeration at small q)."""
-    return 1 if model.contains(pole(axis, model)) else model.q + 1
-
-
 def fixed_points(sigma: Projectivity, model) -> FixedPointSet:
-    """Fixed points of sigma on PG(2), tagged by membership in the model."""
+    """Fixed points of sigma on PG(2), tagged by membership in the model.
+
+    For each eigenvalue lam, N = M - lam I has rank 2 or 1.  Of rank 2, its
+    kernel is spanned by the first nonzero cross product of two rows (a
+    column of the adjugate of N), an isolated fixed point; of rank 1, its
+    nonzero row holds the line coordinates of the pointwise-fixed axis."""
     F = sigma.field
     if F is not model.field:
         raise ActionError("element is not over the model's field")
     if sigma.is_identity():
-        return FixedPointSet("all", model=model)
+        raise ActionError("the identity fixes every point")
     cp = sigma.char_poly()
     eigendata = []  # (field, transported matrix entries, eigenvalue)
     rem = cp
@@ -110,31 +94,20 @@ def fixed_points(sigma: Projectivity, model) -> FixedPointSet:
         for _ in range(d - 1):
             lams.append(E.frobenius(lams[-1], F.k))
         eigendata.extend((E, m_e, lam) for lam in sorted(lams))
-    isolated = []
+    points = []
     axis = None
-    axis_field = None
-    for E, m_e, lam in eigendata:
-        shifted = list(m_e)
-        for di in (0, 4, 8):
-            shifted[di] = E.sub(shifted[di], lam)
-        basis = nullspace(E, (shifted[0:3], shifted[3:6], shifted[6:9]))
-        if len(basis) == 1:
-            isolated.append(ProjPoint(E, basis[0]))
-        elif len(basis) == 2:
-            axis = ProjLine(E, _cross(E, basis[0], basis[1]))
-            axis_field = E
-    if axis is None:
-        pts = [(P, model.contains(P)) for P in isolated]
-        fps = FixedPointSet("points", pts, model=model)
-    else:
-        center = None
-        if isolated:
-            P = isolated[0]
-            center = (P, model.contains(P))
-        fps = FixedPointSet("line", axis=axis, center=center,
-                            axis_curve_count=_axis_curve_count(axis, model),
-                            model=model)
-    return fps
+    for E, m, lam in eigendata:
+        rows = ((E.sub(m[0], lam), m[1], m[2]), (m[3], E.sub(m[4], lam), m[5]),
+                (m[6], m[7], E.sub(m[8], lam)))
+        crosses = (_cross(E, rows[i], rows[j])
+                   for i, j in ((1, 2), (2, 0), (0, 1)))
+        kernel = next((v for v in crosses if any(v)), None)
+        if kernel is None:
+            axis = ProjLine(E, next(r for r in rows if any(r)))
+        else:
+            P = ProjPoint(E, kernel)
+            points.append((P, model.contains(P)))
+    return FixedPointSet(points, axis, model)
 
 
 def is_semiregular(group: SubgroupSpec, model) -> bool:

@@ -233,7 +233,7 @@ def _triangolo_construction(n):
 
 
 def _check_triangolo_census(n):
-    q, F, model, family, stab = _triangolo_construction(n)
+    q, _, model, family, stab = _triangolo_construction(n)
     census = family_census(family, stab, model)
     expected_incidence = 4 * (q + 1) // 3
     expected_m = 2 * (q + 1) // 3

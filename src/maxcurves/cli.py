@@ -3,8 +3,8 @@
 Output is one JSON object per report line (schema 1), or a table with
 --format table.  Exit codes: 0 all pass, 1 any fail or error, 2 usage
 error, 3 an explicitly requested check reported 'unsupported', 4 standard
-output was closed before every report was written to it (as in
-`maxcurves --all | head -1`).
+output was closed before all the output (the reports, or the --list
+lines) was written to it, as in `maxcurves --all | head -1`.
 
 Reports are byte-identical across runs: the millis field is emitted as 0
 unless --timing is given.
@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 
-from .checks import CheckError, UnknownCheck, run_all, run_check, summarize
+from .checks import CheckError, run_all, run_check, summarize
 from .gf import FieldError, load_field_config
 
 USAGE_EXIT = 2
@@ -63,78 +63,75 @@ def _emit(reports, fmt, timing, stream):
             print(f"      evidence: {r.evidence}", file=stream)
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _list_checks(stream):
+    from .checks import REGISTRY
+    for name, spec in REGISTRY.items():
+        defaults = {k: (list(v) if isinstance(v, tuple) else v)
+                    for k, v in spec.params.items()}
+        print(f"{name}: {spec.claim}  [defaults: {defaults}]", file=stream)
 
-    if args.list:
-        from .checks import REGISTRY
-        for name, spec in REGISTRY.items():
-            defaults = {k: (list(v) if isinstance(v, tuple) else v)
-                        for k, v in spec.params.items()}
-            print(f"{name}: {spec.claim}  [defaults: {defaults}]")
-        return 0
 
+def _run(args):
+    """Run the checks that args ask for.  Returns a writer of the reports
+    to a stream and the exit code; a usage error raises CheckError."""
     if args.field_config:
         try:
             load_field_config(args.field_config)
         except (OSError, FieldError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_EXIT
+            raise CheckError(exc)
 
     if bool(args.check) == bool(args.all):
-        print("error: exactly one of --check or --all is required",
-              file=sys.stderr)
-        return USAGE_EXIT
+        raise CheckError("exactly one of --check or --all is required")
     if args.all and args.param:
-        print("error: --param applies to --check, not --all", file=sys.stderr)
-        return USAGE_EXIT
+        raise CheckError("--param applies to --check, not --all")
     if args.check and args.filter is not None:
-        print("error: --filter applies to --all, not --check",
-              file=sys.stderr)
-        return USAGE_EXIT
+        raise CheckError("--filter applies to --all, not --check")
 
-    try:
-        if args.check:
-            params = {}
-            for item in args.param:
-                key, eq, value = item.partition("=")
-                key = key.strip()
-                if not eq or key in params:
-                    why = f"{key!r} given twice" if eq else "expected KEY=VALUE"
-                    print(f"error: bad --param {item!r} ({why})", file=sys.stderr)
-                    return USAGE_EXIT
-                params[key] = value.strip()
-            reports = [run_check(args.check, params)]
-        else:
-            reports = run_all(filter_prefix=args.filter)
-            if not reports:
-                print(f"error: no check name starts with {args.filter!r}",
-                      file=sys.stderr)
-                return USAGE_EXIT
-    except UnknownCheck as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except CheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+    if args.check:
+        params = {}
+        for item in args.param:
+            key, eq, value = item.partition("=")
+            key = key.strip()
+            if not eq or key in params:
+                why = f"{key!r} given twice" if eq else "expected KEY=VALUE"
+                raise CheckError(f"bad --param {item!r} ({why})")
+            params[key] = value.strip()
+        reports = [run_check(args.check, params)]
+    else:
+        reports = run_all(filter_prefix=args.filter)
+        if not reports:
+            raise CheckError(f"no check name starts with {args.filter!r}")
 
     if args.out:
         with open(args.out, "w") as fh:
             _emit(reports, args.format, args.timing, fh)
     counts = summarize(reports)
-    try:
-        _emit(reports, args.format, args.timing, sys.stdout)
+
+    def write(stream):
+        _emit(reports, args.format, args.timing, stream)
         if args.format == "table":
             print(f"summary: {counts['pass']} pass, {counts['fail']} fail, "
                   f"{counts['unsupported']} unsupported, "
-                  f"{counts['error']} error")
+                  f"{counts['error']} error", file=stream)
+
+    code = (UNSUPPORTED_EXIT if args.check and counts["unsupported"]
+            else 0 if counts["pass"] == len(reports) else 1)
+    return write, code
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        write, code = (_list_checks, 0) if args.list else _run(args)
+    except CheckError as exc:  # UnknownCheck among them
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    try:
+        write(sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone: what is still buffered goes to os.devnull, so
         # the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return CLOSED_STDOUT_EXIT
-    if args.check and counts["unsupported"]:
-        return UNSUPPORTED_EXIT
-    return 0 if counts["pass"] == len(reports) else 1
+    return code

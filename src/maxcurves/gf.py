@@ -679,38 +679,6 @@ class TowerMap:
         m = self.src.k
         return [tag >> (i * m) & self.src.units for i in range(self.degree)]
 
-def nullspace(F, rows):
-    """A basis of the vectors v over F with rows . v = 0.
-
-    Gauss-Jordan elimination with the first nonzero pivot of each column;
-    one basis vector per free column, in increasing column order, with a 1
-    in its free column.
-    """
-    rows = [list(r) for r in rows]
-    n = len(rows[0]) if rows else 0
-    pivots = []
-    for c in range(n):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, v) for v in rows[r]]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if i != r and f:
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(row, rows[r])]
-        pivots.append(c)
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        v = [0] * n
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = F.neg(rows[i][fc])
-        basis.append(tuple(v))
-    return basis
-
 
 # ---------------------------------------------------------------------------
 

@@ -15,11 +15,19 @@ which is exact and deterministic for the group sizes this package handles
 from math import lcm, prod
 
 from .numbertheory import factorize
-from .proj3 import ProjPoint, normalize
+from .proj3 import ProjPoint, _cross, normalize
 
 
 class GroupError(ValueError):
     pass
+
+
+def _matmul(F, a, b):
+    """The row-major product of two 3x3 matrices given as 9-tuples."""
+    add, mul = F.add, F.mul
+    return tuple(add(add(mul(a[i], b[j]), mul(a[i + 1], b[j + 3])),
+                     mul(a[i + 2], b[j + 6]))
+                 for i in (0, 3, 6) for j in (0, 1, 2))
 
 
 class Projectivity:
@@ -59,40 +67,30 @@ class Projectivity:
         return self.m == (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
     def det(self):
+        """r0 . (r1 x r2) for the rows r0, r1, r2."""
         if self._det is None:
             F, m = self.field, self.m
-            t1 = F.mul(m[0], F.sub(F.mul(m[4], m[8]), F.mul(m[5], m[7])))
-            t2 = F.mul(m[1], F.sub(F.mul(m[3], m[8]), F.mul(m[5], m[6])))
-            t3 = F.mul(m[2], F.sub(F.mul(m[3], m[7]), F.mul(m[4], m[6])))
-            self._det = F.add(F.sub(t1, t2), t3)
+            a0, a1, a2 = _cross(F, m[3:6], m[6:9])
+            self._det = F.add(F.add(F.mul(m[0], a0), F.mul(m[1], a1)),
+                              F.mul(m[2], a2))
         return self._det
 
     def __mul__(self, other):
         if self.field is not other.field:
             raise GroupError("projectivities over different fields")
-        F = self.field
-        a, b = self.m, other.m
-        out = []
-        for i in range(3):
-            for j in range(3):
-                acc = 0
-                for t in range(3):
-                    acc = F.add(acc, F.mul(a[3 * i + t], b[3 * t + j]))
-                out.append(acc)
-        return Projectivity(F, out)
+        return Projectivity(self.field, _matmul(self.field, self.m, other.m))
+
+    def _adjugate_columns(self):
+        """r1 x r2, r2 x r0 and r0 x r1 for the rows r0, r1, r2: the columns
+        of the adjugate."""
+        F, m = self.field, self.m
+        r0, r1, r2 = m[0:3], m[3:6], m[6:9]
+        return _cross(F, r1, r2), _cross(F, r2, r0), _cross(F, r0, r1)
 
     def inverse(self):
-        F, m = self.field, self.m
-        cof = []
-        idx = ((1, 2), (0, 2), (0, 1))
-        for j in range(3):
-            for i in range(3):
-                r0, r1 = idx[i]
-                c0, c1 = idx[j]
-                minor = F.sub(F.mul(m[3 * r0 + c0], m[3 * r1 + c1]),
-                              F.mul(m[3 * r0 + c1], m[3 * r1 + c0]))
-                cof.append(F.neg(minor) if (i + j) % 2 else minor)
-        return Projectivity(F, cof)
+        """The adjugate, a scalar multiple of the inverse matrix."""
+        columns = self._adjugate_columns()
+        return Projectivity(self.field, (e for row in zip(*columns) for e in row))
 
     def __pow__(self, e):
         """self^e for an integer e >= 0, by square and multiply."""
@@ -122,13 +120,12 @@ class Projectivity:
         return ProjPoint(point.field, self.apply(point.coords))
 
     def char_poly(self):
-        """Coefficients (c0, c1, c2, 1) of det(tI - M), low degree first."""
+        """Coefficients (c0, c1, c2, 1) of det(tI - M), low degree first: c1
+        is the trace of the adjugate."""
         F, m = self.field, self.m
         tr = F.add(F.add(m[0], m[4]), m[8])
-        m00 = F.sub(F.mul(m[4], m[8]), F.mul(m[5], m[7]))
-        m11 = F.sub(F.mul(m[0], m[8]), F.mul(m[2], m[6]))
-        m22 = F.sub(F.mul(m[0], m[4]), F.mul(m[1], m[3]))
-        c1 = F.add(F.add(m00, m11), m22)
+        a, b, c = self._adjugate_columns()
+        c1 = F.add(F.add(a[0], b[1]), c[2])
         return (F.neg(self.det()), c1, F.neg(tr), 1)
 
     def transport(self, tower_map):
@@ -229,30 +226,14 @@ def unitarity_scalar(m: Projectivity, model):
     if F is not model.field:
         raise GroupError("projectivity is not over the model's field")
     q = model.q
-    H = [[F.const(e) for e in row] for row in model.hermitian_gram()]
+    H = tuple(F.const(e) for row in model.hermitian_gram() for e in row)
     a = m.m
-    # B = conj(M)^T H M
-    conj = [F.pow(e, q) for e in a]
-    HM = [[0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            acc = 0
-            for t in range(3):
-                acc = F.add(acc, F.mul(H[i][t], a[3 * t + j]))
-            HM[i][j] = acc
-    lam = None
-    for i in range(3):
-        for j in range(3):
-            acc = 0
-            for t in range(3):
-                acc = F.add(acc, F.mul(conj[3 * t + i], HM[t][j]))
-            h = H[i][j]
-            if h and lam is None:
-                lam = F.div(acc, h)
-            # B = lambda H entrywise, so B is 0 where H is 0
-            if acc != (F.mul(lam, h) if h else 0):
-                return None
-    return lam
+    conj_t = tuple(F.pow(a[3 * j + i], q) for i in range(3) for j in range(3))
+    B = _matmul(F, _matmul(F, conj_t, H), a)
+    # lambda from the first nonzero entry of H; B = lambda H entrywise
+    i = next(i for i, h in enumerate(H) if h)
+    lam = F.div(B[i], H[i])
+    return lam if B == tuple(F.mul(lam, h) for h in H) else None
 
 
 def in_psu(m: Projectivity, model) -> bool:

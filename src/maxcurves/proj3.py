@@ -23,6 +23,16 @@ def normalize(field, coords):
     raise ProjError("the zero vector has no projective class")
 
 
+def _cross(F, a, b):
+    """The cross product a x b of two triples over F: its entries are the
+    2x2 minors of the rows a and b, and it is orthogonal to both."""
+    mul, sub = F.mul, F.sub
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (sub(mul(a1, b2), mul(a2, b1)), sub(mul(a2, b0), mul(a0, b2)),
+            sub(mul(a0, b1), mul(a1, b0)))
+
+
 def _triple(field, coords):
     coords = tuple(coords)
     if len(coords) != 3:

@@ -1,6 +1,8 @@
 """Brute-force references that tests compare the package against: they
 enumerate or expand directly, and check nothing of their own."""
 
+from itertools import permutations
+
 from maxcurves import polyroots
 from maxcurves.proj3 import ProjLine, ProjPoint
 
@@ -13,6 +15,21 @@ def all_points(field):
     for x in field.elements():
         yield ProjPoint(field, (x, 1, 0))
     yield ProjPoint(field, (1, 0, 0))
+
+
+def leibniz_det(F, rows):
+    """The determinant of a square matrix over F (a list of rows) by the
+    Leibniz expansion: the signed sum over all permutations."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = F.mul(term, rows[i][j])
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total = F.sub(total, term) if inversions % 2 else F.add(total, term)
+    return total
 
 
 def incident(point, line):

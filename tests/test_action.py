@@ -15,8 +15,8 @@ from maxcurves.gf import GF, build_field, embed
 from maxcurves.pgu3 import (GroupError, Projectivity, generate, make_alpha,
                             make_alpha_a, make_beta, make_three_cycle)
 from maxcurves.polyroots import divmod_poly, roots
-from maxcurves.proj3 import ProjPoint
-from oracles import all_points
+from maxcurves.proj3 import ProjPoint, line_points
+from oracles import all_points, leibniz_det
 
 random.seed(903)
 
@@ -32,11 +32,10 @@ def brute_fixed_on_curve(sigma, model):
 
 
 def test_identity_fixes_all():
+    # every point is fixed, so there is no fixed-point set to return
     model = FermatHermitian(4)
-    fps = fixed_points(Projectivity.identity(model.field), model)
-    assert fps.kind == "all"
     with pytest.raises(ActionError):
-        fps.on_curve_count()
+        fixed_points(Projectivity.identity(model.field), model)
 
 
 def test_alpha_fixes_fundamental_triangle_off_curve():
@@ -147,6 +146,65 @@ def test_pivot_forms_over_a_subfield_match_cross_products():
     assert any(fixed and not inside for _, fixed, inside in seen)
 
 
+def _rank_cases(g, F):
+    """For each eigenvalue lam in F of g, the case of N = M - lam I that
+    fixed_points meets: ("rank 1", its first nonzero row) or ("rank 2",
+    a zero row of it), from the definitions and a scan of F."""
+    m = g.m
+    cases = set()
+    for lam in F.elements():
+        rows = [[F.sub(m[3 * i + j], lam if i == j else 0) for j in range(3)]
+                for i in range(3)]
+        if leibniz_det(F, rows):
+            continue
+        minors = [leibniz_det(F, [[r[c] for c in cols] for r in pair])
+                  for pair in ((rows[0], rows[1]), (rows[0], rows[2]),
+                               (rows[1], rows[2]))
+                  for cols in ((0, 1), (0, 2), (1, 2))]
+        nonzero = [i for i in range(3) if any(rows[i])]
+        if not any(minors):
+            cases.add(("rank 1", nonzero[0]))
+        else:
+            cases.update(("rank 2", i) for i in range(3) if i not in nonzero)
+    return cases
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 4), (3, 2)])
+def test_rational_fixed_points_match_a_scan(p, k):
+    """The F-rational fixed points that fixed_points reports (its isolated
+    points over F and the points of its axis) are the points of PG(2, F)
+    with g(P) = P.  Random elements, homologies diag(d, 1, 1) in all three
+    positions and elations in all three rows make N = M - lam I of rank 1
+    with its nonzero row, and of rank 2 with a zero row, in every
+    position."""
+    F = build_field(p, k)
+    model = FermatHermitian(p ** (k // 2))
+    assert model.field is F
+    rng = random.Random(p * 100 + k)
+    gs = _pivot_test_elements(F, rng)[:12]
+    units = [u for u in F.elements() if u]
+    for i in range(3):
+        for d in units[1:]:
+            gs.append(Projectivity(F, [d if j == 4 * i else 1 if j % 4 == 0
+                                       else 0 for j in range(9)]))
+        for c in units[:2]:
+            gs.append(Projectivity(F, [1 if j % 4 == 0 else c
+                                       if j == 3 * i + (i + 1) % 3 else 0
+                                       for j in range(9)]))
+    points = list(all_points(F))
+    cases = set()
+    for g in gs:
+        fps = fixed_points(g, model)
+        got = [P for P, _ in fps.points if P.field is F]
+        if fps.axis is not None:
+            got += line_points(fps.axis)
+        assert sorted(P.coords for P in got) == sorted(
+            P.coords for P in points if g.apply_point(P) == P), g
+        cases |= _rank_cases(g, F)
+    assert cases == {(rank, i) for rank in ("rank 1", "rank 2")
+                     for i in range(3)}
+
+
 @pytest.mark.parametrize("q", [2, 4, 8])
 def test_fixed_points_match_brute_force_scan(q):
     """Oracle equivalence at small q: eigen analysis vs full curve scan."""
@@ -175,7 +233,7 @@ def test_homology_axis_classification_matches_enumeration():
     fps = fixed_points(sigma, model)
     assert fps.kind == "line"
     assert fps.axis_curve_count == 5  # secant: q + 1
-    assert fps.center is not None and not fps.center[1]
+    assert fps.points == [(ProjPoint(F, (0, 1, 0)), False)]  # the center
     assert len(brute_fixed_on_curve(sigma, model)) == 5
 
 

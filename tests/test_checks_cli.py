@@ -244,13 +244,15 @@ def test_cli_closed_stdout_has_its_own_exit_code_and_no_traceback():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = subprocess.Popen(
-        [sys.executable, "-m", "maxcurves", "--check", "lemmino"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    child.stdout.close()  # before the interpreter has started up
-    stderr = child.stderr.read().decode()
-    assert child.wait(timeout=60) == cli.CLOSED_STDOUT_EXIT == 4
-    assert stderr == ""
+    # a report, and the --list lines
+    for argv in (["--check", "lemmino"], ["--list"]):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "maxcurves", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        child.stdout.close()  # before the interpreter has started up
+        stderr = child.stderr.read().decode()
+        assert child.wait(timeout=60) == cli.CLOSED_STDOUT_EXIT == 4, argv
+        assert stderr == "", argv
 
 
 def test_cli_list(capsys):

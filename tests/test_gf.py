@@ -13,7 +13,7 @@ from maxcurves.gf import (COMPACT_LIMIT, GF, FieldError, _canonical_modulus,
                           _gf2_square,
                           _is_irreducible, _is_primitive_root_x, build_field,
                           clear_modulus_overrides, embed, load_field_config,
-                          nullspace, set_modulus_override)
+                          set_modulus_override)
 from maxcurves.numbertheory import divisors, factorize, prime_divisors
 
 random.seed(901)
@@ -685,34 +685,6 @@ def test_power_solutions_match_brute_force(p, k):
 def test_power_solutions_need_tables():
     with pytest.raises(FieldError):
         build_field(2, 30).power_solutions(3, 1)
-
-
-def _span(F, basis):
-    vecs = {(0, 0, 0)}
-    for b in basis:
-        vecs = {tuple(F.add(x, F.mul(t, y)) for x, y in zip(v, b))
-                for v in vecs for t in F.elements()}
-    return vecs
-
-
-@pytest.mark.parametrize("p,k", [(2, 2), (3, 2)])
-def test_nullspace_matches_brute_force(p, k):
-    F = build_field(p, k)
-    rng = random.Random(907)
-    space = [(x, y, z) for x in F.elements() for y in F.elements()
-             for z in F.elements()]
-    for trial in range(60):
-        rows = [[rng.randrange(F.order) for _ in range(3)] for _ in range(3)]
-        if trial % 3:  # rank at most 2: the last row combines the others
-            a, b = rng.randrange(F.order), rng.randrange(F.order) * (trial % 2)
-            rows[2] = [F.add(F.mul(a, x), F.mul(b, y))
-                       for x, y in zip(rows[0], rows[1])]
-        null = {v for v in space
-                if all(F.add(F.add(F.mul(r[0], v[0]), F.mul(r[1], v[1])),
-                             F.mul(r[2], v[2])) == 0 for r in rows)}
-        basis = nullspace(F, rows)
-        assert F.order ** len(basis) == len(null)
-        assert _span(F, basis) == null
 
 
 def test_embed_prime_subfield():

@@ -9,6 +9,7 @@ from maxcurves.numbertheory import factorize
 from maxcurves.pgu3 import (GroupError, Projectivity, generate, in_psu,
                             make_alpha, make_alpha_a, make_beta,
                             make_three_cycle, unitarity_scalar)
+from oracles import leibniz_det
 
 random.seed(902)
 
@@ -60,6 +61,114 @@ def test_inverse_and_order():
     assert a.order() == 11
     h = make_three_cycle(F, 1, 1, q=32)
     assert h.order() == 3  # h^3 is scalar
+
+
+def _rows(m):
+    return [list(m[0:3]), list(m[3:6]), list(m[6:9])]
+
+
+def _sum(F, terms):
+    acc = 0
+    for t in terms:
+        acc = F.add(acc, t)
+    return acc
+
+
+def _product(F, a, b):
+    """The row-major product of two 9-tuples, by the definition."""
+    return tuple(_sum(F, [F.mul(a[3 * i + t], b[3 * t + j]) for t in range(3)])
+                 for i in range(3) for j in range(3))
+
+
+def _cofactor_adjugate(F, m):
+    """adj M by cofactors: entry (i, j) is (-1)^(i+j) det M_ji, for M_ji
+    the minor without row j and column i (Leibniz determinants)."""
+    rows = _rows(m)
+    out = []
+    for i in range(3):
+        for j in range(3):
+            minor = [[r[c] for c in range(3) if c != i]
+                     for k, r in enumerate(rows) if k != j]
+            d = leibniz_det(F, minor)
+            out.append(F.neg(d) if (i + j) % 2 else d)
+    return tuple(out)
+
+
+def _random_entries(F, rng):
+    while True:
+        m = tuple(rng.randrange(F.order) for _ in range(9))
+        if any(m):
+            return m
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2)])
+def test_det_inverse_and_char_poly_match_leibniz(p, k):
+    F = build_field(p, k)
+    rng = random.Random(100 * p + k)
+    singular = 0
+    for _ in range(300):
+        entries = _random_entries(F, rng)
+        if leibniz_det(F, _rows(entries)) == 0:
+            with pytest.raises(GroupError):
+                Projectivity(F, entries)
+            singular += 1
+            continue
+        g = Projectivity(F, entries)
+        m = g.m  # normalised: det, adjugate and char_poly are of this matrix
+        det = leibniz_det(F, _rows(m))
+        assert g.det() == det
+        adj = _cofactor_adjugate(F, m)
+        assert _product(F, m, adj) == (det, 0, 0, 0, det, 0, 0, 0, det)
+        assert g.inverse() == Projectivity(F, adj)
+        cp = g.char_poly()
+        for t in F.elements():
+            shifted = [[F.sub(t if i == j else 0, m[3 * i + j])
+                        for j in range(3)] for i in range(3)]
+            value = _sum(F, [F.mul(c, F.pow(t, e)) for e, c in enumerate(cp)])
+            assert value == leibniz_det(F, shifted), (m, t)
+    assert 0 < singular < 300
+
+
+def _unitarity_by_definition(m, model):
+    """The lambda in F* with conj(M)^T H M = lambda H, found by trying every
+    one, or None."""
+    F, a = m.field, m.m
+    H = [F.const(e) for row in model.hermitian_gram() for e in row]
+    conj_t = [F.pow(a[3 * j + i], model.q) for i in range(3) for j in range(3)]
+    B = _product(F, _product(F, conj_t, H), a)
+    found = [lam for lam in range(1, F.order)
+             if B == tuple(F.mul(lam, h) for h in H)]
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("model_cls", [FermatHermitian, NormTraceHermitian])
+def test_unitarity_scalar_matches_the_definition(q, model_cls):
+    # the norm-trace gram has H[0][0] = 0, so lambda is not read off there
+    model = model_cls(q)
+    F = model.field
+    rng = random.Random(q)
+    # random matrices, monomial ones (the Fermat group's diagonals and
+    # permutations) and unitriangular ones (the norm-trace point stabiliser)
+    candidates = [_random_entries(F, rng) for _ in range(100)]
+    units = range(1, F.order)
+    candidates += [tuple((d if i == 0 else 1) if j == (i + s) % 3 else 0
+                         for i in range(3) for j in range(3))
+                   for s in range(3) for d in units]
+    candidates += [(1, b, c, 0, 1, b2, 0, 0, 1) for b in range(F.order)
+                   for c in range(F.order) for b2 in (0, b)]
+    candidates += [(d1, 0, 0, 0, d2, 0, 0, 0, 1) for d1 in units for d2 in units]
+    outcomes = set()
+    for entries in candidates:
+        try:
+            g = Projectivity(F, entries)
+        except GroupError:
+            continue
+        lam = unitarity_scalar(g, model)
+        assert lam == _unitarity_by_definition(g, model), g
+        outcomes.add(lam is None)
+    assert outcomes == {False, True}
 
 
 def test_negative_power_raises_before_any_product(monkeypatch):

@@ -99,22 +99,6 @@ _REASONS = {
     "os.fork skips; tests/test_numbertheory.py runs it": [
         "numbertheory._forked_in_two",
         ("numbertheory._in_two", "return _forked_in_two(fn, first, second)")],
-    "the fixed points of the identity (kind 'all'), which no check asks "
-    "for": [("action.fixed_points",
-             'return FixedPointSet("all", model=model)')],
-    "an element that fixes a line pointwise and a point off it (a "
-    "homology), or whose fixed points on a fixed line are counted: no check "
-    "counts the fixed points of such an element": [
-        ("action.FixedPointSet.on_curve_count", """
-            n += self.axis_curve_count
-            if self.center is not None and self.center[1]:
-                n += 1
-            """),
-        ("action.FixedPointSet.curve_points", "pts.append(self.center[0])"),
-        ("action.fixed_points", """
-            P = isolated[0]
-            center = (P, model.contains(P))
-            """)],
     "every line shape but T = 0: a check restricts only to T = 0, and the "
     "tests enumerate the others": [
         ("proj3.line_points", """
@@ -145,15 +129,13 @@ _REASONS = {
             d = gcd_poly(F, sub(F, h, (1,)), g)
             """)],
     "library edge cases that no run meets: the zero polynomial made monic, "
-    "a zeroth power, n < 2, a number that is not a prime power, a matrix "
-    "that is not unitary, i(sigma) of a wild element, a single value for a "
-    "list parameter from Python, and the Mitchell-Hartley class xv, which "
-    "exists only at q = 2": [
+    "a zeroth power, n < 2, a number that is not a prime power, i(sigma) "
+    "of a wild element, a single value for a list parameter from Python, "
+    "and the Mitchell-Hartley class xv, which exists only at q = 2": [
         ("polyroots.monic", "return a"),
         ("polyroots.pow_mod", "return (1,)"),
         ("numbertheory.is_prime", "return False  # 0, 1 and negative n"),
         ("numbertheory.is_prime_power", "return None"),
-        ("pgu3.unitarity_scalar", "return None"),
         ("ramification.i_sigma", "return wild_contribution(order, model)"),
         ("checks._int_list", """
             elif not isinstance(value, (list, tuple)):
@@ -206,10 +188,7 @@ _REASONS = {
 UNREACHED = {entry: why for why, entries in _REASONS.items()
              for entry in entries}
 
-NEVER_SET = {
-    "action.FixedPointSet.__init__(center)":
-        "only a homology has a center, and no default parameter produces one",
-}
+NEVER_SET = {}
 
 _AUDIT = r"""
 import gc, inspect, io, json, os, runpy, sys
