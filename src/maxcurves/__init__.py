@@ -10,7 +10,7 @@ the `maxcurves` command-line tool).
 from .gf import GF, TowerMap, build_field, embed, load_field_config
 from .curves import (FermatHermitian, GarciaStichtenoth, GeneralizedGK,
                      NormTraceHermitian)
-from .proj3 import ProjLine, ProjPoint, line_points, normalize
+from .proj3 import ProjPoint, line_points, normalize
 from .pgu3 import (Projectivity, SubgroupSpec, generate, in_psu, make_alpha,
                    make_alpha_a, make_beta, make_three_cycle)
 from .action import (fixed_points, is_semiregular, orbits,

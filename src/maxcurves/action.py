@@ -7,10 +7,11 @@ extension where its roots live, and the others are its Frobenius
 conjugates.  Each eigenspace is read off the rows of M - lam I through
 cross products (`proj3._cross`), with no elimination: a one-dimensional
 one is an isolated fixed point; a two-dimensional one is a pointwise-fixed
-line (homology or elation), whose curve intersection is decided by the
-tangent/secant classification through the polarity (and by enumeration in
-oracle tests at small q).  The identity, which fixes every point, is
-refused.
+line (homology or elation), kept as its normalised coordinate triple,
+whose curve intersection is decided by the tangent/secant classification
+(`proj3.pole`: one point if the pole lies on the curve, else q + 1; the
+oracle tests compare with enumeration at small q).  The identity, which
+fixes every point, is refused.
 
 The restriction behind the homomorphism into PGL(2, q^2) is taken on the
 line T = 0 only, the line the diagonal groups stabilise.
@@ -22,7 +23,7 @@ from itertools import repeat
 from .gf import build_field, embed
 from .numbertheory import _in_two
 from .polyroots import divmod_poly, one_root, roots
-from .proj3 import ProjLine, ProjPoint, _cross, line_points, normalize, pole
+from .proj3 import ProjPoint, _cross, line_points, normalize, pole
 from .pgu3 import Projectivity, SubgroupSpec, generate
 
 
@@ -37,7 +38,7 @@ class FixedPointSet:
 
     def __init__(self, points, axis, model):
         self.points = list(points)  # [(ProjPoint, on_curve)]
-        self.axis = axis
+        self.axis = axis  # normalised line coordinates over model.field
         self.model = model
         # |axis intersect curve| by the tangent/secant classification (the
         # oracle tests compare this against enumeration at small q)
@@ -55,7 +56,7 @@ class FixedPointSet:
         """The on-curve fixed points as ProjPoints (axis enumerated if needed)."""
         pts = [p for p, on in self.points if on]
         if self.axis_curve_count:
-            pts.extend(p for p in line_points(self.axis)
+            pts.extend(p for p in line_points(self.model.field, self.axis)
                        if self.model.contains(p))
         return pts
 
@@ -66,7 +67,10 @@ def fixed_points(sigma: Projectivity, model) -> FixedPointSet:
     For each eigenvalue lam, N = M - lam I has rank 2 or 1.  Of rank 2, its
     kernel is spanned by the first nonzero cross product of two rows (a
     column of the adjugate of N), an isolated fixed point; of rank 1, its
-    nonzero row holds the line coordinates of the pointwise-fixed axis."""
+    nonzero row holds the line coordinates of the pointwise-fixed axis,
+    kept as their normalised triple.  The axis is always over F: rank 1
+    needs lam of algebraic multiplicity at least 2, and a cubic over F
+    can have such a root only in F."""
     F = sigma.field
     if F is not model.field:
         raise ActionError("element is not over the model's field")
@@ -103,7 +107,7 @@ def fixed_points(sigma: Projectivity, model) -> FixedPointSet:
                    for i, j in ((1, 2), (2, 0), (0, 1)))
         kernel = next((v for v in crosses if any(v)), None)
         if kernel is None:
-            axis = ProjLine(E, next(r for r in rows if any(r)))
+            axis = normalize(F, next(r for r in rows if any(r)))
         else:
             P = ProjPoint(E, kernel)
             points.append((P, model.contains(P)))
@@ -196,9 +200,7 @@ class StabilizerCensus:
         by_field = {}
         for g in elements:
             by_field.setdefault(g.field, []).append(g.m)
-        half = len(self.points) // 2
-        return sum(_in_two(_fixing_pairs, (self.points[:half], by_field),
-                           (self.points[half:], by_field)))
+        return sum(_in_two(_fixing_pairs, self.points, by_field))
 
 
 def _fixing_pairs(points, by_field):
@@ -261,9 +263,7 @@ def family_census(elements, group: SubgroupSpec, model) -> StabilizerCensus:
     (`numbertheory._in_two`); the counts, the points (over the same field
     objects), their order, the orbits and any error are the serial ones."""
     elements = [s for s in elements if not s.is_identity()]
-    half = len(elements) // 2
-    lower, upper = _in_two(_curve_points_of, (elements[:half], model),
-                           (elements[half:], model))
+    lower, upper = _in_two(_curve_points_of, elements, model)
     # a point lies over the model's field or over an extension of it,
     # which build_field shares; each field is looked up once
     F = model.field
@@ -376,20 +376,17 @@ def common_fixed_curve_points(subgroup: SubgroupSpec, model):
 def sharply_2_transitive(group: SubgroupSpec, orbit) -> bool:
     """Regularity on ordered pairs: |G| = n(n-1) and trivial 2-point stabilizers.
 
-    A trivial group on a single point is vacuously sharply 2-transitive
-    (there are no ordered pairs to move).
+    One pair is enough: on a closed set of n points with |G| = n(n-1), a
+    trivial stabilizer of one ordered pair gives it an orbit of all n(n-1)
+    ordered pairs (orbit-stabilizer), so every pair stabilizer is a
+    conjugate of it.  A trivial group on a single point is vacuously
+    sharply 2-transitive (there are no ordered pairs to move).
     """
     orbit = list(orbit)
     n = len(orbit)
     orbits(group, orbit)  # raises ActionError unless the orbit is closed
     if group.order != n * (n - 1):
         return n == 1 and group.order == 1
-    for P in orbit:
-        for Q in orbit:
-            if P == Q:
-                continue
-            fixers = sum(1 for g in group.elements
-                         if g.apply_point(P) == P and g.apply_point(Q) == Q)
-            if fixers != 1:
-                return False
-    return True
+    P, Q = orbit[0], orbit[1]
+    return sum(1 for g in group.elements
+               if g.apply_point(P) == P and g.apply_point(Q) == Q) == 1

@@ -175,18 +175,17 @@ def primovalore_scan(q_max: int):
     (`numbertheory._in_two`); the hits and any error are the serial ones."""
     if q_max < 10:
         raise CatalogError("q_max must be at least 10")
-    mid = q_max // 2
-    lower, upper = _in_two(_primovalore_range, (1, mid), (mid + 1, q_max))
+    lower, upper = _in_two(_primovalore_range, range(1, q_max + 1))
     return lower + upper
 
 
-def _primovalore_range(lo: int, hi: int):
-    """The hits of `primovalore_scan` with lo <= q <= hi.  The direct test
+def _primovalore_range(qs: range):
+    """The hits of `primovalore_scan` with q in qs.  The direct test
     takes q^3, q^6 and q^9 mod m by one product each and reduces
     q^9 (q^9 + 1)(q^6 - 1) with a single % m."""
     a, b = PRIMOVALORE_REMAINDER
     hits = []
-    for q in range(lo, hi + 1):
+    for q in qs:
         qq = q * q
         m = qq + q + 2
         q3 = qq * q % m

@@ -203,11 +203,10 @@ def _triangolo_construction(n):
     F_{2^(6n)} within the 2^62 size cap: n = 15 needs F_{2^90}.  The
     acceptance parameter is n = 9.
     """
-    if n not in (3, 9):
-        raise UnsupportedParameters(
-            "the census needs 9 | 2^n + 1 (n = 3 mod 6) for its family size "
-            "4(q+1)/9, and n >= 15 needs F_{2^(6n)} beyond the 2^62 size cap; "
-            "supported: n in {3, 9}")
+    _require(n in (3, 9),
+             "the census needs 9 | 2^n + 1 (n = 3 mod 6) for its family size "
+             "4(q+1)/9, and n >= 15 needs F_{2^(6n)} beyond the 2^62 size cap; "
+             "supported: n in {3, 9}")
     q = 2**n
     F = build_field(2, 2 * n)
     model = FermatHermitian(q)
@@ -414,12 +413,12 @@ _DELTA_PROFILES = {
 
 
 def _check_delta_ledger(qs):
+    for q in qs:
+        _require(q in _DELTA_PROFILES,
+                 f"no ledger data for q = {q}; supported: 4, 8")
     evidence = {}
     ok = {}
     for q in qs:
-        if q not in _DELTA_PROFILES:
-            raise UnsupportedParameters(
-                f"no ledger data for q = {q}; supported: 4, 8")
         data = _DELTA_PROFILES[q]
         model = FermatHermitian(q**3)
         delta = expected_delta(data["top_genus"], data["quotient_genus"],
@@ -494,8 +493,7 @@ def _check_linpoly_decompose():
 
 
 def _check_prop1sylow_nondiv(q):
-    if q != 4:
-        raise UnsupportedParameters("the family scan is pinned at q = 4")
+    _require(q == 4, "the family scan is pinned at q = 4")
     F = build_field(2, 12)
     tested, divisible, disagreements = quotient_family_scan(F, q)
     conds = {
@@ -510,8 +508,7 @@ def _check_prop1sylow_nondiv(q):
 
 
 def _check_sylow_census(q):
-    if q != 4:
-        raise UnsupportedParameters("the Sylow construction is pinned at q = 4")
+    _require(q == 4, "the Sylow construction is pinned at q = 4")
     F = build_field(2, 12)
     model = NormTraceHermitian(64)
     kernel = [c for c in F.elements() if F.add(F.pow(c, 64), c) == 0]

@@ -108,14 +108,11 @@ def quotient_family_scan(field, q):
     The representatives a are split in two and the upper half is scanned
     in a forked child (`numbertheory._in_two`); the counts and any error
     are the serial ones."""
-    reps = _family_reps(field, q)
-    half = len(reps) // 2
-    lower, upper = _in_two(_family_counts, (field, q, reps[:half]),
-                           (field, q, reps[half:]))
+    lower, upper = _in_two(_family_counts, _family_reps(field, q), field, q)
     return tuple(x + y for x, y in zip(lower, upper))
 
 
-def _family_counts(F, q, reps):
+def _family_counts(reps, F, q):
     """(tested, divisible, disagreements) over the members of these a."""
     tested = divisible = disagreements = 0
     for _, composes, divides in _family_verdicts(F, q, reps):

@@ -1,5 +1,6 @@
-"""Exact integer helpers: primality, factorization, divisors, and the
-two-process split of the exhaustive scans and census loops.
+"""Exact integer helpers: primality, factorization, divisors, and
+`_in_two`, the two-process split of the exhaustive scans and census loops:
+each caller passes its whole list or range, and `_in_two` cuts it in two.
 
 Everything here is deterministic.  Miller-Rabin uses a fixed witness set
 that is provably correct for all n < 3.3 * 10^24, far beyond any integer
@@ -117,20 +118,24 @@ def is_prime_power(n: int):
     return f[0]
 
 
-def _in_two(fn, first, second):
-    """[fn(*first), fn(*second)], with fn(*second) computed in a forked
-    child while this process computes fn(*first).  The split both scans
+def _in_two(fn, items, *rest):
+    """[fn(items[:h], *rest), fn(items[h:], *rest)] for h = len(items) // 2,
+    with the upper half computed in a forked child while this process
+    computes the lower one.  The split both scans
     (`catalog.primovalore_scan`, `linpoly.quotient_family_scan`) and both
-    census loops (`action.family_census`, `pointwise_incidence`) use.
+    census loops (`action.family_census`, `pointwise_incidence`) use; the
+    items may be a list or a range.
 
     The child sends its result (ints, bools, lists and tuples) back through
     a pipe with `marshal` and always leaves by `os._exit`, so it flushes no
     inherited stdio buffer and runs no exit handler.  The child is always
     reaped, and killed first if fn(*first) raises.  If the child fails in
     any way, this process computes fn(*second) itself, so results and
-    exceptions are those of the serial calls, the first call's error
+    exceptions are those of the serial calls, the lower half's error
     first.  Without `os.fork` (or if the fork fails) both calls run here.
     """
+    h = len(items) // 2
+    first, second = (items[:h], *rest), (items[h:], *rest)
     if not hasattr(os, "fork"):
         return [fn(*first), fn(*second)]
     return _forked_in_two(fn, first, second)

@@ -80,17 +80,13 @@ class Projectivity:
             raise GroupError("projectivities over different fields")
         return Projectivity(self.field, _matmul(self.field, self.m, other.m))
 
-    def _adjugate_columns(self):
-        """r1 x r2, r2 x r0 and r0 x r1 for the rows r0, r1, r2: the columns
-        of the adjugate."""
+    def inverse(self):
+        """The adjugate, a scalar multiple of the inverse matrix: its columns
+        are r1 x r2, r2 x r0 and r0 x r1 for the rows r0, r1, r2."""
         F, m = self.field, self.m
         r0, r1, r2 = m[0:3], m[3:6], m[6:9]
-        return _cross(F, r1, r2), _cross(F, r2, r0), _cross(F, r0, r1)
-
-    def inverse(self):
-        """The adjugate, a scalar multiple of the inverse matrix."""
-        columns = self._adjugate_columns()
-        return Projectivity(self.field, (e for row in zip(*columns) for e in row))
+        columns = _cross(F, r1, r2), _cross(F, r2, r0), _cross(F, r0, r1)
+        return Projectivity(F, (e for row in zip(*columns) for e in row))
 
     def __pow__(self, e):
         """self^e for an integer e >= 0, by square and multiply."""
@@ -121,11 +117,13 @@ class Projectivity:
 
     def char_poly(self):
         """Coefficients (c0, c1, c2, 1) of det(tI - M), low degree first: c1
-        is the trace of the adjugate."""
+        is the sum of the three principal 2x2 minors."""
         F, m = self.field, self.m
-        tr = F.add(F.add(m[0], m[4]), m[8])
-        a, b, c = self._adjugate_columns()
-        c1 = F.add(F.add(a[0], b[1]), c[2])
+        add, sub, mul = F.add, F.sub, F.mul
+        tr = add(add(m[0], m[4]), m[8])
+        c1 = add(add(sub(mul(m[4], m[8]), mul(m[5], m[7])),
+                     sub(mul(m[0], m[8]), mul(m[2], m[6]))),
+                 sub(mul(m[0], m[4]), mul(m[1], m[3])))
         return (F.neg(self.det()), c1, F.neg(tr), 1)
 
     def transport(self, tower_map):

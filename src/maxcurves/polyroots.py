@@ -14,11 +14,11 @@ bijection, so they are a basis too, and one of them separates any two
 roots.  The shift 1 is left out because it never splits a g that is
 irreducible over a proper subfield holding its coefficients: Tr(r) is then
 the same on every root.  Otherwise the shifts are 1, w, w^2, ..., walking
-all of F_{p^s}, ending with 0.  `roots` isolates the part of f that
-splits over F (gcd with X^|F| - X) and splits it completely; `one_root`
-descends into the smaller factor of each split until a linear factor is
-left, so the other roots of an irreducible factor follow as its Frobenius
-conjugates.
+all of F_{p^s}, ending with 0.  `one_root` descends into the smaller
+factor of each split until a linear factor is left, so the other roots of
+an irreducible factor follow as its Frobenius conjugates.  `roots`
+isolates the part g of f that splits over F (gcd with X^|F| - X) and
+takes its roots one at a time: r = `one_root` of g, then g / (X - r).
 
 Both X^|F| mod f and the characteristic-2 trace take p-th powers mod a
 fixed g.  The p-th power map is additive, so (Sum h_i X^i)^p mod g is
@@ -215,19 +215,6 @@ def _split(F, g, s):
     raise RuntimeError("splitting shifts exhausted (unreachable)")
 
 
-def _split_equal_degree(F, g, out):
-    """g: monic, squarefree, splits into distinct linear factors over F."""
-    deg = len(g) - 1
-    if deg == 0:
-        return
-    if deg == 1:
-        out.append(F.neg(g[0]))
-        return
-    d = _split(F, g, F.k)
-    _split_equal_degree(F, d, out)
-    _split_equal_degree(F, divmod_poly(F, g, d)[0], out)
-
-
 def one_root(F, g, s):
     """One root of g: monic, with distinct roots all in the degree-s
     subfield of F.  Deterministic: each split keeps the smaller factor."""
@@ -251,5 +238,8 @@ def roots(F, f):
     found = []
     if len(f) > 1:
         # gcd(f, X^|F| - X) keeps the factor X once when f(0) = 0
-        _split_equal_degree(F, _splitting_part(F, monic(F, f)), found)
+        g = _splitting_part(F, monic(F, f))
+        while len(g) > 1:
+            found.append(one_root(F, g, F.k))
+            g = divmod_poly(F, g, (F.neg(found[-1]), 1))[0]
     return sorted(found)

@@ -2,8 +2,10 @@
 
 Coordinates are homogeneous triples of field elements, normalized so the
 first nonzero coordinate is 1; equality and hashing always go through the
-normalized form.  Point enumeration order is the affine chart T = 1 first
-(lexicographic in canonical element order), then the chart T = 0.
+normalized form.  A point is a ProjPoint; a line is the normalized triple
+(a, b, c) of its equation a X + b Y + c T = 0.  Point enumeration order is
+the affine chart T = 1 first (lexicographic in canonical element order),
+then the chart T = 0.
 """
 
 
@@ -33,19 +35,15 @@ def _cross(F, a, b):
             sub(mul(a0, b1), mul(a1, b0)))
 
 
-def _triple(field, coords):
-    coords = tuple(coords)
-    if len(coords) != 3:
-        raise ProjError("expected three homogeneous coordinates")
-    return normalize(field, coords)
-
-
 class ProjPoint:
     __slots__ = ("field", "coords")
 
     def __init__(self, field, coords):
+        coords = tuple(coords)
+        if len(coords) != 3:
+            raise ProjError("expected three homogeneous coordinates")
         self.field = field
-        self.coords = _triple(field, coords)
+        self.coords = normalize(field, coords)
 
     def __eq__(self, other):
         return (isinstance(other, ProjPoint) and self.field is other.field
@@ -58,40 +56,27 @@ class ProjPoint:
         return f"ProjPoint{self.coords}"
 
 
-class ProjLine:
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field, coords):
-        self.field = field
-        self.coords = _triple(field, coords)
-
-    def __eq__(self, other):
-        return (isinstance(other, ProjLine) and self.field is other.field
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((id(self.field), "line", self.coords))
-
-    def __repr__(self):
-        return f"ProjLine{self.coords}"
-
-
-def pole(line: ProjLine, model) -> ProjPoint:
+def pole(line, model) -> ProjPoint:
     """The point whose polar line under the unitary polarity of the
-    Hermitian model is the given line."""
-    from .pgu3 import Projectivity  # pgu3 imports this module
-    F = line.field
-    gram = Projectivity(F, [F.const(e) for row in model.hermitian_gram() for e in row])
-    # the adjugate is a scalar multiple of the inverse; ProjPoint drops it
-    conj_v = gram.inverse().apply(line.coords)
+    Hermitian model is the given line, a coordinate triple over
+    `model.field`: x -> x^q applied to adj(H) line, for H the gram
+    matrix.  The columns of adj(H) are r1 x r2, r2 x r0 and r0 x r1 for
+    the rows r0, r1, r2 of H; the adjugate is a scalar multiple of the
+    inverse, which ProjPoint drops."""
+    F = model.field
+    r0, r1, r2 = (tuple(F.const(e) for e in row) for row in model.hermitian_gram())
+    l0, l1, l2 = line
+    v = (F.add(F.add(F.mul(l0, a), F.mul(l1, b)), F.mul(l2, c)) for a, b, c
+         in zip(_cross(F, r1, r2), _cross(F, r2, r0), _cross(F, r0, r1)))
     # undo x -> x^q inside F_{q^2}: the inverse is x -> x^q again
-    return ProjPoint(F, [F.pow(c, model.q) for c in conj_v])
+    return ProjPoint(F, [F.pow(c, model.q) for c in v])
 
 
-def line_points(line: ProjLine):
-    """The |F| + 1 points of PG(2, F) on a line, in canonical order."""
-    F = line.field
-    a, b, c = line.coords
+def line_points(F, line):
+    """The |F| + 1 points of PG(2, F) on a line, given by its coordinate
+    triple (a, b, c) (the points with a x + b y + c t = 0), in canonical
+    order."""
+    a, b, c = line
     pts = []
     # chart T = 1: a x + b y + c = 0
     if b:

@@ -4,7 +4,7 @@ enumerate or expand directly, and check nothing of their own."""
 from itertools import permutations
 
 from maxcurves import polyroots
-from maxcurves.proj3 import ProjLine, ProjPoint
+from maxcurves.proj3 import ProjPoint, normalize
 
 
 def all_points(field):
@@ -33,22 +33,24 @@ def leibniz_det(F, rows):
 
 
 def incident(point, line):
+    """Does the point lie on the line (a coordinate triple)?"""
     F = point.field
     acc = 0
-    for a, b in zip(point.coords, line.coords):
+    for a, b in zip(point.coords, line):
         acc = F.add(acc, F.mul(a, b))
     return acc == 0
 
 
 def polar(point, model):
-    """Polar line of a point under the unitary polarity of a Hermitian model."""
+    """Polar line of a point under the unitary polarity of a Hermitian
+    model, as its normalised coordinate triple."""
     F, gram = point.field, model.hermitian_gram()
     conj = [F.pow(c, model.q) for c in point.coords]
     line = [0, 0, 0]
     for i in range(3):
         for j in range(3):
             line[i] = F.add(line[i], F.mul(F.const(gram[j][i]), conj[j]))
-    return ProjLine(F, line)
+    return normalize(F, line)
 
 
 def roots_in(F, l):

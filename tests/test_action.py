@@ -197,7 +197,7 @@ def test_rational_fixed_points_match_a_scan(p, k):
         fps = fixed_points(g, model)
         got = [P for P, _ in fps.points if P.field is F]
         if fps.axis is not None:
-            got += line_points(fps.axis)
+            got += line_points(F, fps.axis)
         assert sorted(P.coords for P in got) == sorted(
             P.coords for P in points if g.apply_point(P) == P), g
         cases |= _rank_cases(g, F)
@@ -242,7 +242,7 @@ def test_beta_fixes_infinite_line_one_curve_point():
     model = NormTraceHermitian(64)
     fps = fixed_points(make_beta(F, 1, 64), model)
     assert fps.kind == "line"
-    assert fps.axis.coords == (0, 0, 1)
+    assert fps.axis == (0, 0, 1)
     assert fps.axis_curve_count == 1  # tangent at the ideal point
     assert [P.coords for P in fps.curve_points()] == [(1, 0, 0)]
 
@@ -729,3 +729,16 @@ def test_sharply_2_transitive_cases():
     tri = [ProjPoint(F, (1, 0, 0)), ProjPoint(F, (0, 1, 0)),
            ProjPoint(F, (0, 0, 1))]
     assert not sharply_2_transitive(G, tri)  # not even transitive
+    # AGL(1, 4) on the points (x : 1 : 0): x -> g x and x -> x + 1
+    F4 = build_field(2, 2)
+    agl = generate([Projectivity(F4, (F4.generator, 0, 0, 0, 1, 0, 0, 0, 1)),
+                    Projectivity(F4, (1, 1, 0, 0, 1, 0, 0, 0, 1))])
+    assert sharply_2_transitive(agl, [ProjPoint(F4, (x, 1, 0))
+                                      for x in F4.elements()])
+    pair = [ProjPoint(F, (1, 0, 0)), ProjPoint(F, (0, 1, 0))]
+    # |G| = 2 = n(n - 1), but the translation fixes both points
+    fixing = generate([Projectivity(F, (1, 0, 1, 0, 1, 0, 0, 0, 1))])
+    assert not sharply_2_transitive(fixing, pair)
+    # |G| = 2 and the swap fixes neither point
+    swap = generate([Projectivity(F, (0, 1, 0, 1, 0, 0, 0, 0, 1))])
+    assert sharply_2_transitive(swap, pair)

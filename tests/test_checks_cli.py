@@ -112,6 +112,9 @@ def test_run_check_unsupported_parameters():
     ("rh-quotient-genus", {"n": "4"}, "odd n >= 3"),
     ("phi-homomorphism", {"q": "9"}, "power of 2"),
     ("quattordici", {"m_max": "2"}, "m_max >= 3"),
+    ("delta-ledger", {"qs": "4,16"}, "no ledger data for q = 16"),
+    ("prop1sylow-nondiv", {"q": "8"}, "pinned at q = 4"),
+    ("sylow-census", {"q": "8"}, "pinned at q = 4"),
 ])
 def test_documented_limits_are_unsupported(name, params, needle):
     report = run_check(name, params)

@@ -62,30 +62,44 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _bounded_range(lo, hi):
-    if hi > 100:
-        raise ValueError(f"hi = {hi} is past the bound")
-    return list(range(lo, hi))
+def _bounded(items):
+    if items and max(items) >= 100:
+        raise ValueError(f"{max(items)} is past the bound 100")
+    return list(items)
+
+
+def _each(items, fn):
+    return [fn(n) for n in items]
 
 
 def test_in_two_equals_the_serial_calls():
-    for fn, first, second in [(divisors, (360,), (2**10 * 3**5,)),
-                              (factorize, (2**54 - 1,), (10**12 + 39,)),
-                              # a result larger than a pipe's buffer
-                              (list, (range(10),), (range(10**5),))]:
-        assert _in_two(fn, first, second) == [fn(*first), fn(*second)]
+    for fn, items, rest in [(_each, [360, 2**10 * 3**5], (divisors,)),
+                            (_each, [2**54 - 1, 10**12 + 39], (factorize,)),
+                            # a result larger than a pipe's buffer
+                            (list, range(2 * 10**5), ())]:
+        h = len(items) // 2
+        assert _in_two(fn, items, *rest) == [fn(items[:h], *rest),
+                                             fn(items[h:], *rest)]
+    _no_child_left()
+
+
+def test_in_two_cuts_at_half_the_length_rounded_down():
+    # 5 items: 2 below, 3 above; 1 item: an empty lower half
+    assert _in_two(_bounded, [3, 1, 4, 1, 5]) == [[3, 1], [4, 1, 5]]
+    assert _in_two(_bounded, range(5)) == [[0, 1], [2, 3, 4]]
+    assert _in_two(_bounded, [7]) == [[], [7]]
     _no_child_left()
 
 
 def test_in_two_raises_the_serial_error_of_the_upper_half():
-    with pytest.raises(ValueError, match="^hi = 200 is past the bound$"):
-        _in_two(_bounded_range, (0, 10), (10, 200))
+    with pytest.raises(ValueError, match="^199 is past the bound 100$"):
+        _in_two(_bounded, range(200))
     _no_child_left()
 
 
 def test_in_two_raises_the_lower_half_error_first():
-    with pytest.raises(ValueError, match="^hi = 150 is past the bound$"):
-        _in_two(_bounded_range, (0, 150), (150, 300))
+    with pytest.raises(ValueError, match="^149 is past the bound 100$"):
+        _in_two(_bounded, range(300))
     _no_child_left()
 
 
@@ -93,26 +107,26 @@ def test_in_two_raises_the_lower_half_error_first():
 def test_in_two_recomputes_the_half_of_a_failed_child(failure):
     parent = os.getpid()
 
-    def half(lo, hi):
+    def half(items):
         if os.getpid() != parent:
             if failure == "exit 3":
                 os._exit(3)
             os.kill(os.getpid(), signal.SIGKILL)
-        return list(range(lo, hi))
+        return list(items)
 
-    assert _in_two(half, (0, 5), (5, 9)) == [[0, 1, 2, 3, 4], [5, 6, 7, 8]]
+    assert _in_two(half, range(9)) == [[0, 1, 2, 3], [4, 5, 6, 7, 8]]
     _no_child_left()
 
 
 def test_in_two_runs_both_halves_here_without_fork(monkeypatch):
     parent = os.getpid()
 
-    def half(lo, hi):
+    def half(items):
         assert os.getpid() == parent
-        return list(range(lo, hi))
+        return list(items)
 
     monkeypatch.delattr(os, "fork")
-    assert _in_two(half, (0, 2), (2, 4)) == [[0, 1], [2, 3]]
+    assert _in_two(half, range(4)) == [[0, 1], [2, 3]]
 
 
 def test_in_two_runs_both_halves_here_if_the_fork_fails(monkeypatch):
@@ -120,7 +134,7 @@ def test_in_two_runs_both_halves_here_if_the_fork_fails(monkeypatch):
         raise BlockingIOError("no process left")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert _in_two(_bounded_range, (0, 2), (2, 4)) == [[0, 1], [2, 3]]
+    assert _in_two(_bounded, range(4)) == [[0, 1], [2, 3]]
 
 
 def test_the_forked_scan_writes_no_inherited_output_twice():

@@ -43,10 +43,7 @@ _REASONS = {
         "curves.FermatHermitian.__repr__", "curves.NormTraceHermitian.__repr__",
         "curves.GeneralizedGK.__repr__", "curves.GarciaStichtenoth.__repr__",
         "gf.GF.__repr__", "pgu3.Projectivity.__repr__",
-        "proj3.ProjPoint.__repr__", "proj3.ProjLine.__repr__"],
-    "value equality of lines, which the tests' polar oracle compares; a check "
-    "restricts only to T = 0 and compares no lines": ["proj3.ProjLine.__eq__"],
-    "keeps the class hashable beside its __eq__": ["proj3.ProjLine.__hash__"],
+        "proj3.ProjPoint.__repr__"],
     "curve model interface; no check calls maximality_check on this model": [
         "curves.GarciaStichtenoth.genus"],
     "curve membership predicate of the tests' brute-force point scans": [
@@ -80,18 +77,12 @@ _REASONS = {
         ("gf.load_field_config", "continue")],
     "library reset of --field-config overrides; the CLI loads them once": [
         "gf.clear_modulus_overrides"],
-    "the pair loop of sharply_2_transitive, off the default parameters": [
+    "the pair test of sharply_2_transitive, off the default parameters": [
         "pgu3.Projectivity.apply_point",
         ("action.sharply_2_transitive", """
-            for P in orbit:
-                for Q in orbit:
-                    if P == Q:
-                        continue
-                    fixers = sum(1 for g in group.elements
-                                 if g.apply_point(P) == P and g.apply_point(Q) == Q)
-                    if fixers != 1:
-                        return False
-            return True
+            P, Q = orbit[0], orbit[1]
+            return sum(1 for g in group.elements
+                       if g.apply_point(P) == P and g.apply_point(Q) == Q) == 1
             """)],
     "perfbench/tracer.py counts the elements of each closure with len()": [
         "pgu3.SubgroupSpec.__len__"],
