@@ -9,9 +9,10 @@ cross products (`proj3._cross`), with no elimination: a one-dimensional
 one is an isolated fixed point; a two-dimensional one is a pointwise-fixed
 line (homology or elation), kept as its normalised coordinate triple,
 whose curve intersection is decided by the tangent/secant classification
-(`proj3.pole`: one point if the pole lies on the curve, else q + 1; the
-oracle tests compare with enumeration at small q).  The identity, which
-fixes every point, is refused.
+(`proj3.pole`: one point, the pole itself, if the pole lies on the curve,
+else q + 1, which are enumerated; the oracle tests compare with
+enumeration at small q).  The identity, which fixes every point, is
+refused.
 
 The restriction behind the homomorphism into PGL(2, q^2) is taken on the
 line T = 0 only, the line the diagonal groups stabilise.
@@ -40,10 +41,11 @@ class FixedPointSet:
         self.points = list(points)  # [(ProjPoint, on_curve)]
         self.axis = axis  # normalised line coordinates over model.field
         self.model = model
+        self.pole = None if axis is None else pole(axis, model)
         # |axis intersect curve| by the tangent/secant classification (the
         # oracle tests compare this against enumeration at small q)
         self.axis_curve_count = 0 if axis is None else (
-            1 if model.contains(pole(axis, model)) else model.q + 1)
+            1 if model.contains(self.pole) else model.q + 1)
 
     @property
     def kind(self):
@@ -53,9 +55,12 @@ class FixedPointSet:
         return sum(1 for _, on in self.points if on) + self.axis_curve_count
 
     def curve_points(self):
-        """The on-curve fixed points as ProjPoints (axis enumerated if needed)."""
+        """The on-curve fixed points as ProjPoints.  A tangent axis meets
+        the curve only at its pole; a secant axis is enumerated."""
         pts = [p for p, on in self.points if on]
-        if self.axis_curve_count:
+        if self.axis_curve_count == 1:
+            pts.append(self.pole)
+        elif self.axis_curve_count:
             pts.extend(p for p in line_points(self.model.field, self.axis)
                        if self.model.contains(p))
         return pts
@@ -321,10 +326,21 @@ def restrict_to_infinity(sigma: Projectivity):
 # -- Sylow analysis ------------------------------------------------------------
 
 
-def _is_p_power(n, p):
+def _p_part(n, p):
+    """The largest power of p that divides n."""
+    part = 1
     while n % p == 0:
         n //= p
-    return n == 1
+        part *= p
+    return part
+
+
+def _p_elements(group: SubgroupSpec, p: int):
+    """The elements of p-power order: the g with g^(p^a) the identity,
+    for p^a the p-part of |G|, since the order of g divides |G|
+    (Lagrange)."""
+    part = _p_part(group.order, p)
+    return [g for g in group.elements if (g ** part).is_identity()]
 
 
 def sylow_census(group: SubgroupSpec, p: int):
@@ -332,12 +348,8 @@ def sylow_census(group: SubgroupSpec, p: int):
     the p-elements.  Returns (count, subgroups)."""
     if group.order % p != 0:
         raise ActionError(f"{p} does not divide the group order {group.order}")
-    target = 1
-    n = group.order
-    while n % p == 0:
-        n //= p
-        target *= p
-    p_elements = [g for g in group.elements if _is_p_power(g.order(), p)]
+    target = _p_part(group.order, p)
+    p_elements = _p_elements(group, p)
     sylows = []
     seen = set()
     for x in p_elements:
@@ -351,7 +363,7 @@ def sylow_census(group: SubgroupSpec, p: int):
                 if y in current.element_set:
                     continue
                 trial = generate(current.generators + [y])
-                if _is_p_power(trial.order, p):
+                if _p_part(trial.order, p) == trial.order:
                     current = trial
                     grown = True
                     break

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from maxcurves import numbertheory
+from maxcurves import action, numbertheory
 
-from maxcurves.action import (ActionError, _fixes, _pivot_forms,
+from maxcurves.action import (ActionError, FixedPointSet, _fixes,
+                              _p_elements, _pivot_forms,
                               common_fixed_curve_points, family_census,
                               fixed_points, is_semiregular, mul2, orbits,
                               restrict_to_infinity, sharply_2_transitive,
@@ -245,6 +246,64 @@ def test_beta_fixes_infinite_line_one_curve_point():
     assert fps.axis == (0, 0, 1)
     assert fps.axis_curve_count == 1  # tangent at the ideal point
     assert [P.coords for P in fps.curve_points()] == [(1, 0, 0)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("model_cls", [FermatHermitian, NormTraceHermitian])
+def test_axis_curve_points_match_line_enumeration(q, model_cls, monkeypatch):
+    # every line of PG(2, q^2) as an axis: a tangent one gives its pole,
+    # with no enumeration, a secant one its q + 1 curve points
+    model = model_cls(q)
+    F = model.field
+    enumerated = []
+    enumerate_line = action.line_points
+
+    def counted(F, line):
+        enumerated.append(line)
+        return enumerate_line(F, line)
+
+    monkeypatch.setattr(action, "line_points", counted)
+    tangents = []
+    for P in all_points(F):
+        line = P.coords
+        fps = FixedPointSet([], line, model)
+        got = sorted(P.coords for P in fps.curve_points())
+        expected = sorted(P.coords for P in line_points(F, line)
+                          if model.contains(P))
+        assert got == expected, line
+        assert len(got) == fps.axis_curve_count
+        if fps.axis_curve_count == 1:
+            tangents.append(line)
+            assert fps.curve_points() == [fps.pole]
+    # one tangent at each of the q^3 + 1 curve points; the rest are secants
+    assert len(tangents) == q**3 + 1
+    secants = [P.coords for P in all_points(F) if P.coords not in tangents]
+    assert enumerated == secants
+
+
+def _order_p_elements(group, p):
+    def is_p_power(n):
+        while n % p == 0:
+            n //= p
+        return n == 1
+
+    return [g for g in group.elements if is_p_power(g.order())]
+
+
+def test_p_elements_match_the_element_orders():
+    F, G = order20_group()
+    F16 = build_field(2, 4)
+    w = F16.root_of_unity(3)
+    cyclic15 = generate([make_alpha(F16, F16.generator, 2)])
+    # diag(w, 1, 1) and diag(1, w, 1): C_3 x C_3
+    square3 = generate([make_alpha(F16, w, 0),
+                        Projectivity(F16, (1, 0, 0, 0, w, 0, 0, 0, 1))])
+    assert (G.order, cyclic15.order, square3.order) == (20, 15, 9)
+    cases = [(G, 2), (G, 5), (cyclic15, 3), (cyclic15, 5), (square3, 3)]
+    for group, p in cases:
+        got = _p_elements(group, p)
+        assert got == _order_p_elements(group, p), (group.order, p)
+    assert len(_p_elements(G, 2)) == 4 and len(_p_elements(square3, 3)) == 9
 
 
 def test_semiregular_examples():

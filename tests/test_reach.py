@@ -90,25 +90,13 @@ _REASONS = {
     "os.fork skips; tests/test_numbertheory.py runs it": [
         "numbertheory._forked_in_two",
         ("numbertheory._in_two", "return _forked_in_two(fn, first, second)")],
-    "every line shape but T = 0: a check restricts only to T = 0, and the "
-    "tests enumerate the others": [
-        ("proj3.line_points", """
-            binv = F.inv(b)
-            for x in F.elements():
-                y = F.mul(binv, F.neg(F.add(F.mul(a, x), c)))
-                pts.append(ProjPoint(F, (x, y, 1)))
-            """),
-        ("proj3.line_points", """
-            ainv = F.inv(a)
-            x = F.mul(ainv, F.neg(c))
-            for y in F.elements():
-                pts.append(ProjPoint(F, (x, y, 1)))
-            """),
-        ("proj3.line_points", """
-            elif b:
-                pts.append(ProjPoint(F, (1, F.mul(F.inv(b), F.neg(a)), 0)))
-            else:
-                pts.append(ProjPoint(F, (0, 1, 0)))
+    "a secant axis's curve points: a tangent axis meets the curve only at "
+    "its pole, and no check lists the curve points of a secant axis; the "
+    "fixed-point oracle tests enumerate secant axes": [
+        "proj3.line_points",
+        ("action.FixedPointSet.curve_points", """
+            pts.extend(p for p in line_points(self.model.field, self.axis)
+                       if self.model.contains(p))
             """)],
     "splitting over odd p: no check finds roots over an odd-p field": [
         ("polyroots._shifts", """
