@@ -4,10 +4,15 @@ Fixed points come from eigen-analysis, never from curve enumeration: the
 roots of the characteristic polynomial (degree 3) are found over the base
 field; the irreducible rest has one root found in the quadratic or cubic
 extension where its roots live, and the others are its Frobenius
-conjugates.  Each eigenspace is read off the rows of M - lam I through
-cross products (`proj3._cross`), with no elimination: a one-dimensional
-one is an isolated fixed point; a two-dimensional one is a pointwise-fixed
-line (homology or elation), kept as its normalised coordinate triple,
+conjugates.  They are found once per distinct characteristic polynomial
+and field (`_eigenvalues`): the roots in F and the irreducible rest are
+kept on F under the polynomial, and the rest's roots on the extension E
+under (F, rest), so a field rebuilt under a modulus override starts with
+an empty memo and never serves another field's roots.  Each eigenspace
+is read off the rows of M - lam I through cross products
+(`proj3._cross`), with no elimination: a one-dimensional one is an
+isolated fixed point; a two-dimensional one is a pointwise-fixed line
+(homology or elation), kept as its normalised coordinate triple,
 whose curve intersection is decided by the tangent/secant classification
 (`proj3.pole`: one point, the pole itself, if the pole lies on the curve,
 else q + 1, which are enumerated; the oracle tests compare with
@@ -81,28 +86,12 @@ def fixed_points(sigma: Projectivity, model) -> FixedPointSet:
         raise ActionError("element is not over the model's field")
     if sigma.is_identity():
         raise ActionError("the identity fixes every point")
-    cp = sigma.char_poly()
-    eigendata = []  # (field, transported matrix entries, eigenvalue)
-    rem = cp
-    for lam in roots(F, cp):
-        eigendata.append((F, sigma.m, lam))
-        while True:  # divide out every factor X - lam
-            quo, r = divmod_poly(F, rem, (F.neg(lam), 1))
-            if r:
-                break
-            rem = quo
-    if len(rem) - 1 > 0:
-        # rem (monic, degree 2 or 3) has no root in F, so it is irreducible:
-        # its roots are one Frobenius orbit in the degree-d extension
-        d = len(rem) - 1
-        E = build_field(F.p, F.k * d)
-        tm = embed(F, E)
+    base, tm, rest = _eigenvalues(F, sigma.char_poly())
+    # (field, transported matrix entries, eigenvalue)
+    eigendata = [(F, sigma.m, lam) for lam in base]
+    if rest:
         m_e = tuple(tm(c) for c in sigma.m)
-        lam = one_root(E, tuple(tm(c) for c in rem), E.k)
-        lams = [lam]
-        for _ in range(d - 1):
-            lams.append(E.frobenius(lams[-1], F.k))
-        eigendata.extend((E, m_e, lam) for lam in sorted(lams))
+        eigendata.extend((tm.dst, m_e, lam) for lam in rest)
     points = []
     axis = None
     for E, m, lam in eigendata:
@@ -117,6 +106,45 @@ def fixed_points(sigma: Projectivity, model) -> FixedPointSet:
             P = ProjPoint(E, kernel)
             points.append((P, model.contains(P)))
     return FixedPointSet(points, axis, model)
+
+
+def _eigenvalues(F, cp):
+    """The eigenvalues of the characteristic polynomial cp over F, as
+    (roots in F, embed(F, E), roots in E): the roots in F in `roots`
+    order, and the roots of the rest, ascending, in the extension E where
+    they live (None and () when every root is in F).
+
+    The roots in F and the rest are kept in `F._roots_cache` under cp.
+    E is looked up afresh on every call, since a modulus override rebuilds
+    it, and the rest's roots are kept in `E._roots_cache` under (F, rest),
+    so neither field ever serves roots over another.  The values are
+    tuples, which no caller can change."""
+    memo = F._roots_cache.get(cp)
+    if memo is None:
+        base = tuple(roots(F, cp))
+        rem = cp
+        for lam in base:
+            while True:  # divide out every factor X - lam
+                quo, r = divmod_poly(F, rem, (F.neg(lam), 1))
+                if r:
+                    break
+                rem = quo
+        memo = F._roots_cache[cp] = (base, rem)
+    base, rem = memo
+    d = len(rem) - 1
+    if d == 0:
+        return base, None, ()
+    # rem (monic, degree 2 or 3) has no root in F, so it is irreducible:
+    # its roots are one Frobenius orbit in the degree-d extension
+    E = build_field(F.p, F.k * d)
+    tm = embed(F, E)
+    rest = E._roots_cache.get((F, rem))
+    if rest is None:
+        lams = [one_root(E, tuple(tm(c) for c in rem), E.k)]
+        for _ in range(d - 1):
+            lams.append(E.frobenius(lams[-1], F.k))
+        rest = E._roots_cache[(F, rem)] = tuple(sorted(lams))
+    return base, tm, rest
 
 
 def is_semiregular(group: SubgroupSpec, model) -> bool:
@@ -265,10 +293,20 @@ def family_census(elements, group: SubgroupSpec, model) -> StabilizerCensus:
 
     The identity is skipped.  The fixed points of the two halves of the
     rest are found in two processes, the upper half in a forked child
-    (`numbertheory._in_two`); the counts, the points (over the same field
-    objects), their order, the orbits and any error are the serial ones."""
+    (`numbertheory._in_two`).  The halves are cut from the elements sorted
+    by characteristic polynomial, so that elements with equal polynomials
+    share one process and its eigenvalue memo (`_eigenvalues`); the
+    results are put back in element order.  The counts, the points (over
+    the same field objects), their order, the orbits and any error are
+    the serial ones."""
     elements = [s for s in elements if not s.is_identity()]
-    lower, upper = _in_two(_curve_points_of, elements, model)
+    order = sorted(range(len(elements)),
+                   key=lambda i: elements[i].char_poly())
+    lower, upper = _in_two(_curve_points_of, [elements[i] for i in order],
+                           model)
+    found_by_element = [None] * len(elements)
+    for i, found in zip(order, lower + upper):
+        found_by_element[i] = found
     # a point lies over the model's field or over an extension of it,
     # which build_field shares; each field is looked up once
     F = model.field
@@ -277,7 +315,7 @@ def family_census(elements, group: SubgroupSpec, model) -> StabilizerCensus:
     per_element = []
     census = []
     seen = set()
-    for s, found in zip(elements, lower + upper):
+    for s, found in zip(elements, found_by_element):
         incidence += len(found)
         per_element.append((s, len(found)))
         for k, coords in found:

@@ -381,6 +381,7 @@ class GF:
         if self.table_mode:
             self._build_tables()
         self._embed_cache = {}  # destination field -> TowerMap
+        self._roots_cache = {}  # eigenvalues, kept by `action._eigenvalues`
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"

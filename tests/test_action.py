@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from maxcurves import action, numbertheory
+from maxcurves import action, gf, numbertheory
 
 from maxcurves.action import (ActionError, FixedPointSet, _fixes,
                               _p_elements, _pivot_forms,
@@ -12,7 +12,8 @@ from maxcurves.action import (ActionError, FixedPointSet, _fixes,
                               restrict_to_infinity, sharply_2_transitive,
                               sylow_census)
 from maxcurves.curves import FermatHermitian, NormTraceHermitian
-from maxcurves.gf import GF, build_field, embed
+from maxcurves.gf import (GF, build_field, clear_modulus_overrides, embed,
+                          set_modulus_override)
 from maxcurves.pgu3 import (GroupError, Projectivity, generate, make_alpha,
                             make_alpha_a, make_beta, make_three_cycle)
 from maxcurves.polyroots import divmod_poly, roots
@@ -206,9 +207,23 @@ def test_rational_fixed_points_match_a_scan(p, k):
                      for i in range(3)}
 
 
+def _clear_root_memos():
+    """Empty the eigenvalue memo (`action._eigenvalues`) of every field."""
+    for K in gf._FIELDS.values():
+        K._roots_cache.clear()
+
+
+def _fixed_point_record(sigma, model):
+    """fixed_points as plain data: each point's field, coordinates and
+    on-curve flag, and the axis."""
+    fps = fixed_points(sigma, model)
+    return [(P.field, P.coords, on) for P, on in fps.points], fps.axis
+
+
 @pytest.mark.parametrize("q", [2, 4, 8])
 def test_fixed_points_match_brute_force_scan(q):
-    """Oracle equivalence at small q: eigen analysis vs full curve scan."""
+    """Oracle equivalence at small q: eigen analysis vs full curve scan,
+    with the eigenvalue memo cold and then warm."""
     model = FermatHermitian(q)
     F = model.field
     elements = [make_alpha(F, F.root_of_unity(q + 1), 1),
@@ -219,11 +234,86 @@ def test_fixed_points_match_brute_force_scan(q):
     # a homology: repeated unit eigenvalue, secant axis
     elements.append(Projectivity(F, (1, 0, 0, 0, F.root_of_unity(q + 1), 0,
                                      0, 0, 1)))
-    for sigma in elements:
-        fps = fixed_points(sigma, model)
-        rational = sorted(P.coords for P in fps.curve_points()
-                          if P.field is F)
-        assert rational == brute_fixed_on_curve(sigma, model)
+    records = []
+    for warm in (False, True):
+        if not warm:
+            _clear_root_memos()
+        for sigma in elements:
+            fps = fixed_points(sigma, model)
+            rational = sorted(P.coords for P in fps.curve_points()
+                              if P.field is F)
+            assert rational == brute_fixed_on_curve(sigma, model)
+        records.append([_fixed_point_record(s, model) for s in elements])
+    assert records[0] == records[1]
+    assert records[0][-1][1] is not None  # the homology's axis
+
+
+@pytest.mark.parametrize("n", [3, pytest.param(9, marks=pytest.mark.slow)])
+def test_fixed_points_with_a_warm_memo_equal_a_cold_run(n):
+    # cold: every memo emptied before each element; then two passes in
+    # family order, the first filling the memo, the second all hits
+    from maxcurves.checks import _triangolo_construction
+    _, F, model, family, _ = _triangolo_construction(n)
+    cold = []
+    for s in family:
+        _clear_root_memos()
+        cold.append(_fixed_point_record(s, model))
+    _clear_root_memos()
+    filling = [_fixed_point_record(s, model) for s in family]
+    warm = [_fixed_point_record(s, model) for s in family]
+    assert cold == filling == warm
+    E = build_field(2, 6 * n)
+    assert {K for points, _ in warm for K, _, _ in points} == {E}
+    assert sum(on for points, _ in warm for _, _, on in points) == 3 * len(
+        family)
+    # one entry per distinct polynomial, on F and on E; each value is a
+    # tuple of ints and tuples, so hashable, and no caller can change it
+    cps = {s.char_poly() for s in family}
+    assert set(F._roots_cache) == cps
+    assert {rest for _, rest in E._roots_cache} == {
+        F._roots_cache[cp][1] for cp in cps}
+    for value in [*F._roots_cache.values(), *E._roots_cache.values()]:
+        assert isinstance(value, tuple)
+        hash(value)
+        with pytest.raises(TypeError):
+            value[0] = ()
+
+
+def test_census_memo_never_serves_a_rebuilt_fields_roots():
+    # the n = 3 census finds its points in F_{2^18}; an override rebuilds
+    # that field while F_{2^6} and its memo stay, so the memo must not
+    # serve the old F_{2^18}'s roots (nor the new one's after the override
+    # is cleared)
+    from maxcurves.checks import _triangolo_construction
+
+    def census():
+        _, F, model, family, stab = _triangolo_construction(3)
+        return _census_and_recount(lambda: family, stab, model)
+
+    first = census()
+    canonical = build_field(2, 18)
+    assert {K for K, _ in first[2]} == {canonical}
+    try:
+        set_modulus_override(2, 18, canonical.modulus[::-1])
+        E = build_field(2, 18)
+        assert E is not canonical and E.modulus == canonical.modulus[::-1]
+        warm = census()
+        assert {K for K, _ in warm[2]} == {E}
+        _clear_root_memos()
+        assert census() == warm
+        assert warm[2] != [(E, coords) for _, coords in first[2]]
+        assert warm[0] == first[0] and warm[4] == first[4]
+        clear_modulus_overrides()
+        E = build_field(2, 18)
+        assert E not in (canonical, warm[2][0][0])
+        cleared = census()
+        assert {K for K, _ in cleared[2]} == {E}
+        _clear_root_memos()
+        assert census() == cleared
+        assert [coords for _, coords in cleared[2]] == [
+            coords for _, coords in first[2]]
+    finally:
+        clear_modulus_overrides()
 
 
 def test_homology_axis_classification_matches_enumeration():
@@ -597,11 +687,27 @@ def test_census_double_count_against_brute_force_n3():
 
 def _split_census_cases():
     """{name: (family, group, model)}: census inputs whose halves differ in
-    size, that start with the identity, or come as a generator; `family`
+    size, that start with the identity, or come as a generator, and
+    families whose equal characteristic polynomials are interleaved, with
+    the census halves cut between two groups or through one; `family`
     makes the elements anew on each call."""
     from maxcurves.checks import _triangolo_construction
     _, F, model, family, _ = _triangolo_construction(3)
     trivial = generate([Projectivity.identity(F)])
+    # the family is s1, s1^2, s2, s2^2 with polynomials a, b, a, b (a < b);
+    # s and s^2 fix the same points.  A conjugate by a unitary diagonal
+    # element (z^9 = 1 = z^(q+1)) has as many fixed points on the curve;
+    # one whose two entries for an element's first nonzero column are
+    # equal keeps its normalisation, hence its polynomial
+    z = F.root_of_unity(9)
+    ts = [Projectivity(F, (z, 0, 0, 0, z, 0, 0, 0, 1)),
+          Projectivity(F, (z, 0, 0, 0, 1, 0, 0, 0, z))]
+    c1, c2 = (t * s * t ** 8 for t, s in zip(ts, family))
+    a, b = family[0].char_poly(), family[1].char_poly()
+    assert a < b and [g.char_poly() for g in family + [c1, c2]] == [a, b] * 3
+    # both start with s2^2, so the serial census lists the points of s2
+    # first, and the sorted halves those of s1
+    s1, s1sq, s2, s2sq = family
     # four homologies diag(1, z, 1): their axes' points lie over F_16 itself
     model4 = FermatHermitian(4)
     F4 = model4.field
@@ -613,7 +719,31 @@ def _split_census_cases():
         "identity": (lambda: [Projectivity.identity(F)] + family,
                      generate(family[:1]), model),
         "generator": (homologies.nontrivial, homologies, model4),
+        # b a b a b a, sorted a a a | b b b: each group in one half
+        "interleaved": (lambda: [s2sq, s1, s1sq, s2, c2, c1], trivial, model),
+        # b a b a a, sorted a a | a b b: the group of a cut by the midpoint
+        "cut": (lambda: [s2sq, s1, s1sq, s2, c1], trivial, model),
     }
+
+
+def _serial_census_and_recount(family, group, model):
+    """`_census_and_recount` by a plain loop over the elements in order,
+    with no split and no grouping, and a recount by `_fixes_point`."""
+    elements = list(family())
+    per_element = []
+    points = []
+    for s in elements:
+        if s.is_identity():
+            continue
+        found = fixed_points(s, model).curve_points()
+        per_element.append((s.m, len(found)))
+        points.extend(P for P in found if P not in points)
+    partition = orbits(group, points) if points else []
+    return (sum(c for _, c in per_element), per_element,
+            [(P.field, P.coords) for P in points],
+            [[(P.field, P.coords) for P in o] for o in partition],
+            sum(_fixes_point(g.transport(embed(g.field, P.field)), P)
+                for P in points for g in elements))
 
 
 def _census_and_recount(family, group, model):
@@ -627,14 +757,17 @@ def _census_and_recount(family, group, model):
             census.pointwise_incidence(list(family())))
 
 
-@pytest.mark.parametrize("case", ["odd", "one", "identity", "generator"])
+@pytest.mark.parametrize("case", ["odd", "one", "identity", "generator",
+                                  "interleaved", "cut"])
 def test_split_census_equals_the_census_without_fork(case, monkeypatch):
     # the fixed-point census and the recount each run in two halves, the
-    # upper one in a forked child; without os.fork both run here, serially
+    # upper one in a forked child; without os.fork both run here, serially.
+    # Both equal a plain loop in element order
     family, group, model = _split_census_cases()[case]
     forked = _census_and_recount(family, group, model)
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
+    assert _serial_census_and_recount(family, group, model) == forked
     monkeypatch.delattr(numbertheory.os, "fork")
     assert _census_and_recount(family, group, model) == forked
     assert forked[0] == sum(c for _, c in forked[1]) > 0
