@@ -5,12 +5,12 @@ Catalog entries are data, not derivations: a case label, an order formula
 evaluated at the given q and a structure note, listed only where the
 case's applicability condition holds at q.  The scans use
 arbitrary-precision integers throughout (q^9 (q^9 + 1)(q^6 - 1) overflows
-fixed-width arithmetic long before the scan bound of 10^6).
+fixed-width arithmetic long before the degree scan's bound q0 = 2127).
 """
 
-from math import gcd
+from math import gcd, isqrt
 
-from .numbertheory import _in_two, divisors, is_prime, is_prime_power
+from .numbertheory import divisors, is_prime, is_prime_power
 
 
 class CatalogError(ValueError):
@@ -166,32 +166,54 @@ PRIMOVALORE_REMAINDER = (2128, -1568)
 
 
 def primovalore_scan(q_max: int):
-    """{q <= q_max : (q^2+q+2) divides q^9 (q^9+1)(q^6-1)}, computed both by
-    direct big-integer divisibility and by the linear remainder 2128 q - 1568
-    (PRIMOVALORE_REMAINDER) of the polynomial division.  The two methods
-    must agree everywhere.
-
-    The scan runs in two halves, the upper one in a forked child
-    (`numbertheory._in_two`); the hits and any error are the serial ones."""
+    """{q <= q_max : m = q^2+q+2 divides q^9 (q^9+1)(q^6-1)}, certified for
+    every q: in Z[q] the product is a q + b modulo the monic m, (a, b) =
+    PRIMOVALORE_REMAINDER (`_primovalore_remainder` checks it), and
+    0 < a q + b < m for q >= q0 = `_primovalore_bound(a, b)` = 2127.
+    Below q0 both methods run at every q and must agree."""
     if q_max < 10:
         raise CatalogError("q_max must be at least 10")
-    lower, upper = _in_two(_primovalore_range, range(1, q_max + 1))
-    return lower + upper
+    a, b = PRIMOVALORE_REMAINDER
+    q0 = _primovalore_bound(a, b)
+    hits = _primovalore_range(range(1, min(q_max, q0 - 1) + 1))
+    if _primovalore_remainder() != (a, b):
+        raise CatalogError(f"{a} q + {b} is not the remainder of "
+                           f"q^9 (q^9 + 1)(q^6 - 1) modulo q^2 + q + 2")
+    return hits
+
+
+def _primovalore_remainder():
+    """(a, b) with q^9 (q^9 + 1)(q^6 - 1) = a q + b in Z[q]/(q^2 + q + 2),
+    by products of residues (u1, u0) = u1 q + u0 with q^2 = -q - 2."""
+    def mul(u, v):
+        top = u[0] * v[0]  # the q^2 term
+        return u[0] * v[1] + u[1] * v[0] - top, u[1] * v[1] - 2 * top
+
+    q3 = mul((1, 0), (-1, -2))
+    q6 = mul(q3, q3)
+    q9 = mul(q6, q3)
+    return mul(mul(q9, (q9[0], q9[1] + 1)), (q6[0], q6[1] - 1))
+
+
+def _primovalore_bound(a, b):
+    """The least q0 >= 1 with 0 < a q + b < q^2 + q + 2 for all q >= q0
+    (a > 0).  The left side fails exactly for q <= -b / a; the right,
+    f(q) = q^2 + (1 - a) q + 2 - b > 0, only up to the larger root of f,
+    whose floor is `top` if D = (a - 1)^2 - 4 (2 - b) >= 0."""
+    q0 = max(1, -b // a + 1)
+    top = (a - 1 + isqrt(max(0, (a - 1) ** 2 - 4 * (2 - b)))) // 2
+    if a * top + b >= top * top + top + 2:  # f(top) <= 0
+        q0 = max(q0, top + 1)
+    return q0
 
 
 def _primovalore_range(qs: range):
-    """The hits of `primovalore_scan` with q in qs.  The direct test
-    takes q^3, q^6 and q^9 mod m by one product each and reduces
-    q^9 (q^9 + 1)(q^6 - 1) with a single % m."""
+    """The hits of `primovalore_scan` with q in qs, by both methods."""
     a, b = PRIMOVALORE_REMAINDER
     hits = []
     for q in qs:
-        qq = q * q
-        m = qq + q + 2
-        q3 = qq * q % m
-        q6 = q3 * q3 % m
-        q9 = q6 * q3 % m
-        direct = q9 * (q9 + 1) * (q6 - 1) % m
+        m = q * q + q + 2
+        direct = q**9 * (q**9 + 1) * (q**6 - 1) % m
         linear = (a * q + b) % m
         if direct and linear:  # neither divisible: the common case
             continue

@@ -15,7 +15,7 @@ conventional verdict, `polyroots.mod`, computed alongside.
 from math import gcd
 
 from . import polyroots
-from .numbertheory import _in_two, is_prime_power
+from .numbertheory import is_prime_power
 
 
 class LinPolyError(ValueError):
@@ -99,60 +99,37 @@ def _right_quotient(F, inner, target):
 
 
 def quotient_family_scan(field, q):
-    """Scan the family A X^(q^2) + B X with A = k^-1 a^(q^2), B = -k^-1 a
-    (a nonzero, k a (q^2-q+1)-th power) for left-divisibility into
-    X^(q^3) + X, under both the composition criterion and the conventional
-    p-associate criterion.  Returns (families_tested, divisible_count,
+    """Scan the family L = A X^(q^2) + B X, A = k^-1 a^(q^2), B = -k^-1 a
+    (a nonzero, k a (q^2-q+1)-th power), for left-divisibility into
+    T = X^(q^3) + X under the composition and the conventional p-associate
+    criteria.  Returns (families_tested, divisible_count,
     criteria_disagreements).
 
-    The representatives a are split in two and the upper half is scanned
-    in a forked child (`numbertheory._in_two`); the counts and any error
-    are the serial ones."""
-    lower, upper = _in_two(_family_counts, _family_reps(field, q), field, q)
-    return tuple(x + y for x, y in zip(lower, upper))
-
-
-def _family_counts(reps, F, q):
-    """(tested, divisible, disagreements) over the members of these a."""
-    tested = divisible = disagreements = 0
-    for _, composes, divides in _family_verdicts(F, q, reps):
-        tested += 1
-        divisible += composes
-        disagreements += (composes and not divides) or (divides and not composes)
-    return tested, divisible, disagreements
-
-
-def _family_reps(F, q):
-    """The a of the scan, in scan order: the first a per value of
-    a^(q^2-1).  Scaling a by a (q^2-1)-th root of unity rescales (A, B) by
-    a unit that the k-subgroup already covers."""
-    pe = is_prime_power(q)
+    There is one member per pair (k, r = a^(q^2-1)), as scaling a by a
+    (q^2-1)-th root of unity rescales (A, B) by a unit that the k-subgroup
+    covers, and each criterion depends on one of the two only:
+    - L = k^-1 P(aX) with P = X^(q^2) - X, so L(Q(X)) = T iff
+      P(aQ(X)) = k T: one twisted division of k T by P per k;
+    - the monic associate of L is t^(2e) + B/A (q = p^e), and
+      B/A = -a^(1-q^2) = -r^-1, where r^-1 runs over the (q^2-1)-th
+      powers as r does: one `polyroots.mod` per power.
+    With C of the K values of k composing and D of the R values of r
+    dividing, R C of the K R members divide and C (R - D) + (K - C) D
+    disagree."""
+    F, pe = field, is_prime_power(q)
     if pe is None or pe[0] != F.p:
         raise LinPolyError("q is not a power of the field characteristic")
-    pw = F.pow
-    reps = {}
-    for j in range(F.units):
-        a = pw(F.generator, j)
-        reps.setdefault(pw(a, q * q - 1), a)
-    return list(reps.values())
-
-
-def _family_verdicts(F, q, reps):
-    """(member, composes, divides) in scan order over the given a: each
-    member, the dense (B, 0, ..., 0, A) of A X^(q^2) + B X, goes through
-    the twisted core and `polyroots.mod`."""
-    e = is_prime_power(q)[1]
+    e = pe[1]
     gap = (0,) * (2 * e - 1)
     target = (1,) + (0,) * (3 * e - 1) + (1,)
-    mul, neg, pw, mod = F.mul, F.neg, F.pow, polyroots.mod
-    h = gcd(q * q - q + 1, F.units)
-    gk = pw(F.generator, h)  # generates the (q^2-q+1)-th powers
-    for a in reps:
-        a_q2 = pw(a, q * q)
-        kinv = 1
-        for _ in range(F.units // h):
-            kinv = mul(kinv, gk)
-            B, A = neg(mul(kinv, a)), mul(kinv, a_q2)
-            cand = (B, *gap, A)
-            yield (cand, _twisted_quotient(F, B, A, 2 * e, target) is not None,
-                   not mod(F, target, cand))
+
+    def powers(m):  # the m-th powers of F*, each once
+        h = gcd(m, F.units)
+        return [F.pow(F.generator, h * j) for j in range(F.units // h)]
+
+    composes = [_twisted_quotient(F, F.neg(1), 1, 2 * e, (k, *target[1:-1], k))
+                is not None for k in powers(q * q - q + 1)]
+    divides = [not polyroots.mod(F, target, (F.neg(r), *gap, 1))
+               for r in powers(q * q - 1)]
+    K, C, R, D = len(composes), sum(composes), len(divides), sum(divides)
+    return R * K, R * C, C * (R - D) + (K - C) * D

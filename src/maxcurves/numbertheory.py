@@ -1,7 +1,7 @@
 """Exact integer helpers: primality, factorization, divisors, and
-`_in_two`, the two-process split of the exhaustive scans, the census
-loops and the p = 2 log fill of `gf`: each caller passes its whole list or
-range, and `_in_two` cuts it in two.
+`_in_two`, the two-process split of the census loops and the p = 2 log
+fill of `gf`: each caller passes its whole list or range, and `_in_two`
+cuts it in two.
 
 Everything here is deterministic.  Miller-Rabin uses a fixed witness set
 that is provably correct for all n < 3.3 * 10^24, far beyond any integer
@@ -122,10 +122,9 @@ def is_prime_power(n: int):
 def _in_two(fn, items, *rest):
     """[fn(items[:h], *rest), fn(items[h:], *rest)] for h = len(items) // 2,
     with the upper half computed in a forked child while this process
-    computes the lower one.  The split both scans
-    (`catalog.primovalore_scan`, `linpoly.quotient_family_scan`), both
-    census loops (`action.family_census`, `pointwise_incidence`) and the
-    p = 2 log fill above `gf.SPLIT_LIMIT` elements (`gf._fill_log`) use;
+    computes the lower one.  The split both census loops
+    (`action.family_census`, `pointwise_incidence`) and the p = 2 log fill
+    above `gf.SPLIT_LIMIT` elements (`gf._fill_log`) use;
     the items may be a list or a range.  The log fill's fn returns None
     and writes a shared map, so its child's half reaches this process
     through the shared pages, not the pipe.

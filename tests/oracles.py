@@ -2,8 +2,10 @@
 enumerate or expand directly, and check nothing of their own."""
 
 from itertools import permutations
+from math import gcd
 
 from maxcurves import polyroots
+from maxcurves.linpoly import _twisted_quotient
 from maxcurves.proj3 import ProjPoint, normalize
 
 
@@ -85,3 +87,69 @@ def from_kernel(F, roots):
         poly = polyroots.mul(F, poly, (F.neg(c), 1))
     n = len(poly)
     return tuple(poly[F.p**i] for i in range(n.bit_length()) if F.p**i < n)
+
+
+def primovalore_hits(q_max, remainder):
+    """The q <= q_max with q^2 + q + 2 dividing q^9 (q^9 + 1)(q^6 - 1), at
+    every q by two methods: (direct hits, hits of the linear remainder
+    a q + b for remainder = (a, b)).  The direct test takes q^3, q^6 and
+    q^9 mod m by one product each."""
+    a, b = remainder
+    direct, linear = [], []
+    for q in range(1, q_max + 1):
+        qq = q * q
+        m = qq + q + 2
+        q3 = qq * q % m
+        q6 = q3 * q3 % m
+        q9 = q6 * q3 % m
+        if not q9 * (q9 + 1) * (q6 - 1) % m:
+            direct.append(q)
+        if not (a * q + b) % m:
+            linear.append(q)
+    return direct, linear
+
+
+def family_reps(F, q):
+    """The a of the member-by-member family scan: the first a per value of
+    a^(q^2-1), in the order of the generator's powers."""
+    reps = {}
+    for j in range(F.units):
+        a = F.pow(F.generator, j)
+        reps.setdefault(F.pow(a, q * q - 1), a)
+    return list(reps.values())
+
+
+def family_verdicts(F, q, reps):
+    """(member, composes, divides) for each member A X^(q^2) + B X of the
+    quotient-equation family, A = k^-1 a^(q^2) and B = -k^-1 a, over a in
+    reps and k^-1 = g^h, g^(2h), ... (h = gcd(q^2-q+1, |F*|)): each member,
+    the dense (B, 0, ..., 0, A), goes through the twisted core and
+    `polyroots.mod` with X^(q^3) + X as target."""
+    e = 0
+    while F.p**e < q:
+        e += 1
+    gap = (0,) * (2 * e - 1)
+    target = (1,) + (0,) * (3 * e - 1) + (1,)
+    mul, neg, pw = F.mul, F.neg, F.pow
+    h = gcd(q * q - q + 1, F.units)
+    gk = pw(F.generator, h)
+    for a in reps:
+        a_q2 = pw(a, q * q)
+        kinv = 1
+        for _ in range(F.units // h):
+            kinv = mul(kinv, gk)
+            B, A = neg(mul(kinv, a)), mul(kinv, a_q2)
+            cand = (B, *gap, A)
+            yield (cand, _twisted_quotient(F, B, A, 2 * e, target) is not None,
+                   not polyroots.mod(F, target, cand))
+
+
+def family_counts(verdicts):
+    """(tested, divisible, disagreements), member by member, over
+    (member, composes, divides) triples."""
+    tested = divisible = disagreements = 0
+    for _, composes, divides in verdicts:
+        tested += 1
+        divisible += composes
+        disagreements += composes != divides
+    return tested, divisible, disagreements

@@ -4,6 +4,7 @@ from maxcurves import catalog
 from maxcurves.catalog import (CatalogError, alternating_power_sum,
                                lemmino_scan, mh_orders, order_excluded,
                                primovalore_scan, psu3_order, quattordici_scan)
+from oracles import primovalore_hits
 
 
 def pgu3_order(q):
@@ -82,14 +83,57 @@ def test_quattordici_unique_survivor():
 def test_primovalore_scan():
     hits = primovalore_scan(2000)
     assert hits == [1, 2, 3, 10]
-    # the scan splits at q_max // 2: 2000 puts the hit q = 10 well inside
-    # the lower half, 20 and 21 at its top, 19 at the bottom of the upper
-    # half, 11 inside it and 10 at its top
-    for q_max in (10, 11, 19, 20, 21):
+    # the certificate's bound is q0 = 2127: the two-method scan runs up to
+    # min(q_max, 2126), so 10 and 11 end it early, 2125 and 2126 end it at
+    # or below the bound, and from 2127 on the bound alone covers the rest
+    for q_max in (10, 11, 2125, 2126, 2127, 2128, 10**9):
         assert primovalore_scan(q_max) == [1, 2, 3, 10], q_max
     assert (2128 * 10 - 1568) % 112 == 0
     assert (2128 * 4 - 1568) % 22 != 0
     assert 2128 * 10 - 1568 == 112 * 176
+
+
+@pytest.mark.parametrize("q_max", [
+    10, 2126, 2127, 2200, 10**5, pytest.param(10**6, marks=pytest.mark.slow)])
+def test_primovalore_scan_matches_the_two_method_oracle(q_max):
+    # the oracle runs both methods at every q <= q_max, with no bound
+    direct, linear = primovalore_hits(q_max, catalog.PRIMOVALORE_REMAINDER)
+    assert primovalore_scan(q_max) == direct == linear
+
+
+def test_primovalore_scan_runs_both_methods_exactly_below_the_bound(
+        monkeypatch):
+    scanned = []
+
+    def scan(qs):
+        scanned.append(qs)
+        return [q for q in (1, 2, 3, 10) if q in qs]
+
+    monkeypatch.setattr(catalog, "_primovalore_range", scan)
+    for q_max, top in ((10, 10), (2126, 2126), (2127, 2126), (10**6, 2126)):
+        assert primovalore_scan(q_max) == [1, 2, 3, 10]
+        assert scanned.pop() == range(1, top + 1), q_max
+
+
+def test_primovalore_bound_is_2127():
+    a, b = catalog.PRIMOVALORE_REMAINDER
+    assert catalog._primovalore_bound(a, b) == 2127
+
+    def inside(q):
+        return 0 < a * q + b < q * q + q + 2
+
+    assert not inside(2126)
+    assert all(inside(q) for q in range(2127, 10**5))
+
+
+def test_primovalore_bound_is_the_least_against_a_search():
+    # small (a, b), where every failure of the inequality lies below 200
+    for a in range(1, 40):
+        for b in range(-60, 60):
+            fails = [q for q in range(1, 200)
+                     if not 0 < a * q + b < q * q + q + 2]
+            assert catalog._primovalore_bound(a, b) == (
+                max(fails) + 1 if fails else 1), (a, b)
 
 
 def test_primovalore_scan_matches_big_integer_divisibility():
@@ -109,12 +153,23 @@ def test_primovalore_remainder_is_the_polynomial_remainder():
         rem[d - 1] -= c
         rem[d - 2] -= 2 * c
     assert (rem[1], rem[0]) == catalog.PRIMOVALORE_REMAINDER
+    assert catalog._primovalore_remainder() == (rem[1], rem[0])
 
 
 def test_primovalore_scan_raises_when_the_methods_disagree(monkeypatch):
     # at q = 1, m = 4 divides 1 * 2 * 0 directly, but not 2128 - 1567
     monkeypatch.setattr(catalog, "PRIMOVALORE_REMAINDER", (2128, -1567))
     with pytest.raises(CatalogError, match="disagree at q = 1"):
+        primovalore_scan(10)
+
+
+def test_primovalore_scan_raises_on_a_wrong_remainder(monkeypatch):
+    # the two-method scan is skipped, so only the division in Z[q] can
+    # notice that 2128 q - 1567 is not the remainder
+    monkeypatch.setattr(catalog, "PRIMOVALORE_REMAINDER", (2128, -1567))
+    monkeypatch.setattr(catalog, "_primovalore_range",
+                        lambda qs: [1, 2, 3, 10])
+    with pytest.raises(CatalogError, match="is not the remainder"):
         primovalore_scan(10)
 
 

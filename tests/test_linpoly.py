@@ -6,10 +6,10 @@ import pytest
 from maxcurves import polyroots
 from maxcurves.gf import build_field, clear_modulus_overrides, \
     set_modulus_override
-from maxcurves.linpoly import (LinPolyError, _family_reps, _family_verdicts,
-                               _right_quotient, _twisted_quotient, compose,
-                               decompose, quotient_family_scan)
-from oracles import from_kernel, roots_in, span
+from maxcurves.linpoly import (LinPolyError, _right_quotient, _twisted_quotient,
+                               compose, decompose, quotient_family_scan)
+from oracles import (family_counts, family_reps, family_verdicts, from_kernel,
+                     roots_in, span)
 
 random.seed(904)
 
@@ -397,19 +397,13 @@ def _reference_family(F, q, only=None):
             pos += 1
 
 
-def _totals(verdicts):
-    verdicts = list(verdicts)
-    return (len(verdicts), sum(c for c, _ in verdicts),
-            sum(c != d for c, d in verdicts))
-
-
 def _compare_with_reference(F, q, only=None):
-    """The new scan's members and verdicts, checked against the reference at
+    """The oracle's members and verdicts, checked against the reference at
     every position, or at the positions in `only`."""
-    # the scan's members are the dense (B, 0, ..., 0, A); the reference's
+    # the oracle's members are the dense (B, 0, ..., 0, A); the reference's
     # are {2e: A, 0: B}
     new = [(_terms(m), c, d)
-           for m, c, d in _family_verdicts(F, q, _family_reps(F, q))]
+           for m, c, d in family_verdicts(F, q, family_reps(F, q))]
     ref = list(_reference_family(F, q, only))
     assert [m for m, _, _ in new] == [m for m, _, _ in ref]
     for i in (range(len(ref)) if only is None else sorted(only)):
@@ -421,25 +415,100 @@ def test_family_scan_matches_the_reference_at_q2():
     F = build_field(2, 6)
     new = _compare_with_reference(F, 2)
     assert len(new) == 441
-    assert quotient_family_scan(F, 2) == _totals((c, d) for _, c, d in new)
+    assert quotient_family_scan(F, 2) == family_counts(new)
+
+
+def test_family_members_factor_through_k_and_a():
+    # A X^(q^2) + B X = k^-1 P(aX) with P = X^(q^2) - X, and the monic
+    # associate's constant B/A = -a^(1-q^2): the identities that let the
+    # scan decide composition once per k and the associate once per a
+    rng = random.Random(2604)
+    for p, k, q, e in ((2, 6, 2, 1), (2, 12, 4, 2), (3, 4, 3, 1)):
+        F = build_field(p, k)
+        reps = family_reps(F, q)
+        members = list(family_verdicts(F, q, reps))
+        n_k = len(members) // len(reps)
+        gk = F.pow(F.generator, gcd(q * q - q + 1, F.units))
+        for pos in rng.sample(range(len(members)), 40):
+            a, kinv = reps[pos // n_k], F.pow(gk, pos % n_k + 1)
+            member = members[pos][0]
+            P = (F.neg(kinv),) + (0,) * (2 * e - 1) + (kinv,)
+            assert compose(F, P, (a,)) == member
+            B, A = member[0], member[-1]
+            assert F.div(B, A) == F.neg(F.pow(a, 1 - q * q))
 
 
 def test_family_scan_counts_both_kinds_of_disagreement(monkeypatch):
-    # the family has no divisible member, so feed the count every pattern
+    # the real family has no k that composes and no a that divides
+    # (C = D = 0), so the count is fed patterns through the two cores: the
+    # twisted core composes for 7 of the 315 k, read from k T =
+    # (k, 0, ..., 0, k), and `polyroots.mod` divides for 11 of the 273
+    # ratios B/A, read from the monic associate (B/A, 0, 0, 0, 1)
     import maxcurves.linpoly as linpoly
-    pattern = [(True, True), (True, False), (False, True), (False, False)]
-    # one "representative" per verdict pair, so each half of the scan counts
-    # six of the twelve: (6, 4, 3) in this process, (6, 2, 3) in the child
-    monkeypatch.setattr(linpoly, "_family_reps", lambda F, q: pattern * 3)
-    monkeypatch.setattr(linpoly, "_family_verdicts",
-                        lambda F, q, reps: (({}, c, d) for c, d in reps))
-    assert quotient_family_scan(None, 4) == (12, 6, 6)
+    F = build_field(2, 12)
+    target = (1,) + (0,) * 5 + (1,)
+    some_k = {F.pow(F.generator, 13 * j) for j in range(1, 8)}
+    some_ratios = {F.neg(F.pow(F.generator, 15 * j)) for j in range(100, 111)}
+    k_seen, ratios_seen = [], []
+
+    def twisted(G, a0, a_s, s, kt):
+        assert (G, a0, a_s, s) == (F, F.neg(1), 1, 4)
+        assert kt[1:-1] == target[1:-1] and kt[0] == kt[-1]
+        k_seen.append(kt[0])
+        return [1] if kt[0] in some_k else None
+
+    def mod(G, a, b):
+        assert (G, a) == (F, target) and b[1:] == (0, 0, 0, 1)
+        ratios_seen.append(b[0])
+        return () if b[0] in some_ratios else (1,)
+
+    monkeypatch.setattr(linpoly, "_twisted_quotient", twisted)
+    monkeypatch.setattr(linpoly.polyroots, "mod", mod)
+    R, K, C, D = 273, 315, 7, 11
+    assert quotient_family_scan(F, 4) == (
+        R * K, R * C, C * (R - D) + (K - C) * D) == (85995, 1911, 5222)
+    assert len(k_seen) == K and len(ratios_seen) == R
+
+
+@pytest.mark.parametrize("p, k, q", [(2, 6, 2), (2, 12, 4), (3, 2, 3),
+                                     (3, 4, 3)])
+def test_family_scan_hands_the_cores_each_k_and_each_ratio_once(
+        monkeypatch, p, k, q):
+    # the k of k T and the constants B/A of the monic associates are read
+    # off the oracle's members; over F_9, -1 is not a (q^2-1)-th power, so
+    # a ratio taken without its sign is caught there
+    import maxcurves.linpoly as linpoly
+    F = build_field(p, k)
+    reps = family_reps(F, q)
+    members = [m for m, _, _ in family_verdicts(F, q, reps)]
+    n_k = len(members) // len(reps)
+    ks = {F.div(F.pow(reps[i // n_k], q * q), m[-1])
+          for i, m in enumerate(members)}
+    ratios = {F.div(m[0], m[-1]) for m in members}
+    k_seen, ratios_seen = [], []
+
+    def twisted(G, a0, a_s, s, kt):
+        k_seen.append(kt[0])
+        return None
+
+    def mod(G, a, b):
+        ratios_seen.append(b[0])
+        return (1,)
+
+    monkeypatch.setattr(linpoly, "_twisted_quotient", twisted)
+    monkeypatch.setattr(linpoly.polyroots, "mod", mod)
+    assert quotient_family_scan(F, q) == (len(members), 0, 0)
+    assert sorted(k_seen) == sorted(ks) and len(ks) == n_k
+    assert sorted(ratios_seen) == sorted(ratios) and len(ratios) == len(reps)
 
 
 def test_family_scan_matches_the_reference_on_a_q4_slice():
     rng = random.Random(1104)
     only = set(rng.sample(range(85995), 600))
-    assert len(_compare_with_reference(build_field(2, 12), 4, only)) == 85995
+    F = build_field(2, 12)
+    new = _compare_with_reference(F, 4, only)
+    assert len(new) == 85995
+    assert quotient_family_scan(F, 4) == family_counts(new)
 
 
 # x^12 + x^10 + x^9 + x^7 + x^6 + x^4 + 1, irreducible and not primitive
@@ -454,7 +523,8 @@ def test_family_scan_matches_the_reference_under_an_imprimitive_override():
         rng = random.Random(1112)
         only = set(rng.sample(range(85995), 300))
         new = _compare_with_reference(F, 4, only)
-        assert _totals((c, d) for _, c, d in new) == (85995, 0, 0)
+        assert quotient_family_scan(F, 4) == family_counts(new) == (
+            85995, 0, 0)
     finally:
         clear_modulus_overrides()
 
@@ -467,7 +537,7 @@ def test_family_scan_matches_the_reference_at_q4_in_full():
                 set_modulus_override(2, 12, modulus)
             F = build_field(2, 12)
             new = _compare_with_reference(F, 4)
-            assert quotient_family_scan(F, 4) == _totals(
-                (c, d) for _, c, d in new) == (85995, 0, 0)
+            assert quotient_family_scan(F, 4) == family_counts(new) == (
+                85995, 0, 0)
         finally:
             clear_modulus_overrides()

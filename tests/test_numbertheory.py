@@ -139,16 +139,18 @@ def test_in_two_runs_both_halves_here_if_the_fork_fails(monkeypatch):
 
 def test_the_forked_scan_writes_no_inherited_output_twice():
     # stdout to a pipe is block-buffered, so the line is still unflushed
-    # when primovalore_scan forks; a child that flushed it would print it
-    # a second time
-    code = ("import sys\n"
-            "sys.stdout.write('before the scan\\n')\n"
-            "from maxcurves.catalog import primovalore_scan\n"
-            "assert primovalore_scan(10**4) == [1, 2, 3, 10]\n")
+    # when `_in_two` forks; a child that flushed it would print it a second
+    # time.  Each half returns the pid that ran it, so the upper half must
+    # have run in a child
+    code = ("import os, sys\n"
+            "sys.stdout.write('before the split\\n')\n"
+            "from maxcurves.numbertheory import _in_two\n"
+            "lower, upper = _in_two(lambda items: [os.getpid()], range(2))\n"
+            "assert lower == [os.getpid()] != upper, (lower, upper)\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True, timeout=120)
-    assert done.stdout == "before the scan\n"
+    assert done.stdout == "before the split\n"
