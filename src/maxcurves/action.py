@@ -23,6 +23,7 @@ The restriction behind the homomorphism into PGL(2, q^2) is taken on the
 line T = 0 only, the line the diagonal groups stabilise.
 """
 
+from collections import Counter
 from heapq import merge
 from itertools import repeat
 
@@ -30,7 +31,7 @@ from .gf import build_field, embed
 from .numbertheory import _in_two
 from .polyroots import divmod_poly, one_root, roots
 from .proj3 import ProjPoint, _cross, line_points, normalize, pole
-from .pgu3 import Projectivity, SubgroupSpec, generate
+from .pgu3 import Projectivity, SubgroupSpec, _matmul, generate
 
 
 class ActionError(ValueError):
@@ -209,14 +210,16 @@ def orbits(group: SubgroupSpec, points):
 
 
 class StabilizerCensus:
-    """Incidence data for a family of nontrivial elements acting on a curve."""
+    """Incidence data for a family of nontrivial elements acting on a curve,
+    with the group whose orbits partition the census points."""
 
-    def __init__(self, incidence, points, per_element, orbit_partition):
+    def __init__(self, incidence, points, per_element, orbit_partition, group):
         self.incidence = incidence            # |I|: sum of on-curve fixed counts
         self.points = points                  # distinct on-curve fixed points
         self.per_element = per_element        # [(element, count)]
         self.orbit_partition = orbit_partition
         self.n_orbits = len(orbit_partition)
+        self.group = group
 
     @property
     def size(self):
@@ -224,16 +227,40 @@ class StabilizerCensus:
 
     def pointwise_incidence(self, elements):
         """Independent recount of |I|: sum over census points of the number
-        of the given nontrivial elements fixing them.  Each pair is decided
-        in the element's own field (`_pivot_forms`), with the entries as
-        they are and no product in the point's field.  The points are
-        recounted in two halves, the upper one in a forked child
-        (`numbertheory._in_two`); the count and any error are the serial
-        ones."""
+        of the given elements fixing them.  Each pair is decided in the
+        element's own field (`_pivot_forms`), with the entries as they are
+        and no product in the point's field, in this process.
+
+        If conjugation by each generator h of the census group permutes
+        the elements (`_conjugation_permutes`, decided on every call), so
+        does conjugation by every element of the group, and g fixes hP
+        exactly when h^-1 g h fixes P: every point of an orbit is fixed by
+        as many elements.  Then one point per orbit is recounted, weighted
+        by the orbit's size; otherwise every point, with weight 1."""
         by_field = {}
         for g in elements:
             by_field.setdefault(g.field, []).append(g.m)
-        return sum(_in_two(_fixing_pairs, self.points, by_field))
+        if _conjugation_permutes(by_field, self.group.generators):
+            weighted = [(o[0], len(o)) for o in self.orbit_partition]
+        else:
+            weighted = [(P, 1) for P in self.points]
+        return sum(w * _fixing_pairs([P], by_field) for P, w in weighted)
+
+
+def _conjugation_permutes(by_field, generators):
+    """Does m -> h m h^-1 permute the element entries of each field
+    ({field: [m]}, as a multiset) for every generator h?  The generators
+    are embedded into each field, and each one's inverse is taken once
+    per field."""
+    memo = {}
+    for E, ms in by_field.items():
+        family = Counter(ms)
+        for h in _transported(E, generators, memo):
+            hm, h_inv = h.m, h.inverse().m
+            if Counter(normalize(E, _matmul(E, _matmul(E, hm, m), h_inv))
+                       for m in ms) != family:
+                return False
+    return True
 
 
 def _fixing_pairs(points, by_field):
@@ -289,14 +316,17 @@ def _fixes(F, m, forms):
 
 def family_census(elements, group: SubgroupSpec, model) -> StabilizerCensus:
     """Census of the on-curve fixed points of an explicit element family,
-    with the census set partitioned into orbits of `group`.
+    with the census set partitioned into orbits of `group`, which the
+    census keeps for its recount (`pointwise_incidence`, which forks no
+    child).
 
     The identity is skipped.  The fixed points of the two halves of the
     rest are found in two processes, the upper half in a forked child
-    (`numbertheory._in_two`).  The halves are cut from the elements sorted
-    by characteristic polynomial, so that elements with equal polynomials
-    share one process and its eigenvalue memo (`_eigenvalues`); the
-    results are put back in element order.  The counts, the points (over
+    (`numbertheory._in_two`); this is the only loop of a census that
+    forks.  The halves are cut from the elements sorted by characteristic
+    polynomial, so that elements with equal polynomials share one process
+    and its eigenvalue memo (`_eigenvalues`); the results are put back in
+    element order.  The counts, the points (over
     the same field objects), their order, the orbits and any error are
     the serial ones."""
     elements = [s for s in elements if not s.is_identity()]
@@ -327,7 +357,7 @@ def family_census(elements, group: SubgroupSpec, model) -> StabilizerCensus:
                 seen.add(P)
                 census.append(P)
     partition = orbits(group, census) if census else []
-    return StabilizerCensus(incidence, census, per_element, partition)
+    return StabilizerCensus(incidence, census, per_element, partition, group)
 
 
 def _curve_points_of(elements, model):

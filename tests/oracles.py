@@ -5,6 +5,7 @@ from itertools import permutations
 from math import gcd
 
 from maxcurves import polyroots
+from maxcurves.action import _fixing_pairs
 from maxcurves.linpoly import _twisted_quotient
 from maxcurves.proj3 import ProjPoint, normalize
 
@@ -153,3 +154,12 @@ def family_counts(verdicts):
         divisible += composes
         disagreements += composes != divides
     return tested, divisible, disagreements
+
+
+def full_recount(census, elements):
+    """|I| recounted over every census point and every element, with the
+    pair test of `action` (`_fixing_pairs`) and no weighting."""
+    by_field = {}
+    for g in elements:
+        by_field.setdefault(g.field, []).append(g.m)
+    return _fixing_pairs(census.points, by_field)

@@ -5,8 +5,8 @@ import pytest
 
 from maxcurves import action, gf, numbertheory
 
-from maxcurves.action import (ActionError, FixedPointSet, _fixes,
-                              _p_elements, _pivot_forms,
+from maxcurves.action import (ActionError, FixedPointSet, StabilizerCensus,
+                              _fixes, _p_elements, _pivot_forms,
                               common_fixed_curve_points, family_census,
                               fixed_points, is_semiregular, mul2, orbits,
                               restrict_to_infinity, sharply_2_transitive,
@@ -18,7 +18,7 @@ from maxcurves.pgu3 import (GroupError, Projectivity, generate, make_alpha,
                             make_alpha_a, make_beta, make_three_cycle)
 from maxcurves.polyroots import divmod_poly, roots
 from maxcurves.proj3 import ProjPoint, line_points
-from oracles import all_points, leibniz_det
+from oracles import all_points, full_recount, leibniz_det
 
 random.seed(903)
 
@@ -760,9 +760,9 @@ def _census_and_recount(family, group, model):
 @pytest.mark.parametrize("case", ["odd", "one", "identity", "generator",
                                   "interleaved", "cut"])
 def test_split_census_equals_the_census_without_fork(case, monkeypatch):
-    # the fixed-point census and the recount each run in two halves, the
-    # upper one in a forked child; without os.fork both run here, serially.
-    # Both equal a plain loop in element order
+    # the fixed-point census runs in two halves, the upper one in a forked
+    # child, and the recount in this process; without os.fork the census
+    # runs here, serially.  Both equal a plain loop in element order
     family, group, model = _split_census_cases()[case]
     forked = _census_and_recount(family, group, model)
     with pytest.raises(ChildProcessError):  # every child was reaped
@@ -815,6 +815,164 @@ def test_recount_matches_fixes_point_on_every_pair_n9():
     assert all(new == ref for new, ref in decisions)
     assert census.pointwise_incidence(family) == sum(
         ref for _, ref in decisions) == 684
+
+
+def _refusing_fork(monkeypatch):
+    """Replace os.fork by one that records the call and fails, so that a
+    two-half split runs both halves here; returns the record."""
+    forks = []
+
+    def fork():
+        forks.append(None)
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(numbertheory.os, "fork", fork)
+    return forks
+
+
+def _recorded_recount(census, elements, monkeypatch):
+    """pointwise_incidence(elements), which must not call os.fork, and the
+    point lists its `_fixing_pairs` calls got and the number of pairs
+    decided."""
+    calls, pairs = [], []
+    fixing_pairs, fixes = action._fixing_pairs, action._fixes
+
+    def recording_pairs(points, by_field):
+        calls.append(list(points))
+        return fixing_pairs(points, by_field)
+
+    def counting_fixes(F, m, forms):
+        pairs.append(None)
+        return fixes(F, m, forms)
+
+    monkeypatch.setattr(action, "_fixing_pairs", recording_pairs)
+    monkeypatch.setattr(action, "_fixes", counting_fixes)
+    forks = _refusing_fork(monkeypatch)
+    count = census.pointwise_incidence(elements)
+    monkeypatch.undo()
+    assert forks == []
+    return count, calls, len(pairs)
+
+
+def _conjugates(h, family):
+    h_inv = h.inverse()
+    return [h * g * h_inv for g in family]
+
+
+def _closed_under(h, family):
+    return sorted(g.m for g in _conjugates(h, family)) == sorted(
+        g.m for g in family)
+
+
+def test_census_forks_and_its_recount_does_not_n3(monkeypatch):
+    # the fork recorder sees the census's split; the recount (here of the
+    # family and of a part of it) runs in this process alone
+    from maxcurves.checks import _triangolo_construction
+    _, F, model, family, stab = _triangolo_construction(3)
+    forks = _refusing_fork(monkeypatch)
+    census = family_census(family, stab, model)
+    assert len(forks) == 1
+    monkeypatch.undo()
+    for elements in (family, family[1:]):
+        assert _recorded_recount(census, elements, monkeypatch)[0] == (
+            full_recount(census, elements))
+
+
+def test_weighted_recount_equals_the_full_recount_n3(monkeypatch):
+    from maxcurves.checks import _triangolo_construction
+    _, F, model, family, stab = _triangolo_construction(3)
+    census = family_census(family, stab, model)
+    assert all(_closed_under(h, family) for h in stab.generators)
+    count, calls, pairs = _recorded_recount(census, family, monkeypatch)
+    assert count == full_recount(census, family) == 12
+    assert calls == [[o[0]] for o in census.orbit_partition]
+    assert pairs == 2 * len(family)
+
+
+@pytest.fixture(scope="module")
+def census_n9():
+    from maxcurves.checks import _triangolo_construction
+    _, F, model, family, stab = _triangolo_construction(9)
+    return family, stab, family_census(family, stab, model)
+
+
+def test_weighted_recount_takes_one_point_per_orbit_n9(census_n9,
+                                                       monkeypatch):
+    family, stab, census = census_n9
+    assert len(stab.generators) == 2
+    assert all(_closed_under(h, family) for h in stab.generators)
+    count, calls, pairs = _recorded_recount(census, family, monkeypatch)
+    assert count == census.incidence == 684
+    assert calls == [[o[0]] for o in census.orbit_partition]
+    assert len(calls) == census.n_orbits == 2
+    assert pairs == 2 * 228
+
+
+def test_recount_of_a_family_not_closed_is_per_point_n9(census_n9,
+                                                        monkeypatch):
+    family, stab, census = census_n9
+    dropped = family[:-1]
+    assert not all(_closed_under(h, dropped) for h in stab.generators)
+    count, calls, _ = _recorded_recount(census, dropped, monkeypatch)
+    assert count == full_recount(census, dropped) == 681
+    assert calls == [[P] for P in census.points]
+
+
+def _class_of(h, g):
+    """The conjugates h^i g h^-i of g, i = 0, 1, ..., one each."""
+    cls = [g]
+    while True:
+        c = h * cls[-1] * h.inverse()
+        if c == g:
+            return cls
+        cls.append(c)
+
+
+def _regrouped(census, generators):
+    """The census with its group given by other generators of it."""
+    group = generate(generators)
+    assert group.element_set == census.group.element_set
+    return StabilizerCensus(census.incidence, census.points,
+                            census.per_element, census.orbit_partition, group)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_recount_checks_closure_under_every_generator_n9(census_n9, first,
+                                                         monkeypatch):
+    # the first stabiliser generator commutes with every family element
+    # (each is alpha(theta^j) times a 3-cycle, and omega^3 = 1), so every
+    # list of them is closed under it; one conjugacy class under the second
+    # generator, less one element, is not closed under that one.  With
+    # either generator listed first, the recount is per point
+    family, stab, census = census_n9
+    h1, h2 = stab.generators
+    assert all(h1 * g == g * h1 for g in family)
+    cls = _class_of(h2, family[0])
+    assert len(cls) == 57 and set(cls) <= set(family)
+    assert _closed_under(h2, cls)
+    sub = cls[:-1]
+    assert _closed_under(h1, sub) and not _closed_under(h2, sub)
+    census = _regrouped(census, [h1, h2] if first == 0 else [h2, h1])
+    count, calls, _ = _recorded_recount(census, sub, monkeypatch)
+    assert count == full_recount(census, sub) == 3 * 56
+    assert calls == [[P] for P in census.points]
+
+
+def test_recount_weighs_each_element_as_often_as_it_is_listed(census_n9,
+                                                              monkeypatch):
+    # one conjugacy class under the second generator with one element
+    # listed twice: closed under conjugation as a set, not as a list
+    family, stab, census = census_n9
+    cls = _class_of(stab.generators[1], family[0])
+    doubled = cls + cls[:1]
+    assert all(_closed_under(h, cls) for h in stab.generators)
+    count, calls, _ = _recorded_recount(census, doubled, monkeypatch)
+    assert count == full_recount(census, doubled) == 3 * 58
+    assert calls == [[P] for P in census.points]
+    # the class itself is closed, and recounted per orbit
+    count, calls, _ = _recorded_recount(census, cls, monkeypatch)
+    assert count == full_recount(census, cls) == 3 * 57
+    assert calls == [[o[0]] for o in census.orbit_partition]
 
 
 def test_eigenvalues_match_roots_on_the_n3_census_family():

@@ -90,6 +90,11 @@ _REASONS = {
     "os.fork skips; tests/test_numbertheory.py runs it": [
         "numbertheory._forked_in_two",
         ("numbertheory._in_two", "return _forked_in_two(fn, first, second)")],
+    "a family not closed under conjugation by the census group; no check "
+    "builds one; tests/test_action.py does": [
+        ("action.StabilizerCensus.pointwise_incidence",
+         "weighted = [(P, 1) for P in self.points]"),
+        ("action._conjugation_permutes", "return False")],
     "a secant axis's curve points: a tangent axis meets the curve only at "
     "its pole, and no check lists the curve points of a secant axis; the "
     "fixed-point oracle tests enumerate secant axes": [
