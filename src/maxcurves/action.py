@@ -24,8 +24,6 @@ line T = 0 only, the line the diagonal groups stabilise.
 """
 
 from collections import Counter
-from heapq import merge
-from itertools import repeat
 
 from .gf import build_field, embed
 from .numbertheory import _in_two
@@ -171,41 +169,42 @@ def orbits(group: SubgroupSpec, points):
     field and coordinates; each orbit is sorted, and orbits are listed by
     their least representative, ties between fields broken by field order,
     then by first appearance.  The search runs on normalised coordinate
-    tuples, one map {coords: point} per field, with no point built per
-    image.
+    tuples (`Projectivity.apply`), one map {coords: point} per field, with
+    no point built per image; each orbit is grown from the first point of
+    its field not yet taken, in input order.
     """
     by_field = {}
     for P in points:
         by_field.setdefault(P.field, {})[P.coords] = P
-    # seeds by least coordinates, ties by field order and then by first
-    # appearance: each field's sorted coordinates, merged by field rank
+    # fields by order, ties by first appearance (the sort is stable)
     fields = sorted(by_field, key=lambda K: K.order)
-    seeds = merge(*(zip(sorted(by_field[K]), repeat(n))
-                    for n, K in enumerate(fields)))
     memo = {}
     out = []
-    for seed, n in seeds:
-        K = fields[n]
+    for K in fields:
         remaining = by_field[K]
-        if seed not in remaining:
-            continue
         applies = [g.apply for g in _transported(K, group.generators, memo)]
-        members = {seed: remaining.pop(seed)}
-        orbit = [seed]
-        for x in orbit:  # breadth first: the list grows while it is read
-            for apply in applies:
-                y = normalize(K, apply(x))
-                if y in members:
-                    continue
-                # a finished orbit is closed, so no generator maps a point
-                # outside it into it: an image neither in this orbit nor
-                # remaining is not one of the points
-                Q = remaining.pop(y, None)
-                if Q is None:
-                    raise ActionError("points are not closed under the action")
-                members[y] = Q
-                orbit.append(y)
-        out.append([members[x] for x in sorted(orbit)])
+        for seed in list(remaining):
+            if seed not in remaining:
+                continue
+            members = {seed: remaining.pop(seed)}
+            orbit = [seed]
+            for x in orbit:  # breadth first: the list grows while it is read
+                for apply in applies:
+                    y = apply(x)
+                    if y in members:
+                        continue
+                    # a finished orbit is closed, so no generator maps a
+                    # point outside it into it: an image neither in this
+                    # orbit nor remaining is not one of the points
+                    Q = remaining.pop(y, None)
+                    if Q is None:
+                        raise ActionError(
+                            "points are not closed under the action")
+                    members[y] = Q
+                    orbit.append(y)
+            out.append([members[x] for x in sorted(orbit)])
+    # a stable sort: orbits with equal least coordinates keep field order
+    out.sort(key=lambda o: o[0].coords)
     return out
 
 
@@ -320,23 +319,27 @@ def family_census(elements, group: SubgroupSpec, model) -> StabilizerCensus:
     census keeps for its recount (`pointwise_incidence`, which forks no
     child).
 
-    The identity is skipped.  The fixed points of the two halves of the
-    rest are found in two processes, the upper half in a forked child
-    (`numbertheory._in_two`); this is the only loop of a census that
-    forks.  The halves are cut from the elements sorted by characteristic
-    polynomial, so that elements with equal polynomials share one process
-    and its eigenvalue memo (`_eigenvalues`); the results are put back in
-    element order.  The counts, the points (over
-    the same field objects), their order, the orbits and any error are
-    the serial ones."""
+    The identity is skipped.  s and s^-1 fix the same points, which are
+    found once per class {s, s^-1} (looked up by the normalised adjugate,
+    `Projectivity.inverse`), for its first member listed, in two halves,
+    the upper one in a forked child (`numbertheory._in_two`); this is the
+    only loop of a census that forks.  The halves are cut from these
+    representatives sorted by characteristic polynomial, so that equal
+    polynomials share one process and its eigenvalue memo
+    (`_eigenvalues`).  The counts, the points (over the same field
+    objects), their order, the orbits and any error are the serial ones."""
     elements = [s for s in elements if not s.is_identity()]
-    order = sorted(range(len(elements)),
-                   key=lambda i: elements[i].char_poly())
-    lower, upper = _in_two(_curve_points_of, [elements[i] for i in order],
-                           model)
-    found_by_element = [None] * len(elements)
+    class_of = {}
+    reps = []
+    for s in elements:
+        if s not in class_of:
+            class_of[s] = class_of[s.inverse()] = len(reps)
+            reps.append(s)
+    order = sorted(range(len(reps)), key=lambda i: reps[i].char_poly())
+    lower, upper = _in_two(_curve_points_of, [reps[i] for i in order], model)
+    found_by_rep = [None] * len(reps)
     for i, found in zip(order, lower + upper):
-        found_by_element[i] = found
+        found_by_rep[i] = found
     # a point lies over the model's field or over an extension of it,
     # which build_field shares; each field is looked up once
     F = model.field
@@ -345,7 +348,8 @@ def family_census(elements, group: SubgroupSpec, model) -> StabilizerCensus:
     per_element = []
     census = []
     seen = set()
-    for s, found in zip(elements, found_by_element):
+    for s in elements:
+        found = found_by_rep[class_of[s]]
         incidence += len(found)
         per_element.append((s, len(found)))
         for k, coords in found:

@@ -82,13 +82,14 @@ class FermatHermitian(HermitianModel):
         return acc == 0
 
     def rational_points(self):
+        """The points (x, y, 1) by x (`_affine_points`), then (1, y, 0)."""
         F = self.field
         e = self.q + 1
         minus_one = F.neg(1)
         pts = []
         for x in F.elements():
             c = F.sub(minus_one, F.pow(x, e))
-            pts.extend(ProjPoint(F, (x, y, 1)) for y in F.power_solutions(e, c))
+            pts.extend(_affine_points(F, x, F.power_solutions(e, c)))
         # chart T = 0, X = 1
         pts.extend(ProjPoint(F, (1, y, 0)) for y in F.power_solutions(e, minus_one))
         return pts
@@ -115,14 +116,24 @@ class NormTraceHermitian(HermitianModel):
         return lhs == rhs
 
     def rational_points(self):
+        """The points (x, y, 1) by x (`_affine_points`), then (1, 0, 0)."""
         F = self.field
         q = self.q
         pts = []
         for x in F.elements():
             c = F.add(F.pow(x, q), x)
-            pts.extend(ProjPoint(F, (x, y, 1)) for y in F.power_solutions(q + 1, c))
+            pts.extend(_affine_points(F, x, F.power_solutions(q + 1, c)))
         pts.append(ProjPoint(F, (1, 0, 0)))  # the ideal point
         return pts
+
+
+def _affine_points(F, x, ys):
+    """The points (x, y, 1) for y in ys, in that order.  For x != 0 they
+    are built normalised, (1, y x^-1, x^-1), with one inverse of x."""
+    if not x:
+        return [ProjPoint(F, (0, y, 1)) for y in ys]
+    xi = F.inv(x)
+    return [ProjPoint(F, (1, F.mul(y, xi), xi)) for y in ys]
 
 
 class GeneralizedGK(CurveModel):

@@ -102,15 +102,16 @@ class Projectivity:
         return r
 
     def apply(self, coords):
-        """Image of a homogeneous coordinate triple (raw tuple in, raw out)."""
+        """The normalised image of a homogeneous coordinate triple; an
+        image (1, b, c), as a diagonal element with m[0] = 1 gives a point
+        (1, y, t), is returned with no call of `normalize`."""
         add, mul = self.field.add, self.field.mul
         m0, m1, m2, m3, m4, m5, m6, m7, m8 = self.m
         x, y, t = coords
-        return (
-            add(add(mul(m0, x), mul(m1, y)), mul(m2, t)),
-            add(add(mul(m3, x), mul(m4, y)), mul(m5, t)),
-            add(add(mul(m6, x), mul(m7, y)), mul(m8, t)),
-        )
+        a = add(add(mul(m0, x), mul(m1, y)), mul(m2, t))
+        b = add(add(mul(m3, x), mul(m4, y)), mul(m5, t))
+        c = add(add(mul(m6, x), mul(m7, y)), mul(m8, t))
+        return (1, b, c) if a == 1 else normalize(self.field, (a, b, c))
 
     def apply_point(self, point):
         return ProjPoint(point.field, self.apply(point.coords))

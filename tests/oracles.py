@@ -1,11 +1,14 @@
 """Brute-force references that tests compare the package against: they
 enumerate or expand directly, and check nothing of their own."""
 
-from itertools import permutations
+from heapq import merge
+from itertools import permutations, repeat
 from math import gcd
 
 from maxcurves import polyroots
-from maxcurves.action import _fixing_pairs
+from maxcurves.action import ActionError, _fixing_pairs
+from maxcurves.curves import FermatHermitian
+from maxcurves.gf import embed
 from maxcurves.linpoly import _twisted_quotient
 from maxcurves.proj3 import ProjPoint, normalize
 
@@ -163,3 +166,68 @@ def full_recount(census, elements):
     for g in elements:
         by_field.setdefault(g.field, []).append(g.m)
     return _fixing_pairs(census.points, by_field)
+
+
+def row_products(F, m, coords):
+    """The image of a coordinate triple under the 3x3 matrix m (a
+    row-major 9-tuple over F), as the raw row products, unnormalised."""
+    return tuple(F.add(F.add(F.mul(m[i], coords[0]), F.mul(m[i + 1], coords[1])),
+                       F.mul(m[i + 2], coords[2])) for i in (0, 3, 6))
+
+
+def seed_merge_orbits(group, points):
+    """The former one-pass orbit partition: every field's coordinates
+    sorted once and merged by field rank (fields by order, ties by first
+    appearance) into one seed stream, each orbit grown from the least
+    seed not yet taken, with images normalised from the raw row products."""
+    by_field = {}
+    for P in points:
+        by_field.setdefault(P.field, {})[P.coords] = P
+    fields = sorted(by_field, key=lambda K: K.order)
+    seeds = merge(*(zip(sorted(by_field[K]), repeat(n))
+                    for n, K in enumerate(fields)))
+    out = []
+    for seed, n in seeds:
+        K = fields[n]
+        remaining = by_field[K]
+        if seed not in remaining:
+            continue
+        ms = [g.m if g.field is K else g.transport(embed(g.field, K)).m
+              for g in group.generators]
+        members = {seed: remaining.pop(seed)}
+        orbit = [seed]
+        for x in orbit:
+            for m in ms:
+                y = normalize(K, row_products(K, m, x))
+                if y in members:
+                    continue
+                Q = remaining.pop(y, None)
+                if Q is None:
+                    raise ActionError("points are not closed under the action")
+                members[y] = Q
+                orbit.append(y)
+        out.append([members[x] for x in sorted(orbit)])
+    return out
+
+
+def hermitian_points_one_by_one(model):
+    """The rational points of a Hermitian model, each chart T = 1 point
+    built as ProjPoint(F, (x, y, 1)) and normalised on its own: the x in
+    element order, the y in `power_solutions` order, then the chart T = 0
+    (the points (1, y, 0) of the Fermat model, the ideal point (1, 0, 0)
+    of the norm-trace one)."""
+    F, q = model.field, model.q
+    fermat = isinstance(model, FermatHermitian)
+    pts = []
+    for x in F.elements():
+        if fermat:
+            c = F.sub(F.neg(1), F.pow(x, q + 1))
+        else:
+            c = F.add(F.pow(x, q), x)
+        pts.extend(ProjPoint(F, (x, y, 1)) for y in F.power_solutions(q + 1, c))
+    if fermat:
+        pts.extend(ProjPoint(F, (1, y, 0))
+                   for y in F.power_solutions(q + 1, F.neg(1)))
+    else:
+        pts.append(ProjPoint(F, (1, 0, 0)))
+    return pts

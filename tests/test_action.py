@@ -18,7 +18,8 @@ from maxcurves.pgu3 import (GroupError, Projectivity, generate, make_alpha,
                             make_alpha_a, make_beta, make_three_cycle)
 from maxcurves.polyroots import divmod_poly, roots
 from maxcurves.proj3 import ProjPoint, line_points
-from oracles import all_points, full_recount, leibniz_det
+from oracles import (all_points, full_recount, leibniz_det,
+                     seed_merge_orbits)
 
 random.seed(903)
 
@@ -535,6 +536,40 @@ def test_orbits_keep_the_object_given_last_for_a_repeated_point():
     assert not any(id(P) in kept for P in pts[::7])
 
 
+def test_orbits_list_as_the_seed_merge_did():
+    # the orbits, their listing and the objects kept equal the former
+    # partition from one sorted seed stream, on shuffled curves, on the
+    # curve over two F_{2^6} objects in both orders of first appearance,
+    # on the curve over F_{2^12} given before the one over F_{2^6} (least
+    # representatives such as (0, 1, 1) tie across the fields), and on
+    # the n = 3 cases
+    from maxcurves.checks import _triangolo_construction
+    _, F, model, _, _ = _triangolo_construction(3)
+    curve = model.rational_points()
+    gbar = generate([make_alpha(F, F.root_of_unity(9), 2)])
+    other = GF(2, 6, (1, 0, 0, 1, 0, 0, 1))  # X^6 + X^3 + 1, imprimitive
+    twin = [P for P in all_points(other) if model.contains(P)]
+    tm = embed(F, build_field(2, 12))
+    big = [ProjPoint(tm.dst, [tm(c) for c in P.coords]) for P in curve]
+    rng = random.Random(2801)
+    cases = [(gbar, twin + curve), (gbar, curve + twin), (gbar, big + curve)]
+    for pts in (curve, curve, twin + curve):
+        pts = pts[:]
+        rng.shuffle(pts)
+        cases.append((gbar, pts))
+    for group, pts in cases + n3_orbit_cases():
+        parts = orbits(group, pts)
+        assert [[id(Q) for Q in o] for o in parts] == [
+            [id(Q) for Q in o] for o in seed_merge_orbits(group, pts)]
+    assert len(orbits(gbar, twin + curve)) == 2 * len(orbits(gbar, curve))
+    # a shuffled curve less one point is refused by both
+    pts = curve[1:]
+    rng.shuffle(pts)
+    for partition in (orbits, seed_merge_orbits):
+        with pytest.raises(ActionError):
+            partition(gbar, pts)
+
+
 def orbit_confirms(group, pts):
     # orbit-stabilizer, as in the alpha-semiregular check
     return all(len(o) == group.order for o in orbits(group, pts))
@@ -726,13 +761,13 @@ def _split_census_cases():
     }
 
 
-def _serial_census_and_recount(family, group, model):
-    """`_census_and_recount` by a plain loop over the elements in order,
-    with no split and no grouping, and a recount by `_fixes_point`."""
-    elements = list(family())
+def _serial_census(family, group, model):
+    """(incidence, per-element counts, points, orbits) of the census by a
+    plain loop over the elements in order: no split, no grouping and
+    nothing shared between elements."""
     per_element = []
     points = []
-    for s in elements:
+    for s in family():
         if s.is_identity():
             continue
         found = fixed_points(s, model).curve_points()
@@ -741,20 +776,31 @@ def _serial_census_and_recount(family, group, model):
     partition = orbits(group, points) if points else []
     return (sum(c for _, c in per_element), per_element,
             [(P.field, P.coords) for P in points],
-            [[(P.field, P.coords) for P in o] for o in partition],
-            sum(_fixes_point(g.transport(embed(g.field, P.field)), P)
-                for P in points for g in elements))
+            [[(P.field, P.coords) for P in o] for o in partition])
+
+
+def _serial_census_and_recount(family, group, model):
+    """`_census_and_recount` by `_serial_census`, with a recount by
+    `_fixes_point`."""
+    census = _serial_census(family, group, model)
+    elements = list(family())
+    return census + (sum(
+        _fixes_point(g.transport(embed(g.field, K)), ProjPoint(K, x))
+        for K, x in census[2] for g in elements),)
+
+
+def _listed(census):
+    """What `_serial_census` lists, read off a census."""
+    return (census.incidence, [(s.m, c) for s, c in census.per_element],
+            [(P.field, P.coords) for P in census.points],
+            [[(P.field, P.coords) for P in o] for o in census.orbit_partition])
 
 
 def _census_and_recount(family, group, model):
     census = family_census(family(), group, model)
     for P in census.points:
         assert P.field is build_field(P.field.p, P.field.k)
-    return (census.incidence,
-            [(s.m, c) for s, c in census.per_element],
-            [(P.field, P.coords) for P in census.points],
-            [[(P.field, P.coords) for P in o] for o in census.orbit_partition],
-            census.pointwise_incidence(list(family())))
+    return _listed(census) + (census.pointwise_incidence(list(family())),)
 
 
 @pytest.mark.parametrize("case", ["odd", "one", "identity", "generator",
@@ -773,6 +819,80 @@ def test_split_census_equals_the_census_without_fork(case, monkeypatch):
     assert forked[0] == sum(c for _, c in forked[1]) > 0
     # the identity fixes every census point; the census skips it
     assert forked[4] == forked[0] + len(forked[2]) * (case == "identity")
+
+
+def _inverse_class_cases():
+    """`_split_census_cases`, the n = 3 census, and a family with an
+    involution (the swap of X and Y, in characteristic 2 an elation of
+    axis X = Y) listed twice and with s2 listed twice."""
+    from maxcurves.checks import _triangolo_construction
+    _, F, model, family, stab = _triangolo_construction(3)
+    s1, s1sq, s2, s2sq = family
+    swap = Projectivity(F, (0, 1, 0, 1, 0, 0, 0, 0, 1))
+    assert (swap * swap).is_identity()
+    return {**_split_census_cases(),
+            "n3": (lambda: family, stab, model),
+            "involution": (lambda: [s2, swap, s1, s2, s1sq, swap, s2sq],
+                           generate([Projectivity.identity(F)]), model)}
+
+
+def _first_of_each_inverse_class(elements):
+    """The nonidentity elements listed before neither themselves nor
+    their inverses, the inverse taken as g^(order - 1)."""
+    seen, firsts = set(), []
+    for g in elements:
+        if not g.is_identity() and g not in seen:
+            seen.update((g, g ** (g.order() - 1)))
+            firsts.append(g)
+    return firsts
+
+
+def _census_recording_fixed_points(elements, group, model, monkeypatch):
+    """family_census(elements, group, model) with both halves run here
+    (`_refusing_fork`), and the elements `fixed_points` was called on."""
+    calls = []
+    real = action.fixed_points
+
+    def recording(s, m):
+        calls.append(s)
+        return real(s, m)
+
+    monkeypatch.setattr(action, "fixed_points", recording)
+    _refusing_fork(monkeypatch)
+    census = family_census(elements, group, model)
+    monkeypatch.undo()
+    return census, calls
+
+
+@pytest.mark.parametrize("case", ["odd", "one", "identity", "generator",
+                                  "interleaved", "cut", "n3", "involution"])
+def test_census_finds_fixed_points_once_per_inverse_class(case, monkeypatch):
+    family, group, model = _inverse_class_cases()[case]
+    census, calls = _census_recording_fixed_points(family(), group, model,
+                                                   monkeypatch)
+    assert _listed(census) == _serial_census(family, group, model)
+    firsts = _first_of_each_inverse_class(family())
+    assert sorted(g.m for g in calls) == sorted(g.m for g in firsts)
+    nontrivial = [g for g in family() if not g.is_identity()]
+    assert (len(calls), len(nontrivial)) == {
+        "odd": (2, 3), "one": (1, 1), "identity": (2, 4), "generator": (2, 4),
+        "interleaved": (4, 6), "cut": (3, 5), "n3": (2, 4),
+        "involution": (3, 7)}[case]
+
+
+def test_census_finds_fixed_points_once_per_inverse_class_n9(census_n9,
+                                                             monkeypatch):
+    # s^3 is scalar, so each member s^2 = s^-1 shares the points of s
+    from maxcurves.checks import _triangolo_construction
+    family, stab, _ = census_n9
+    model = _triangolo_construction(9)[2]
+    census, calls = _census_recording_fixed_points(family, stab, model,
+                                                   monkeypatch)
+    assert len(family) == 228 and len(calls) == 114
+    assert calls == sorted(_first_of_each_inverse_class(family),
+                           key=Projectivity.char_poly)
+    assert _listed(census) == _serial_census(lambda: family, stab, model)
+    assert census.incidence == 684
 
 
 def _pair_decisions(points, family):

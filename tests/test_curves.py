@@ -6,7 +6,7 @@ from maxcurves.curves import (INFINITY, CurveError, FermatHermitian,
                               NormTraceHermitian)
 from maxcurves.gf import build_field, embed
 from maxcurves.proj3 import ProjPoint
-from oracles import all_points
+from oracles import all_points, hermitian_points_one_by_one
 
 
 def brute_force_plane_count(model, field):
@@ -43,6 +43,33 @@ def test_hermitian_count_against_full_scan(q):
         fermat, fermat.field)
     assert ntrace.count_rational_points() == brute_force_plane_count(
         ntrace, ntrace.field)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8])
+@pytest.mark.parametrize("model_cls", [FermatHermitian, NormTraceHermitian])
+def test_rational_points_equal_the_points_built_one_by_one(q, model_cls,
+                                                           monkeypatch):
+    model = model_cls(q)
+    F = model.field
+    expected = hermitian_points_one_by_one(model)
+    inverted = []
+    inv = F.inv
+
+    def recording_inv(a):
+        inverted.append(a)
+        return inv(a)
+
+    monkeypatch.setattr(F, "inv", recording_inv)
+    pts = model.rational_points()
+    monkeypatch.undo()
+    assert pts == expected and len(pts) == q**3 + 1
+    assert [P.coords for P in pts] == [P.coords for P in expected]
+    assert all(P.field is F for P in pts)
+    # (0, y, 1) with y not 0 or 1 is normalised by y, to (0, 1, 1/y);
+    # then one inverse per nonzero x, in element order
+    ys = [F.inv(P.coords[2]) for P in expected
+          if P.coords[:2] == (0, 1) and P.coords[2] != 1]
+    assert inverted == ys + list(range(1, F.order))
 
 
 def test_hermitian_model_builds_its_field_on_first_use(monkeypatch):

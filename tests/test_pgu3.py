@@ -9,7 +9,8 @@ from maxcurves.numbertheory import factorize
 from maxcurves.pgu3 import (GroupError, Projectivity, generate, in_psu,
                             make_alpha, make_alpha_a, make_beta,
                             make_three_cycle, unitarity_scalar)
-from oracles import leibniz_det
+from maxcurves.proj3 import normalize
+from oracles import leibniz_det, row_products
 
 random.seed(902)
 
@@ -287,6 +288,33 @@ def test_order_of_primitive_quadratic_companion_plus_one(p, k):
     C = Projectivity(F, (0, F.neg(c0), 0, 1, F.neg(c1), 0, 0, 0, 1))
     Q = F.order
     assert C.order() == Q * Q - 1 == _naive_order(C)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 4), (2, 30)])
+def test_apply_equals_the_normalised_row_products(p, k):
+    # images of random points, and of preimages (by the adjugate) of
+    # (1, b, c), (0, 1, c) and (0, 0, 1), given unscaled and scaled so the
+    # raw image is the target itself
+    F = build_field(p, k)
+    rng = random.Random(f"apply:{p}:{k}")
+    firsts = set()
+    for _ in range(20):
+        try:
+            g = Projectivity(F, [rng.randrange(F.order) for _ in range(9)])
+        except GroupError:  # singular
+            continue
+        b, c = rng.randrange(F.order), rng.randrange(F.order)
+        xs = [normalize(F, [rng.randrange(1, F.order) for _ in range(3)])]
+        for target in ((1, b, c), (0, 1, c), (0, 0, 1)):
+            x = row_products(F, g.inverse().m, target)
+            s = F.inv(next(a for a in row_products(F, g.m, x) if a))
+            xs += [x, tuple(F.mul(s, a) for a in x)]
+        for x in xs:
+            raw = row_products(F, g.m, x)
+            assert g.apply(x) == normalize(F, raw)
+            firsts.add("0, 0" if raw[:2] == (0, 0) else
+                       raw[0] if raw[0] in (0, 1) else "other")
+    assert firsts == {"0, 0", 0, 1, "other"}
 
 
 def test_three_cycle_permutes_fundamental_points():
