@@ -25,14 +25,15 @@ Two representations are used internally, each with one arithmetic:
     supports fast multiplication, d-th roots and full enumeration.  The
     antilog table of p = 2 is filled in lanes of one integer, each lane a
     run of powers of the generator stepped in parallel (`_gf2_powers`),
-    and its log table is one pass over it, in two processes above
-    SPLIT_LIMIT (2^17) elements: both halves write one anonymous shared
-    map, which stays the table as a read-only memoryview.  The tables
-    of odd p with generator X are filled by a shift register (multiply
-    by X, fold the top digit back through the modulus), and otherwise
-    (an imprimitive override, or a degree-1 field) by products, all in
-    one process.  Odd p is table-only: a field or override with p odd
-    and p^k above the limit is refused;
+    and its log table is one pass over it with no bytecode loop
+    (`_fill_log`), in two processes above SPLIT_LIMIT (2^17) elements:
+    both halves write one anonymous shared map, which stays the table as
+    a read-only memoryview.  The tables of odd p with generator X are
+    filled by a shift register (multiply by X, fold the top digit back
+    through the modulus), and otherwise (an imprimitive override, or a
+    degree-1 field) by products, all in one process.  Odd p is
+    table-only: a field or override with p odd and p^k above the limit
+    is refused;
   * carry-less coefficient masks in characteristic 2 above the limit -
     supports arithmetic in fields like F_{2^54} where enumeration is
     never needed.  A product is one integer product of the operands with
@@ -44,13 +45,24 @@ Two representations are used internally, each with one arithmetic:
 In characteristic 2, + and - are XOR, bound as the field's `add` and
 `sub` when it is constructed (`neg` is the identity); F_p binds integer
 arithmetic mod p the same way; other odd-p fields add digit-wise mod p.
+
+The embedding of src = F_{p^m} into dst maps X to the smallest root of
+src's modulus in dst, found in src, which has tables whenever m <= 20
+(`_smallest_root_in` proves each step): (1) w = a power of dst.generator
+generates the degree-m subfield K of dst; (2) its minimal polynomial mu,
+the product of Y - w^(p^i) for i < m, has F_p coefficients; (3) a root z
+of mu in src (`polyroots.one_root`) gives an isomorphism K -> src,
+w -> z; (4) X = z^e in src, so w^e is a root in dst; (5) the image is
+the least of its m conjugates.
 """
 
 import mmap
 import operator
 import sys
 from array import array
+from collections import deque
 from functools import cached_property
+from itertools import islice, repeat
 from math import gcd
 
 from . import polyroots
@@ -174,6 +186,25 @@ def _gf2_gcd(a, b):
     return a
 
 
+def _gf2_unit_tags(basis, n):
+    """For a basis of the n-bit masks over F_2: the tag of each unit bit
+    2^b, b < n, whose bit i says if basis[i] is in the sum that gives 2^b."""
+    # Gauss-Jordan on (image, tag) bitmask rows: no other row keeps the
+    # pivot bit of a row, so at the end each image is its pivot alone
+    rows = {}
+    for idx, v in enumerate(basis):
+        tag = 1 << idx
+        for b, (w, wt) in rows.items():
+            if v >> b & 1:
+                v, tag = v ^ w, tag ^ wt
+        piv = v.bit_length() - 1
+        for b, (w, wt) in rows.items():
+            if w >> piv & 1:
+                rows[b] = (w ^ v, wt ^ tag)
+        rows[piv] = (v, tag)
+    return [rows[b][1] for b in range(n)]
+
+
 def _lanes_to_int(lanes):
     # one array('I') item per lane, in the native layout, so that
     # int.to_bytes(len(lanes) * itemsize, sys.byteorder) gives the array back
@@ -225,9 +256,17 @@ def _gf2_powers(exp, g, mod, k):
 def _fill_log(indices, exp, log):
     """log[exp[i]] = i for i in the range `indices`.  The powers in exp
     are distinct, so two ranges write disjoint entries of log, and the two
-    halves of a p = 2 fill can run in two processes sharing log's pages."""
-    for i in indices:
-        log[exp[i]] = i
+    halves of a p = 2 fill can run in two processes sharing log's pages.
+    The pass runs in C: `operator.setitem` mapped over the powers in the
+    range and the indices, drained by a zero-length deque.  The powers are
+    a memoryview slice of an array, which, unlike an `islice`, does not
+    step through the entries below the range; a list (at most
+    COMPACT_LIMIT entries, never split) is read from its start.  Neither
+    copies exp."""
+    i, j = indices.start, indices.stop
+    powers = (memoryview(exp)[i:j] if isinstance(exp, array)
+              else islice(exp, i, j))
+    deque(map(operator.setitem, repeat(log), powers, indices), 0)
 
 
 def _is_irreducible(coeffs, p):
@@ -674,20 +713,7 @@ class TowerMap:
         for _ in range(self.degree):
             basis += [dst.mul(w, t) for w in self._gen_powers]
             t = dst.mul(t, dst.generator)
-        # Gauss-Jordan on (image, tag) bitmask rows: no other row keeps the
-        # pivot bit of a row, so at the end each image is its pivot alone
-        rows = {}
-        for idx, v in enumerate(basis):
-            tag = 1 << idx
-            for b, (w, wt) in rows.items():
-                if v >> b & 1:
-                    v, tag = v ^ w, tag ^ wt
-            piv = v.bit_length() - 1
-            for b, (w, wt) in rows.items():
-                if w >> piv & 1:
-                    rows[b] = (w ^ v, wt ^ tag)
-            rows[piv] = (v, tag)
-        return [rows[b][1] for b in range(n)]
+        return _gf2_unit_tags(basis, n)
 
     def coordinates(self, e):
         """The r = [dst : src] elements c_i of src with
@@ -788,19 +814,56 @@ def embed(src: GF, dst: GF) -> TowerMap:
 
 
 def _smallest_root_in(src, dst):
-    """Smallest root of src's modulus inside dst, in canonical element order.
+    """Smallest root of src's modulus f inside dst, in canonical element
+    order, found in src.
 
-    The modulus is irreducible of degree m, so its roots are distinct, lie in
-    the degree-m subfield of dst and form one Frobenius orbit (Lidl-
-    Niederreiter, Thm 2.14).  One root comes from equal-degree splitting with
-    shifts from that subfield (`polyroots.one_root`); the smallest root is
-    the least of its m conjugates.
+    Let m = src.k, n_m = p^m - 1 and K the degree-m subfield of dst.  f is
+    irreducible of degree m over F_p, so its roots are distinct, lie in K
+    and form one Frobenius orbit (Lidl-Niederreiter, Thm 2.14).
+      1. w = dst.generator^((|dst| - 1) / n_m) has order n_m, since
+         dst.generator is primitive (`_find_generator`); so w generates K.
+      2. mu = Prod_{i<m} (Y - w^(p^i)) is the minimal polynomial of w over
+         F_p: w^(p^i) = w only if n_m divides p^i - 1, that is m divides
+         i, so the factors are distinct, and Frobenius permutes them, so
+         it fixes every coefficient.  An F_p element is the same int in
+         every field of characteristic p, so mu is a polynomial over src.
+      3. z = `polyroots.one_root`(src, mu, m).  w and z are roots of the
+         irreducible mu, so psi: K -> src, w -> z, is a field isomorphism
+         (both fields are F_p[Y]/(mu)); it fixes F_p.
+      4. f has F_p coefficients, so psi^-1(X) is a root of f in K.  z has
+         the order n_m of w, so X = z^e for e = log X (log z)^-1 mod n_m,
+         and psi^-1(X) = w^e.  A source without tables writes X in the
+         F_2-basis z^0, ..., z^(m-1) (`_gf2_unit_tags`); psi^-1(X) is the
+         same sum of powers of w.
+      5. Every root is a conjugate of that one: the least of its m
+         conjugates is the smallest root.
+    At m = 1 the root is -c_0 (0 under the override X of F_3, which has no
+    logarithm).  The splitting costs table lookups in src; dst makes about
+    m^2/2 products for mu, not the O(m^3) of splitting f there.
     """
     m = src.k
-    root = polyroots.one_root(dst, tuple(dst.const(c) for c in src.modulus), m)
-    best = x = root
+    if m == 1:
+        return dst.neg(dst.const(src.modulus[0]))
+    n = src.units
+    w = dst.pow(dst.generator, dst.units // n)
+    mu, c = [1], w
+    for _ in range(m):  # mu *= Y - c for the conjugates c of w
+        mu = [dst.sub(a, dst.mul(c, b)) for a, b in zip([0] + mu, mu + [0])]
+        c = dst.frobenius(c)
+    z = polyroots.one_root(src, mu, m)
+    if src.table_mode:
+        root = dst.pow(w, src.log[src.p] * pow(src.log[z], -1, n) % n)
+    else:
+        zs, ws = [1], [1]
+        for _ in range(m - 1):
+            zs.append(src.mul(zs[-1], z))
+            ws.append(dst.mul(ws[-1], w))
+        tag = _gf2_unit_tags(zs, m)[1]  # X is the unit bit 2^1
+        root = 0
+        for j, wj in enumerate(ws):
+            if tag >> j & 1:
+                root ^= wj
+    conjugates = [root]
     for _ in range(m - 1):
-        x = dst.frobenius(x)
-        if x < best:
-            best = x
-    return best
+        conjugates.append(dst.frobenius(conjugates[-1]))
+    return min(conjugates)

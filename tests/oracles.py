@@ -231,3 +231,17 @@ def hermitian_points_one_by_one(model):
     else:
         pts.append(ProjPoint(F, (1, 0, 0)))
     return pts
+
+
+def smallest_root_by_splitting(src, dst):
+    """The smallest root of src's modulus inside dst, searched in dst: one
+    root by equal-degree splitting with shifts from the degree-m subfield
+    of dst (`polyroots.one_root`), then the least of its m conjugates."""
+    m = src.k
+    root = polyroots.one_root(dst, tuple(dst.const(c) for c in src.modulus), m)
+    best = x = root
+    for _ in range(m - 1):
+        x = dst.frobenius(x)
+        if x < best:
+            best = x
+    return best

@@ -18,6 +18,7 @@ from maxcurves.gf import (COMPACT_LIMIT, GF, SPLIT_LIMIT, FieldError,
                           clear_modulus_overrides, embed, load_field_config,
                           set_modulus_override)
 from maxcurves.numbertheory import divisors, factorize, prime_divisors
+from oracles import smallest_root_by_splitting
 
 random.seed(901)
 
@@ -934,6 +935,82 @@ def test_embed_out_of_imprimitive_override(ratio):
                 assert tm(src.mul(a, b)) == dst.mul(tm(a), tm(b))
     finally:
         clear_modulus_overrides()
+
+
+def _assert_embeddings_match_the_oracle(dst, degrees):
+    for m in degrees:
+        src = build_field(dst.p, m)
+        assert embed(src, dst).gen_image == smallest_root_by_splitting(
+            src, dst), (src, dst)
+
+
+def _oracle_degrees():
+    """(p, k): every m <= 20 dividing k <= 54 for p = 2, and every m
+    dividing k with p^k <= 2^20 for p = 3, 5, 7, 11, 13; odd-p fields
+    above 2^16 elements take up to half a second each to build, so slow."""
+    for k in range(1, 55):
+        yield pytest.param(2, k, id=f"2^{k}")
+    for p in (3, 5, 7, 11, 13):
+        k = 1
+        while p**k <= 1 << 20:
+            marks = [pytest.mark.slow] if p**k > 1 << 16 else []
+            yield pytest.param(p, k, marks=marks, id=f"{p}^{k}")
+            k += 1
+
+
+@pytest.mark.parametrize("p,k", _oracle_degrees())
+def test_embed_matches_the_splitting_oracle(p, k):
+    # the oracle splits the source modulus in dst; embed finds the root in
+    # the source through the minimal polynomial of a generator of the
+    # subfield
+    _assert_embeddings_match_the_oracle(
+        build_field(p, k), [m for m in divisors(k) if m <= 20])
+
+
+@pytest.mark.parametrize("m,k", [(21, 42), (27, 54)])
+def test_embed_from_a_vector_mode_source_matches_the_oracle(m, k):
+    # no tables in the source: X is written in the F_2-basis of powers of z
+    src = build_field(2, m)
+    assert not src.table_mode
+    _assert_embeddings_match_the_oracle(build_field(2, k), [m])
+
+
+def test_embed_under_imprimitive_overrides_matches_the_oracle():
+    try:
+        # F_3 under the modulus X, whose root is 0, into F_9
+        set_modulus_override(3, 1, (0, 1))
+        _assert_embeddings_match_the_oracle(build_field(3, 2), [1])
+        # an imprimitive source into table-mode and vector-mode fields
+        set_modulus_override(2, 4, IMPRIMITIVE_F16)
+        for k in (4, 8, 12, 20, 24):
+            _assert_embeddings_match_the_oracle(build_field(2, k), [4])
+        # a vector-mode destination whose generator is not X: x^30 + x + 1
+        # is irreducible, and the order of X divides (2^30 - 1) / 3
+        set_modulus_override(2, 30, (1, 1) + (0,) * 28 + (1,))
+        dst = build_field(2, 30)
+        assert dst.generator == 19 and dst.pow(2, dst.units // 3) == 1
+        _assert_embeddings_match_the_oracle(dst, [2, 3, 5, 6, 10, 15])
+    finally:
+        clear_modulus_overrides()
+
+
+@pytest.mark.parametrize("m,k", [(16, 48), (18, 54)])
+def test_embed_makes_few_vector_mode_products(m, k, monkeypatch):
+    # the splitting is in the source's tables: about m^2/2 products in the
+    # destination for mu, and one power each for w and the root (splitting
+    # in the destination made 2,128 and 1,617)
+    src = GF(2, m, build_field(2, m).modulus, primitive=True)
+    dst = GF(2, k, build_field(2, k).modulus, primitive=True)
+    calls, mul = [], GF._mul_novtable
+
+    def counted(self, a, b):
+        if self is dst:
+            calls.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(GF, "_mul_novtable", counted)
+    embed(src, dst)
+    assert 0 < len(calls) <= 500
 
 
 def _norm_trace(tm, x):

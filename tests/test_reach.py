@@ -69,6 +69,23 @@ _REASONS = {
          "return False  # f has a factor of degree dividing i"),
         ("gf._is_primitive_root_x",
          "return False  # the order of X divides n / r")],
+    "an embedding out of a prime field, or out of a source without tables "
+    "(p = 2, degree above 20): every check embeds a table-mode field of "
+    "degree > 1; tests/test_gf.py embeds both against the splitting "
+    "oracle": [
+        ("gf._smallest_root_in",
+         "return dst.neg(dst.const(src.modulus[0]))"),
+        ("gf._smallest_root_in", """
+            zs, ws = [1], [1]
+            for _ in range(m - 1):
+                zs.append(src.mul(zs[-1], z))
+                ws.append(dst.mul(ws[-1], w))
+            tag = _gf2_unit_tags(zs, m)[1]  # X is the unit bit 2^1
+            root = 0
+            for j, wj in enumerate(ws):
+                if tag >> j & 1:
+                    root ^= wj
+            """)],
     "a^e in vector mode for e a multiple of |F*|, which reduces to e = 0": [
         ("gf.GF._pow_novtable", "return 1")],
     "the Frobenius image of 0, which the power path would get wrong over "
