@@ -25,15 +25,12 @@ Two representations are used internally, each with one arithmetic:
     supports fast multiplication, d-th roots and full enumeration.  The
     antilog table of p = 2 is filled in lanes of one integer, each lane a
     run of powers of the generator stepped in parallel (`_gf2_powers`),
-    and its log table is one pass over it with no bytecode loop
-    (`_fill_log`), in two processes above SPLIT_LIMIT (2^17) elements:
-    both halves write one anonymous shared map, which stays the table as
-    a read-only memoryview.  The tables of odd p with generator X are
-    filled by a shift register (multiply by X, fold the top digit back
-    through the modulus), and otherwise (an imprimitive override, or a
-    degree-1 field) by products, all in one process.  Odd p is
-    table-only: a field or override with p odd and p^k above the limit
-    is refused;
+    and its log table is one pass over it with no bytecode loop.  The
+    tables of odd p with generator X are filled by a shift register
+    (multiply by X, fold the top digit back through the modulus), and
+    otherwise (an imprimitive override, or a degree-1 field) by
+    products.  Odd p is table-only: a field or override with p odd and
+    p^k above the limit is refused;
   * carry-less coefficient masks in characteristic 2 above the limit -
     supports arithmetic in fields like F_{2^54} where enumeration is
     never needed.  A product is one integer product of the operands with
@@ -56,29 +53,22 @@ w -> z; (4) X = z^e in src, so w^e is a root in dst; (5) the image is
 the least of its m conjugates.
 """
 
-import mmap
 import operator
 import sys
 from array import array
 from collections import deque
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import repeat
 from math import gcd
 
 from . import polyroots
-from .numbertheory import _in_two, is_prime, prime_divisors
+from .numbertheory import is_prime, prime_divisors
 
 TABLE_LIMIT = 1 << 20
 # Tables of a field with more elements than this are array('I'), below it
 # lists: a random-pair exp[log a + log b] lookup is faster from lists up to
 # 2^14 elements and from arrays (fewer cache misses) from 2^15 on.
 COMPACT_LIMIT = 1 << 14
-# The log table of a p = 2 field with more elements than this is filled in
-# two processes (`numbertheory._in_two`), into a shared map.  The log pass
-# alone on a 2-vCPU host, one process -> two (median of 7): 2^20 elements
-# 0.247 -> 0.131 s, 2^19 0.105 -> 0.066 s, 2^18 0.036 -> 0.033 s; at 2^17
-# the fork costs more than the split saves, 0.015 -> 0.017 s.
-SPLIT_LIMIT = 1 << 17
 SIZE_CAP = 1 << 62
 
 
@@ -251,22 +241,6 @@ def _gf2_powers(exp, g, mod, k):
     for s in range(stride):
         exp[s::stride] = array("I", v.to_bytes(count * size, sys.byteorder))
         v = times(v, g)
-
-
-def _fill_log(indices, exp, log):
-    """log[exp[i]] = i for i in the range `indices`.  The powers in exp
-    are distinct, so two ranges write disjoint entries of log, and the two
-    halves of a p = 2 fill can run in two processes sharing log's pages.
-    The pass runs in C: `operator.setitem` mapped over the powers in the
-    range and the indices, drained by a zero-length deque.  The powers are
-    a memoryview slice of an array, which, unlike an `islice`, does not
-    step through the entries below the range; a list (at most
-    COMPACT_LIMIT entries, never split) is read from its start.  Neither
-    copies exp."""
-    i, j = indices.start, indices.stop
-    powers = (memoryview(exp)[i:j] if isinstance(exp, array)
-              else islice(exp, i, j))
-    deque(map(operator.setitem, repeat(log), powers, indices), 0)
 
 
 def _is_irreducible(coeffs, p):
@@ -458,19 +432,13 @@ class GF:
         x = 1
         # the p = 2 lane fill writes n + 1 entries: allocated once at that size
         exp = zero * (n + (p == 2))
-        split = p == 2 and self.order > SPLIT_LIMIT
-        # a split fill writes a zeroed anonymous map, shared with the child
-        # that fills the upper half; the map stays the table, read-only
-        log = (memoryview(mmap.mmap(-1, 4 * self.order)).cast("I") if split
-               else zero * self.order)
+        log = zero * self.order
         if p == 2:
             _gf2_powers(exp, g, self._mod_mask, k)
             x = exp.pop()  # g^n, for the check below
-            if split:
-                _in_two(_fill_log, range(n), exp, log)
-                log = log.toreadonly()
-            else:
-                _fill_log(range(n), exp, log)
+            # log[exp[i]] = i in C: setitem mapped over the powers and their
+            # indices, drained by a zero-length deque
+            deque(map(operator.setitem, repeat(log), exp, range(n)), 0)
         elif g == p:
             # x -> x * X as a shift register: with x = t p^(k-1) + low, the
             # digits of low move up one place and the top digit t folds back

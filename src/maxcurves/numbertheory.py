@@ -1,7 +1,6 @@
 """Exact integer helpers: primality, factorization, divisors, and
-`_in_two`, the two-process split of the census fixed-point loop and the
-p = 2 log fill of `gf`: each caller passes its whole list or range, and
-`_in_two` cuts it in two.
+`_in_two`, the two-process split of the census fixed-point loop: the
+census passes its whole list, and `_in_two` cuts it in two.
 
 Everything here is deterministic.  Miller-Rabin uses a fixed witness set
 that is provably correct for all n < 3.3 * 10^24, far beyond any integer
@@ -123,11 +122,7 @@ def _in_two(fn, items, *rest):
     """[fn(items[:h], *rest), fn(items[h:], *rest)] for h = len(items) // 2,
     with the upper half computed in a forked child while this process
     computes the lower one.  The split the census fixed-point loop
-    (`action.family_census`) and the p = 2 log fill above
-    `gf.SPLIT_LIMIT` elements (`gf._fill_log`) use;
-    the items may be a list or a range.  The log fill's fn returns None
-    and writes a shared map, so its child's half reaches this process
-    through the shared pages, not the pipe.
+    (`action.family_census`) uses.
 
     The child sends its result (ints, bools, lists and tuples) back through
     a pipe with `marshal` and always leaves by `os._exit`, so it flushes no

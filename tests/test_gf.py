@@ -1,5 +1,6 @@
 import errno
 import json
+import mmap
 import operator
 import os
 import random
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from maxcurves import gf
-from maxcurves.gf import (COMPACT_LIMIT, GF, SPLIT_LIMIT, FieldError,
+from maxcurves.gf import (COMPACT_LIMIT, GF, FieldError,
                           _canonical_modulus,
                           _gf2_clmul, _gf2_gcd, _gf2_powers, _gf2_rem,
                           _gf2_square,
@@ -317,131 +318,54 @@ def test_p2_lane_tables_match_the_shift_register(k):
     F = build_field(2, k)
     assert F.generator == 2  # the element X: the lane fill
     exp, log = _reference_p2_tables(F)
-    # above SPLIT_LIMIT the log is the read-only view of a shared map
-    log_kind = memoryview if F.order > SPLIT_LIMIT else type(log)
-    assert type(F.exp) is type(exp) and type(F.log) is log_kind
+    assert type(F.exp) is type(exp) and type(F.log) is type(log)
     assert F.exp == exp  # both periods
     assert F.log == log
 
 
-def _fork_calls(monkeypatch):
-    """Count the calls of os.fork, which still forks."""
-    calls = []
-    fork = os.fork
-
-    def counted():
-        calls.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
-# Each way the fork can go: it sets the way up and returns a predicate that
-# holds once a build has gone that way.
-def _forks_once(monkeypatch):
-    calls = _fork_calls(monkeypatch)
-    return lambda: calls == [1]
-
-
-def _no_fork(monkeypatch):
-    monkeypatch.delattr(os, "fork")
-    return lambda: not hasattr(os, "fork")
-
-
-def _fork_raises(monkeypatch):
-    raised = []
-
-    def fork():
-        raised.append(1)
-        raise OSError(errno.EAGAIN, "no process left")
-
-    monkeypatch.setattr(os, "fork", fork)
-    return lambda: raised == [1]
-
-
-def _child_exits_3(monkeypatch):
-    # the child zeroes the entries of its half, then fails: the parent
-    # must fill that half again, after its own
-    parent, fill = os.getpid(), gf._fill_log
-    filled = []
-
-    def fill_or_fail(indices, exp, log):
-        if os.getpid() != parent:
-            for i in indices:
-                log[exp[i]] = 0
-            os._exit(3)
-        filled.append(indices)
-        fill(indices, exp, log)
-
-    monkeypatch.setattr(gf, "_fill_log", fill_or_fail)
-    return lambda: len(filled) == 2 and filled[0].stop == filled[1].start
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-SPLIT_CASES = [_forks_once, _no_fork, _fork_raises, _child_exits_3]
-
-
 @pytest.mark.parametrize("k", [18, pytest.param(19, marks=pytest.mark.slow),
                                pytest.param(20, marks=pytest.mark.slow)])
-@pytest.mark.parametrize("case", SPLIT_CASES, ids=lambda c: c.__name__[1:])
-def test_two_process_log_matches_the_shift_register(k, case, monkeypatch):
-    # a fresh field (not the cached one), its log filled in two halves
-    # under each way the fork can go
+def test_fresh_p2_tables_match_the_shift_register(k):
+    # a fresh field (not the cached one), its log filled in one process
     modulus = build_field(2, k).modulus
-    went = case(monkeypatch)
     F = GF(2, k, modulus, primitive=True)
-    assert went()
-    _assert_no_child_left()
     exp, log = _reference_p2_tables(F)
-    assert type(F.log) is memoryview and F.log.readonly
+    assert type(F.log) is array
     assert F.exp == exp and F.log == log
 
 
-def test_log_fill_forks_only_above_the_split_limit(monkeypatch):
-    assert 1 << 17 == SPLIT_LIMIT
-    moduli = {k: build_field(2, k).modulus for k in (17, 18)}
-    calls = _fork_calls(monkeypatch)
-    small = GF(2, 17, moduli[17], primitive=True)
-    assert not calls and type(small.log) is array
-    big = GF(2, 18, moduli[18], primitive=True)
-    assert calls == [1] and type(big.log) is memoryview
-    _assert_no_child_left()
+def test_fresh_tables_call_neither_fork_nor_mmap(monkeypatch):
+    # F_{2^17}, F_{2^18} and F_{3^12}: every table is filled in this
+    # process, into an array
+    moduli = {(p, k): build_field(p, k).modulus
+              for p, k in ((2, 17), (2, 18), (3, 12))}
+    calls = []
+
+    def refused(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise OSError(errno.EPERM, f"{name} is not allowed here")
+        return call
+
+    monkeypatch.setattr(os, "fork", refused("os.fork"))
+    monkeypatch.setattr(mmap, "mmap", refused("mmap.mmap"))
+    for (p, k), modulus in moduli.items():
+        F = GF(p, k, modulus, primitive=True)
+        assert type(F.log) is array and F.log[F.exp[5]] == 5
+    assert calls == []
 
 
-def test_odd_p_tables_above_the_split_limit_stay_one_process(monkeypatch):
-    modulus = build_field(3, 12).modulus
-    calls = _fork_calls(monkeypatch)
-    F = GF(3, 12, modulus, primitive=True)
-    assert F.order > SPLIT_LIMIT
-    assert not calls and type(F.log) is array
-
-
-def test_the_split_log_is_read_only():
-    F = build_field(2, 18)
-    with pytest.raises(TypeError):
-        F.log[1] = 0
-    with pytest.raises(TypeError):
-        F.log[:2] = array("I", [0, 0])
-    assert F.log[1] == 0 and F.exp[0] == 1
-
-
-# x^18 + x^3 + 1: irreducible, X is not a generator, and F_{2^18} is past
-# SPLIT_LIMIT
+# x^18 + x^3 + 1: irreducible, and X is not a generator
 IMPRIMITIVE_F2_18 = (1, 0, 0, 1) + (0,) * 14 + (1,)
 
 
-def test_two_process_log_under_an_imprimitive_override():
-    # the lanes of a generator other than X, then the split log, against
-    # the one-process fill
+def test_log_under_an_imprimitive_override():
+    # the lanes of a generator other than X, then the log pass, against the
+    # lane fill and a serial log
     k, f = 18, IMPRIMITIVE_F2_18
     assert _is_irreducible(f, 2) and not _is_primitive_root_x(f, 2)
     F = GF(2, k, f)
-    assert F.generator != 2 and type(F.log) is memoryview
+    assert F.generator != 2 and type(F.log) is array
     n = F.units
     exp = array("I", [0]) * (n + 1)
     _gf2_powers(exp, F.generator, F._mod_mask, k)
@@ -622,9 +546,7 @@ def test_degree_1_overrides(p):
 def test_table_storage_kind_follows_the_field_size(p, k):
     F = build_field(p, k)
     kind = array if F.order > COMPACT_LIMIT else list
-    # above SPLIT_LIMIT a p = 2 log is the read-only view of a shared map
-    log_kind = memoryview if p == 2 and F.order > SPLIT_LIMIT else kind
-    assert type(F.exp) is kind and type(F.log) is log_kind
+    assert type(F.exp) is kind and type(F.log) is kind
 
 
 @pytest.mark.parametrize("p,k", [(2, 14), (2, 15), (7, 6)])

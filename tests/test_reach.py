@@ -5,7 +5,7 @@ runs, or it is in NEVER_SET with its reason.
 
 The runs go through `cli.main` (`--help` through `python -m maxcurves`) in
 one fresh interpreter (no field an earlier test built hides a call), with
-`os.fork` deleted so that both halves of every two-half split run there,
+`os.fork` deleted so that both halves of the census split run there,
 under one `sys.settrace` hook.  Its `call` events record the functions
 entered (a function, method or nested function is reached when its own
 code object is entered) and the parameters bound to an object that is not
@@ -103,7 +103,7 @@ _REASONS = {
             """)],
     "perfbench/tracer.py counts the elements of each closure with len()": [
         "pgu3.SubgroupSpec.__len__"],
-    "the fork path of the two-half split, which the audit's run without "
+    "the fork path of the census split, which the audit's run without "
     "os.fork skips; tests/test_numbertheory.py runs it": [
         "numbertheory._forked_in_two",
         ("numbertheory._in_two", "return _forked_in_two(fn, first, second)")],
@@ -193,7 +193,7 @@ NEVER_SET = {}
 
 _AUDIT = r"""
 import gc, inspect, io, json, os, runpy, sys
-del os.fork  # both halves of every `_in_two` split run in this process
+del os.fork  # both halves of the census split run in this process
 root = sys.argv[2]
 # refusal lines by file name: left out of the lines of each code object
 # (and so never reported as run), so that one whose other lines have all
