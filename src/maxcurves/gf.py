@@ -133,21 +133,19 @@ def _gf2_reduction_tables(mod, k):
     A product of two reduced elements has degree at most 2k - 2, so its
     part h above X^k has at most k - 1 bits, and it reduces to
     (r mod X^k) + T_0[byte 0 of h] + T_1[byte 1 of h] + ...  Each table is
-    filled incrementally, t[v] = t[v - 2^i] + X^(k+8j+i) mod `mod` for
-    2^i <= v < 2^(i+1).
+    filled by doubling: for each bit i, t[v + 2^i] = t[v] + X^(k+8j+i) mod
+    `mod` for v < 2^i.
     """
     tables = []
     x = mod ^ (1 << k)  # X^k mod `mod`
     for _ in range(-(-(k - 1) // 8)):
-        t = array("Q", [0]) * 256
-        for i in range(8):
-            low = 1 << i
-            for v in range(low, 2 * low):
-                t[v] = t[v ^ low] ^ x
+        t = [0]
+        for _ in range(8):
+            t += [v ^ x for v in t]
             x <<= 1
             if x >> k:
                 x ^= mod
-        tables.append(t)
+        tables.append(array("Q", t))
     return tables
 
 

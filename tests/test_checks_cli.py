@@ -181,6 +181,17 @@ def test_run_all_matches_golden_stream():
                 assert r.to_json() == golden[r.name], r.name
 
 
+def test_all_stream_forks_only_for_the_census_and_maps_no_memory(
+        refused_fork_and_mmap, monkeypatch, capsys):
+    # every field is built afresh, so its table fills run under the
+    # recorders too.  The one fork is the census split's; refused, it
+    # leaves both census halves to this process and the stream unchanged
+    monkeypatch.setattr(gf, "_FIELDS", {})
+    assert cli.main(["--all"]) == 0
+    assert refused_fork_and_mmap == ["os.fork"]
+    assert capsys.readouterr().out == GOLDEN.read_text()
+
+
 def test_cli_single_check_json(capsys):
     rc = cli.main(["--check", "lemmino"])
     out = capsys.readouterr().out.strip().splitlines()

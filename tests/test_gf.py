@@ -1,6 +1,5 @@
 import errno
 import json
-import mmap
 import operator
 import os
 import random
@@ -323,22 +322,6 @@ def test_p2_lane_tables_match_the_shift_register(k):
     assert F.log == log
 
 
-def _refuse_fork_and_mmap(monkeypatch):
-    """Make os.fork and mmap.mmap record their calls and fail; return the
-    list of calls."""
-    calls = []
-
-    def refused(name):
-        def call(*args, **kwargs):
-            calls.append(name)
-            raise OSError(errno.EPERM, f"{name} is not allowed here")
-        return call
-
-    monkeypatch.setattr(os, "fork", refused("os.fork"))
-    monkeypatch.setattr(mmap, "mmap", refused("mmap.mmap"))
-    return calls
-
-
 # Each way os.fork can go: it sets the way up and returns the list of the
 # fork calls a build makes. The log is filled in one process, so every way
 # must leave that list empty.
@@ -405,24 +388,21 @@ def test_two_process_log_matches_the_shift_register(k, case, monkeypatch):
     assert F.exp == exp and F.log == log
 
 
-def test_log_fill_forks_only_above_the_split_limit(monkeypatch):
+def test_log_fill_forks_only_above_the_split_limit(refused_fork_and_mmap):
     # the split limit, 2^17, is gone: on neither side of it does a fresh
     # p = 2 field fork or map memory
-    moduli = {k: build_field(2, k).modulus for k in (17, 18)}
-    calls = _refuse_fork_and_mmap(monkeypatch)
-    for k, modulus in moduli.items():
-        F = GF(2, k, modulus, primitive=True)
+    for k in (17, 18):
+        F = GF(2, k, build_field(2, k).modulus, primitive=True)
         assert type(F.log) is array and F.log[F.exp[5]] == 5
-    assert calls == []
+    assert refused_fork_and_mmap == []
 
 
-def test_odd_p_tables_above_the_split_limit_stay_one_process(monkeypatch):
-    modulus = build_field(3, 12).modulus
-    calls = _refuse_fork_and_mmap(monkeypatch)
-    F = GF(3, 12, modulus, primitive=True)
+def test_odd_p_tables_above_the_split_limit_stay_one_process(
+        refused_fork_and_mmap):
+    F = GF(3, 12, build_field(3, 12).modulus, primitive=True)
     assert F.order > 1 << 17
     assert type(F.log) is array and F.log[F.exp[5]] == 5
-    assert calls == []
+    assert refused_fork_and_mmap == []
 
 
 # x^18 + x^3 + 1: irreducible, and X is not a generator
