@@ -7,6 +7,10 @@ never an exception.  A check body raises UnsupportedParameters for
 parameters outside its documented limits ('unsupported'); any other
 exception it raises is an internal failure ('error').
 
+Each check is written once: its name, claim and defaults in the `_check`
+decorator above its `_check_*` body, whose first lines `_require` the
+documented limits of its parameters before any value is computed.
+
 Reports serialize deterministically: evidence keys are sorted and the
 elapsed-time field is zeroed unless timing is requested, so records are
 byte-identical across runs.
@@ -80,40 +84,76 @@ def _require(ok, reason):
         raise UnsupportedParameters(reason)
 
 
+class _Check:
+    def __init__(self, func, claim, params):
+        self.func = func
+        self.claim = claim
+        self.params = params  # {name: default}
+
+
+# name -> _Check, filled by `_check` in definition order: the --all order
+REGISTRY = {}
+
+
+def _check(name, claim, **params):
+    """Register the decorated body as the check `name`: it reproduces
+    `claim`, and `params` holds the defaults of its parameters, in order."""
+    def register(func):
+        REGISTRY[name] = _Check(func, claim, params)
+        return func
+    return register
+
+
+def _per_value(prefix, values, one):
+    """The verdict and evidence of a check decided value by value:
+    `one(value)` returns (ok, entry), both filed under prefix + value."""
+    evidence = {}
+    ok = {}
+    for value in values:
+        key = f"{prefix}{value}"
+        ok[key], evidence[key] = one(value)
+    return _verdict(ok), evidence
+
+
 # ---------------------------------------------------------------------------
 # check implementations
 
 
+@_check("hermitian-count",
+        "the Hermitian curve has exactly q^3 + 1 rational points over F_{q^2} "
+        "and attains the Hasse-Weil bound, for q in {2, 3, 4, 8}",
+        qs=(2, 3, 4, 8))
 def _check_hermitian_count(qs):
     for q in qs:
         _require(q * q <= TABLE_LIMIT and is_prime_power(q),
                  f"q = {q}: the counts enumerate F_(q^2), so q must be a "
                  f"prime power with q^2 <= 2^20")
-    evidence = {}
-    ok = {}
-    for q in qs:
+
+    def one(q):
         fermat = FermatHermitian(q)
         ntrace = NormTraceHermitian(q)
         cf = fermat.count_rational_points()
         cn = ntrace.count_rational_points()
-        evidence[f"q{q}"] = {
+        entry = {
             "expected": q**3 + 1, "fermat": cf, "norm_trace": cn,
             "genus": fermat.genus(),
             "maximal": fermat.maximality_check() and ntrace.maximality_check(),
         }
-        ok[f"q{q}"] = (cf == q**3 + 1 and cn == q**3 + 1
-                       and evidence[f"q{q}"]["maximal"])
-    return _verdict(ok), evidence
+        return cf == q**3 + 1 and cn == q**3 + 1 and entry["maximal"], entry
+    return _per_value("q", qs, one)
 
 
+@_check("gk-congruence",
+        "the generalized GK curve over F_{2^(2n)} has 4q^2 - 4q + 1 rational "
+        "points (q = 2^n), a count divisible by 3",
+        ns=(5, 7))
 def _check_gk_congruence(ns):
     for n in ns:
         _require(n >= 3 and n % 2 and 2 * n <= 62,
                  f"n = {n}: the GK curve needs odd n >= 3, and F_(2^(2n)) "
                  f"must fit the 2^62 size cap (n <= 31)")
-    evidence = {}
-    ok = {}
-    for n in ns:
+
+    def one(n):
         q = 2**n
         curve = GeneralizedGK(2, n)
         formula = 4 * q * q - 4 * q + 1
@@ -125,19 +165,21 @@ def _check_gk_congruence(ns):
             enum = curve.count_rational_points()
             entry["enumerated"] = enum
             conds.append(enum == formula)
-        evidence[f"n{n}"] = entry
-        ok[f"n{n}"] = all(conds)
-    return _verdict(ok), evidence
+        return all(conds), entry
+    return _per_value("n", ns, one)
 
 
+@_check("gs-congruence",
+        "the Garcia-Stichtenoth curve over F_{q^6} has q^7 - q^5 + q^4 + 1 "
+        "rational points, congruent to q^2 + 1 and not to 2 modulo q^3 + 1",
+        qs=(2, 3, 4))
 def _check_gs_congruence(qs):
     for q in qs:
         _require(q**6 <= TABLE_LIMIT and is_prime_power(q),
                  f"q = {q}: the count enumerates F_(q^6), so q must be a "
                  f"prime power with q^6 <= 2^20")
-    evidence = {}
-    ok = {}
-    for q in qs:
+
+    def one(q):
         curve = GarciaStichtenoth(q)
         formula = q**7 - q**5 + q**4 + 1
         enum = curve.count_rational_points()
@@ -149,22 +191,24 @@ def _check_gs_congruence(qs):
             "expected_mod": (q * q + 1) % (q**3 + 1),
             "differs_from_two_fixed_point_residue": (q * q + 1) % (q**3 + 1) != 2,
         }
-        evidence[f"q{q}"] = entry
-        ok[f"q{q}"] = (enum == formula
-                       and enum % (q**3 + 1) == (q * q + 1) % (q**3 + 1)
-                       and entry["differs_from_two_fixed_point_residue"])
-    return _verdict(ok), evidence
+        return (enum == formula
+                and enum % (q**3 + 1) == (q * q + 1) % (q**3 + 1)
+                and entry["differs_from_two_fixed_point_residue"]), entry
+    return _per_value("q", qs, one)
 
 
+@_check("alpha-semiregular",
+        "the diagonal group of order (q+1)/3 acts semiregularly on the "
+        "Hermitian curve, and so does its index-3 diagonal overgroup",
+        ns=(5,))
 def _check_alpha_semiregular(ns):
     for n in ns:
         _require(n >= 1 and n % 2 and 2 * n <= 62
                  and 2**n + 1 <= CLOSURE_CAP,
                  f"n = {n}: the group orders (q+1)/3 and q+1 need odd n, "
                  f"and q + 1 must fit the closure cap {CLOSURE_CAP}")
-    evidence = {}
-    ok = {}
-    for n in ns:
+
+    def one(n):
         q = 2**n
         F = build_field(2, 2 * n)
         model = FermatHermitian(q)
@@ -190,9 +234,8 @@ def _check_alpha_semiregular(ns):
             clean = all(len(o) == Gbar.order for o in orbits(Gbar, pts))
             entry["exhaustive_scan_confirms"] = clean
             conds["scan"] = clean and len(pts) == q**3 + 1
-        evidence[f"n{n}"] = entry
-        ok[f"n{n}"] = all(conds.values())
-    return _verdict(ok), evidence
+        return all(conds.values()), entry
+    return _per_value("n", ns, one)
 
 
 def _triangolo_construction(n):
@@ -231,6 +274,12 @@ def _triangolo_construction(n):
     return q, F, model, family, stabilizer
 
 
+@_check("triangolo-census",
+        "each weighted 3-cycle in the non-cube determinant family has exactly "
+        "3 fixed points on the Hermitian curve; the incidence count is "
+        "4(q+1)/3 over 2(q+1)/3 points forming 2 orbits of the diagonal "
+        "stabilizer, incompatible with a quotient count divisible by 3",
+        n=9)
 def _check_triangolo_census(n):
     q, _, model, family, stab = _triangolo_construction(n)
     census = family_census(family, stab, model)
@@ -270,15 +319,19 @@ def _check_triangolo_census(n):
     return _verdict(conds), evidence
 
 
+@_check("eigen-fixed-points",
+        "a unitary weighted 3-cycle with non-cube determinant has exactly 3 "
+        "fixed points, all on the curve, with coordinates in the cubic "
+        "extension of F_{q^2}",
+        ns=(5, 7, 9))
 def _check_eigen_fixed_points(ns):
     for n in ns:
         _require(n >= 1 and n % 2 and 6 * n <= 62,
                  f"n = {n}: the weights need 3 | q + 1 (odd n), and the "
                  f"eigenvalue field F_(2^(6n)) must fit the 2^62 size cap "
                  f"(n <= 9)")
-    evidence = {}
-    ok = {}
-    for n in ns:
+
+    def one(n):
         q = 2**n
         F = build_field(2, 2 * n)
         model = FermatHermitian(q)
@@ -288,19 +341,23 @@ def _check_eigen_fixed_points(ns):
         fps = fixed_points(sigma, model)
         on_curve = fps.on_curve_count()
         fields = sorted({P.field.k for P, _ in fps.points})
-        evidence[f"n{n}"] = {
+        entry = {
             "kind": fps.kind,
             "n_fixed_points": len(fps.points),
             "on_curve": on_curve,
             "point_field_degrees": fields,
             "det_is_cube": F.is_dth_power(sigma.det(), 3),
         }
-        ok[f"n{n}"] = (fps.kind == "points" and len(fps.points) == 3
-                       and on_curve == 3 and fields == [6 * n]
-                       and not evidence[f"n{n}"]["det_is_cube"])
-    return _verdict(ok), evidence
+        return (fps.kind == "points" and len(fps.points) == 3
+                and on_curve == 3 and fields == [6 * n]
+                and not entry["det_is_cube"]), entry
+    return _per_value("n", ns, one)
 
 
+@_check("phi-homomorphism",
+        "restriction to a stabilized line is a group homomorphism into "
+        "PGL(2, q^2), injective on a semiregular line stabilizer",
+        q=32)
 def _check_phi_homomorphism(q):
     import random
     pk = is_prime_power(q)
@@ -330,6 +387,11 @@ def _check_phi_homomorphism(q):
     return _verdict(conds), evidence
 
 
+@_check("primovalore",
+        "q^2 + q + 2 divides q^9 (q^9 + 1)(q^6 - 1) only for q in "
+        "{1, 2, 3, 10}, by direct divisibility and by the linear remainder "
+        "2128 q - 1568",
+        q_max=10**6)
 def _check_primovalore(q_max):
     _require(q_max >= 10, "the scan must reach q = 10: q_max >= 10")
     hits = primovalore_scan(q_max)
@@ -341,6 +403,10 @@ def _check_primovalore(q_max):
     return _verdict(conds), {"q_max": q_max, "hits": hits, **spot}
 
 
+@_check("lemmino",
+        "the three impossibility facts excluding subfield unitary groups "
+        "hold for all odd primes p' and odd m in range",
+        m_max=20)
 def _check_lemmino(m_max):
     _require(m_max >= 3, "the scan starts at p' = 3: m_max >= 3")
     violations = lemmino_scan(m_max)
@@ -351,6 +417,11 @@ def _check_lemmino(m_max):
     }
 
 
+@_check("quattordici",
+        "among the tripled subfield-catalog orders, only the Singer "
+        "normalizer case at m = 3 survives the Lagrange test, via "
+        "(2^m + 1) | 9",
+        m_max=20)
 def _check_quattordici(m_max):
     _require(m_max >= 3, "the scan starts at m = 3: m_max >= 3")
     table = quattordici_scan(m_max)
@@ -367,13 +438,17 @@ def _check_quattordici(m_max):
     }
 
 
+@_check("secondovalore-catalog",
+        "a group of order q^2 + q + 1 is excluded from every maximal "
+        "subgroup class except the point and line stabilizers (and the "
+        "conic case in odd characteristic), under multipliers 1 and 3",
+        qs=(4, 5))
 def _check_secondovalore_catalog(qs):
     from math import gcd
     for q in qs:
         _require(is_prime_power(q), f"q = {q} is not a prime power")
-    evidence = {}
-    ok = {}
-    for q in qs:
+
+    def one(q):
         m = q * q + q + 1
         expected = {"i", "ii"} if q % 2 == 0 else {"i", "ii", "v"}
         s1 = sorted({e.label for e in order_excluded(m, q**3, 1)})
@@ -381,15 +456,15 @@ def _check_secondovalore_catalog(qs):
         # a group of order q^2+q+1 lies in the determinant-cube subgroup:
         # either that subgroup is the whole group, or 3 misses the order
         inside = gcd(3, q**3 + 1) == 1 or m % 3 != 0
-        evidence[f"q{q}"] = {
+        entry = {
             "degree": m,
             "survivors_x1": s1,
             "survivors_x3": s3,
             "expected_survivors": sorted(expected),
             "forced_into_cube_classes": inside,
         }
-        ok[f"q{q}"] = set(s1) == expected and set(s3) == expected and inside
-    return _verdict(ok), evidence
+        return set(s1) == expected and set(s3) == expected and inside, entry
+    return _per_value("q", qs, one)
 
 
 _DELTA_PROFILES = {
@@ -412,13 +487,17 @@ _DELTA_PROFILES = {
 }
 
 
+@_check("delta-ledger",
+        "the different degree equals 470 (q = 4) and 7758 (q = 8); the "
+        "forced wild sums are 350 and 4734; no admissible assignment of "
+        "tame contributions completes either ledger",
+        qs=(4, 8))
 def _check_delta_ledger(qs):
     for q in qs:
         _require(q in _DELTA_PROFILES,
                  f"no ledger data for q = {q}; supported: 4, 8")
-    evidence = {}
-    ok = {}
-    for q in qs:
+
+    def one(q):
         data = _DELTA_PROFILES[q]
         model = FermatHermitian(q**3)
         delta = expected_delta(data["top_genus"], data["quotient_genus"],
@@ -430,20 +509,24 @@ def _check_delta_ledger(qs):
         for name, profile in data["profiles"].items():
             feasible, why = ledger_feasibility(delta, profile, model)
             verdicts[name] = {"feasible": feasible, "explanation": why}
-        evidence[f"q{q}"] = {
+        entry = {
             "delta": delta, "expected_delta": data["delta"],
             "component_sum": component,
             "expected_component_sum": data["component_sum"],
             "profiles": verdicts,
             "top_genus": model.genus(),
         }
-        ok[f"q{q}"] = (delta == data["delta"]
-                       and component == data["component_sum"]
-                       and model.genus() == data["top_genus"]
-                       and not any(v["feasible"] for v in verdicts.values()))
-    return _verdict(ok), evidence
+        return (delta == data["delta"]
+                and component == data["component_sum"]
+                and model.genus() == data["top_genus"]
+                and not any(v["feasible"] for v in verdicts.values())), entry
+    return _per_value("q", qs, one)
 
 
+@_check("rh-quotient-genus",
+        "a semiregular tame diagonal group of order (q+1)/3 on the Hermitian "
+        "curve gives different degree 0 and quotient genus (3q-4)/2",
+        n=5)
 def _check_rh_quotient_genus(n):
     _require(n >= 3 and n % 2 and 2 * n <= 62
              and 2**n + 1 <= 3 * CLOSURE_CAP,
@@ -468,6 +551,9 @@ def _check_rh_quotient_genus(n):
     }
 
 
+@_check("linpoly-decompose",
+        "X^8 + X decomposes through X^2 + X with outer factor "
+        "X^4 + X^2 + X, and t^3 + 1 = (t + 1)(t^2 + t + 1) over F_2")
 def _check_linpoly_decompose():
     F2 = build_field(2, 1)
     target = (1, 0, 0, 1)                     # X^8 + X, and t^3 + 1
@@ -492,6 +578,11 @@ def _check_linpoly_decompose():
     }
 
 
+@_check("prop1sylow-nondiv",
+        "no member of the binomial family A X^(q^2) + B X (A, B from the "
+        "quotient-equation constraints) divides X^(q^3) + X, under both the "
+        "composition and conventional-associate criteria",
+        q=4)
 def _check_prop1sylow_nondiv(q):
     _require(q == 4, "the family scan is pinned at q = 4")
     F = build_field(2, 12)
@@ -507,6 +598,11 @@ def _check_prop1sylow_nondiv(q):
     }
 
 
+@_check("sylow-census",
+        "the order-20 group built from trace-zero translations and a "
+        "diagonal of order 5 has a unique (normal) Sylow 2-subgroup whose "
+        "curve fixed point is the ideal point, a single orbit",
+        q=4)
 def _check_sylow_census(q):
     _require(q == 4, "the Sylow construction is pinned at q = 4")
     F = build_field(2, 12)
@@ -538,14 +634,7 @@ def _check_sylow_census(q):
 
 
 # ---------------------------------------------------------------------------
-# registry
-
-
-class _Check:
-    def __init__(self, func, claim, params):
-        self.func = func
-        self.claim = claim
-        self.params = params  # {name: default}
+# parameters and the runner
 
 
 def _int(value):
@@ -564,98 +653,6 @@ def _int_list(value):
         value = [value]
     return tuple(_int(v) for v in value)
 
-
-REGISTRY = {
-    "hermitian-count": _Check(
-        _check_hermitian_count,
-        "the Hermitian curve has exactly q^3 + 1 rational points over F_{q^2} "
-        "and attains the Hasse-Weil bound, for q in {2, 3, 4, 8}",
-        {"qs": (2, 3, 4, 8)}),
-    "gk-congruence": _Check(
-        _check_gk_congruence,
-        "the generalized GK curve over F_{2^(2n)} has 4q^2 - 4q + 1 rational "
-        "points (q = 2^n), a count divisible by 3",
-        {"ns": (5, 7)}),
-    "gs-congruence": _Check(
-        _check_gs_congruence,
-        "the Garcia-Stichtenoth curve over F_{q^6} has q^7 - q^5 + q^4 + 1 "
-        "rational points, congruent to q^2 + 1 and not to 2 modulo q^3 + 1",
-        {"qs": (2, 3, 4)}),
-    "alpha-semiregular": _Check(
-        _check_alpha_semiregular,
-        "the diagonal group of order (q+1)/3 acts semiregularly on the "
-        "Hermitian curve, and so does its index-3 diagonal overgroup",
-        {"ns": (5,)}),
-    "triangolo-census": _Check(
-        _check_triangolo_census,
-        "each weighted 3-cycle in the non-cube determinant family has exactly "
-        "3 fixed points on the Hermitian curve; the incidence count is "
-        "4(q+1)/3 over 2(q+1)/3 points forming 2 orbits of the diagonal "
-        "stabilizer, incompatible with a quotient count divisible by 3",
-        {"n": 9}),
-    "eigen-fixed-points": _Check(
-        _check_eigen_fixed_points,
-        "a unitary weighted 3-cycle with non-cube determinant has exactly 3 "
-        "fixed points, all on the curve, with coordinates in the cubic "
-        "extension of F_{q^2}",
-        {"ns": (5, 7, 9)}),
-    "phi-homomorphism": _Check(
-        _check_phi_homomorphism,
-        "restriction to a stabilized line is a group homomorphism into "
-        "PGL(2, q^2), injective on a semiregular line stabilizer",
-        {"q": 32}),
-    "primovalore": _Check(
-        _check_primovalore,
-        "q^2 + q + 2 divides q^9 (q^9 + 1)(q^6 - 1) only for q in "
-        "{1, 2, 3, 10}, by direct divisibility and by the linear remainder "
-        "2128 q - 1568",
-        {"q_max": 10**6}),
-    "lemmino": _Check(
-        _check_lemmino,
-        "the three impossibility facts excluding subfield unitary groups "
-        "hold for all odd primes p' and odd m in range",
-        {"m_max": 20}),
-    "quattordici": _Check(
-        _check_quattordici,
-        "among the tripled subfield-catalog orders, only the Singer "
-        "normalizer case at m = 3 survives the Lagrange test, via "
-        "(2^m + 1) | 9",
-        {"m_max": 20}),
-    "secondovalore-catalog": _Check(
-        _check_secondovalore_catalog,
-        "a group of order q^2 + q + 1 is excluded from every maximal "
-        "subgroup class except the point and line stabilizers (and the "
-        "conic case in odd characteristic), under multipliers 1 and 3",
-        {"qs": (4, 5)}),
-    "delta-ledger": _Check(
-        _check_delta_ledger,
-        "the different degree equals 470 (q = 4) and 7758 (q = 8); the "
-        "forced wild sums are 350 and 4734; no admissible assignment of "
-        "tame contributions completes either ledger",
-        {"qs": (4, 8)}),
-    "rh-quotient-genus": _Check(
-        _check_rh_quotient_genus,
-        "a semiregular tame diagonal group of order (q+1)/3 on the Hermitian "
-        "curve gives different degree 0 and quotient genus (3q-4)/2",
-        {"n": 5}),
-    "linpoly-decompose": _Check(
-        _check_linpoly_decompose,
-        "X^8 + X decomposes through X^2 + X with outer factor "
-        "X^4 + X^2 + X, and t^3 + 1 = (t + 1)(t^2 + t + 1) over F_2",
-        {}),
-    "prop1sylow-nondiv": _Check(
-        _check_prop1sylow_nondiv,
-        "no member of the binomial family A X^(q^2) + B X (A, B from the "
-        "quotient-equation constraints) divides X^(q^3) + X, under both the "
-        "composition and conventional-associate criteria",
-        {"q": 4}),
-    "sylow-census": _Check(
-        _check_sylow_census,
-        "the order-20 group built from trace-zero translations and a "
-        "diagonal of order 5 has a unique (normal) Sylow 2-subgroup whose "
-        "curve fixed point is the ideal point, a single orbit",
-        {"q": 4}),
-}
 
 
 def run_check(name, params=None) -> CheckReport:

@@ -1,7 +1,5 @@
-import errno
 import json
 import operator
-import os
 import random
 from array import array
 from math import gcd
@@ -322,83 +320,13 @@ def test_p2_lane_tables_match_the_shift_register(k):
     assert F.log == log
 
 
-# Each way os.fork can go: it sets the way up and returns the list of the
-# fork calls a build makes. The log is filled in one process, so every way
-# must leave that list empty.
-def _forks_once(monkeypatch):
-    calls = []
-    fork = os.fork
-
-    def counted():
-        calls.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
-def _no_fork(monkeypatch):
-    monkeypatch.delattr(os, "fork")
-    return []
-
-
-def _fork_raises(monkeypatch):
-    calls = []
-
-    def fork():
-        calls.append(1)
-        raise OSError(errno.EAGAIN, "no process left")
-
-    monkeypatch.setattr(os, "fork", fork)
-    return calls
-
-
-def _child_exits_3(monkeypatch):
-    # a fork whose child fails at once
-    calls = []
-    fork = os.fork
-
-    def fork_then_fail():
-        calls.append(1)
-        pid = fork()
-        if pid == 0:
-            os._exit(3)
-        os.waitpid(pid, 0)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork_then_fail)
-    return calls
-
-
-SPLIT_CASES = [_forks_once, _no_fork, _fork_raises, _child_exits_3]
-
-
-@pytest.mark.parametrize("k", [18, pytest.param(19, marks=pytest.mark.slow),
-                               pytest.param(20, marks=pytest.mark.slow)])
-@pytest.mark.parametrize("case", SPLIT_CASES, ids=lambda c: c.__name__[1:])
-def test_two_process_log_matches_the_shift_register(k, case, monkeypatch):
-    # a fresh field (not the cached one); its log, once filled in two
-    # processes, is now filled in this one however os.fork behaves
-    modulus = build_field(2, k).modulus
-    calls = case(monkeypatch)
-    F = GF(2, k, modulus, primitive=True)
-    assert calls == []
-    exp, log = _reference_p2_tables(F)
-    assert type(F.log) is array
-    assert F.exp == exp and F.log == log
-
-
-def test_log_fill_forks_only_above_the_split_limit(refused_fork_and_mmap):
-    # the split limit, 2^17, is gone: on neither side of it does a fresh
-    # p = 2 field fork or map memory
+def test_large_fresh_fields_fill_array_logs_without_fork_or_mmap(
+        refused_fork_and_mmap):
+    # F_{2^17}, F_{2^18} and F_{3^12}, built afresh (not the cached
+    # fields): each log is an array, and no build forks or maps memory
     for k in (17, 18):
         F = GF(2, k, build_field(2, k).modulus, primitive=True)
         assert type(F.log) is array and F.log[F.exp[5]] == 5
-    assert refused_fork_and_mmap == []
-
-
-def test_odd_p_tables_above_the_split_limit_stay_one_process(
-        refused_fork_and_mmap):
     F = GF(3, 12, build_field(3, 12).modulus, primitive=True)
     assert F.order > 1 << 17
     assert type(F.log) is array and F.log[F.exp[5]] == 5

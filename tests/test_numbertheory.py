@@ -54,7 +54,7 @@ def test_is_prime_power():
     assert is_prime_power(12) is None
 
 
-# -- the two-process split of the scans -----------------------------------------
+# -- the two-process census split -----------------------------------------------
 
 
 def _no_child_left():
@@ -137,7 +137,7 @@ def test_in_two_runs_both_halves_here_if_the_fork_fails(monkeypatch):
     assert _in_two(_bounded, range(4)) == [[0, 1], [2, 3]]
 
 
-def test_the_forked_scan_writes_no_inherited_output_twice():
+def test_the_forked_census_split_writes_no_inherited_output_twice():
     # stdout to a pipe is block-buffered, so the line is still unflushed
     # when `_in_two` forks; a child that flushed it would print it a second
     # time.  Each half returns the pid that ran it, so the upper half must
