@@ -320,13 +320,21 @@ def test_p2_lane_tables_match_the_shift_register(k):
     assert F.log == log
 
 
-def test_large_fresh_fields_fill_array_logs_without_fork_or_mmap(
-        refused_fork_and_mmap):
-    # F_{2^17}, F_{2^18} and F_{3^12}, built afresh (not the cached
-    # fields): each log is an array, and no build forks or maps memory
+def test_log_fill_forks_only_above_the_split_limit(refused_fork_and_mmap):
+    # the name is kept from when a log above 2^17 was filled in two
+    # processes; that split limit is gone. F_{2^17} and F_{2^18}, built
+    # afresh (not the cached fields): each log is an array, and neither
+    # build forks or maps memory
     for k in (17, 18):
         F = GF(2, k, build_field(2, k).modulus, primitive=True)
         assert type(F.log) is array and F.log[F.exp[5]] == 5
+    assert refused_fork_and_mmap == []
+
+
+def test_odd_p_tables_above_the_split_limit_stay_one_process(
+        refused_fork_and_mmap):
+    # F_{3^12}, above the old split limit, built afresh: an array log,
+    # filled with no fork and no mapped memory
     F = GF(3, 12, build_field(3, 12).modulus, primitive=True)
     assert F.order > 1 << 17
     assert type(F.log) is array and F.log[F.exp[5]] == 5
